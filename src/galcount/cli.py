@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .errors import InternalError, ResourceError, UsageError
 from . import counting, fourier, permgroup, verification
+from .galois import transitive_group
 from .polyarith import SplittingType
 
 FORMAT_VERSION = 1
@@ -105,23 +106,17 @@ def cmd_count(args) -> list[dict]:
     for H in ladder:
         if args.checkpoint:
             led, computed = _run_checkpointed(args, H)
+            mode, value = counting.ledger_E(led)
         else:
             result = counting.compute_E(args.n, H, parallelism=args.parallelism, budget=args.budget)
-            led = result["ledger"]
-            computed = 2 * H + 1
-        if args.n <= 5:
-            e_val = led.total - led.per_group.get(counting.SN_NAME[args.n], 0)
-            e_field = {"E": e_val}
-            counts.append((H, e_val))
-        else:
-            lower = led.reducible + led.disc_zero + led.square_disc
-            upper = led.total - led.per_group.get(counting.SN_NAME[args.n], 0)
-            e_field = {"EInterval": [lower, upper]}
+            led, mode, value = result["ledger"], result["mode"], result["value"]
+        if mode == "exact":
+            counts.append((H, value))
         obj = {
             "formatVersion": FORMAT_VERSION,
             "config": _config_echo(args),
             "type": "ledger",
-            **e_field,
+            "E" if mode == "exact" else "EInterval": value,
             **led.to_json(),
         }
         if args.checkpoint:
@@ -140,10 +135,7 @@ def cmd_count(args) -> list[dict]:
 def _run_checkpointed(args, H):
     root = args.checkpoint
     n = args.n
-    if (2 * H + 1) ** n > args.budget:
-        from .errors import BudgetExceeded
-
-        raise BudgetExceeded(f"(2H+1)^n = {(2*H+1)**n} exceeds budget {args.budget}")
+    counting.check_budget(n, H, args.budget)
     os.makedirs(root, exist_ok=True)
     merged = counting.CountLedger(n=n, H=H)
     computed = 0
@@ -185,9 +177,7 @@ def cmd_fourier(args) -> list[dict]:
             rep = fourier.verify_decay(table)
             rep["parsevalGap"] = fourier.parseval_gap(table)
             reports.append(rep)
-        maxima = [r["maxNonzeroScaled"] for r in reports]
-        inc = [b - a for a, b in zip(maxima, maxima[1:])]
-        trend_ok = not (inc and all(i > 1e-9 for i in inc) and all(b >= a for a, b in zip(inc, inc[1:])))
+        trend_ok = not fourier.accelerating([r["maxNonzeroScaled"] for r in reports])
         for rep in reports:
             out.append(
                 {
@@ -207,8 +197,6 @@ def cmd_group(args) -> list[dict]:
     if args.name:
         matches = [g for g in permgroup.catalogue() if g.name == args.name]
         if not matches:
-            from .galois import transitive_group
-
             try:
                 G = transitive_group(args.name)
             except UsageError:

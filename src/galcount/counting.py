@@ -26,15 +26,15 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     DegreeOutOfRange,
+    DivisionByZero,
     InsufficientData,
     UnknownGroup,
     UsageError,
     ZeroCount,
 )
 from . import galois
-from .polyarith import MonicIntPoly, disc, field_disc_valuation, is_prime
+from .polyarith import MonicIntPoly, disc, factor_int, field_disc_valuation, pmul
 
-FORMAT_VERSION = 1
 DEFAULT_BUDGET = 10**9
 
 DEGREE_GROUPS = {
@@ -137,10 +137,6 @@ def _sealed(n, H, a1, counts: dict) -> CountLedger:
     )
     led.checksum = zlib.crc32(body.encode())
     return led
-
-
-def _is_square(x: int) -> bool:
-    return x >= 0 and math.isqrt(x) ** 2 == x
 
 
 def _square_mask(d: np.ndarray) -> np.ndarray:
@@ -334,29 +330,9 @@ def _slice_counts_interval(n, H, a1):
     return c
 
 
-def _slice_counts_generic(n, H, a1, classifier):
-    """Apply a user classifier: f -> bucket label ('discZero', 'reducible',
-    'unresolved', or a group name)."""
-    S = 2 * H + 1
-    c = _empty_counts(total=S ** (n - 1))
-    for rest in itertools.product(range(-H, H + 1), repeat=n - 1):
-        label = classifier(MonicIntPoly((a1, *rest)))
-        if label == "discZero":
-            c["discZero"] += 1
-        elif label == "reducible":
-            c["reducible"] += 1
-        elif label == "unresolved":
-            c["unresolved"] += 1
-        else:
-            c["perGroup"][label] = c["perGroup"].get(label, 0) + 1
-    return c
-
-
-def slice_ledger(n: int, H: int, a1: int, classifier=None) -> CountLedger:
+def slice_ledger(n: int, H: int, a1: int) -> CountLedger:
     """Ledger for the sub-box with the leading coefficient pinned to a1."""
-    if classifier is not None:
-        counts = _slice_counts_generic(n, H, a1, classifier)
-    elif n == 1:
+    if n == 1:
         counts = _slice_counts_n1(H, a1)
     elif n == 2:
         counts = _slice_counts_n2(H, a1)
@@ -378,23 +354,27 @@ def _slice_worker(args):
     return a1, slice_ledger(n, H, a1)
 
 
+def check_budget(n: int, H: int, budget: int) -> None:
+    """Refuse a box of more than `budget` polynomials before enumerating it."""
+    if (2 * H + 1) ** n > budget:
+        raise BudgetExceeded(f"(2H+1)^n = {(2*H+1)**n} exceeds budget {budget}")
+
+
 def enumerate_box(
     n: int,
     H: int,
-    classifier=None,
     parallelism: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> CountLedger:
     if n < 1 or H < 0:
         raise UsageError("need n >= 1 and H >= 0")
-    if (2 * H + 1) ** n > budget:
-        raise BudgetExceeded(f"(2H+1)^n = {(2*H+1)**n} exceeds budget {budget}")
+    check_budget(n, H, budget)
     a1s = list(range(-H, H + 1))
-    if parallelism > 1 and classifier is None and len(a1s) > 1:
+    if parallelism > 1 and len(a1s) > 1:
         with Pool(parallelism) as pool:
             results = dict(pool.map(_slice_worker, [(n, H, a1) for a1 in a1s]))
     else:
-        results = {a1: slice_ledger(n, H, a1, classifier) for a1 in a1s}
+        results = {a1: slice_ledger(n, H, a1) for a1 in a1s}
     merged = CountLedger(n=n, H=H)
     for a1 in a1s:  # fixed order; checksum is order-free anyway
         merged = merged.merge(results[a1])
@@ -410,17 +390,21 @@ def compute_E(n: int, H: int, parallelism: int = 1, budget: int = DEFAULT_BUDGET
 
     Exact for n <= 5; a certified interval [lower, upper] for n in {6, 7}.
     """
-    if n >= 1 and (2 * H + 1) ** n > budget:
-        raise BudgetExceeded(f"(2H+1)^n = {(2*H+1)**n} exceeds budget {budget}")
+    if n >= 1:
+        check_budget(n, H, budget)
     if not 2 <= n <= 7:
         raise DegreeOutOfRange("compute_E implemented for 2 <= n <= 7")
     led = enumerate_box(n, H, parallelism=parallelism, budget=budget)
-    if n <= 5:
-        sn = led.per_group.get(SN_NAME[n], 0)
-        return {"mode": "exact", "value": led.total - sn, "ledger": led}
-    lower = led.reducible + led.disc_zero + led.square_disc
-    upper = led.total - led.per_group.get(SN_NAME[n], 0)
-    return {"mode": "interval", "value": [lower, upper], "ledger": led}
+    mode, value = ledger_E(led)
+    return {"mode": mode, "value": value, "ledger": led}
+
+
+def ledger_E(led: CountLedger) -> tuple[str, int | list[int]]:
+    """("exact", E) for n <= 5, ("interval", [lower, upper]) for n >= 6."""
+    upper = led.total - led.per_group.get(SN_NAME[led.n], 0)
+    if led.n <= 5:
+        return "exact", upper
+    return "interval", [led.reducible + led.disc_zero + led.square_disc, upper]
 
 
 def compute_N(n: int, H: int, group_name: str, parallelism: int = 1) -> int:
@@ -454,20 +438,6 @@ class SieveParams:
 _PRIMITIVE_NON_SN = {3: ("C3",), 4: ("A4",), 5: ("C5", "D5", "F20", "A5")}
 
 
-def _factor_int(m: int) -> dict[int, int]:
-    m = abs(m)
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
-
-
 def case_partition(n: int, H: int, params: SieveParams | None = None) -> dict:
     """Sieve cases for irreducible f with primitive non-S_n group.
 
@@ -495,7 +465,7 @@ def case_partition(n: int, H: int, params: SieveParams | None = None) -> dict:
         C = 1
         D = 1
         unknown = False
-        for p, e in _factor_int(delta_f).items():
+        for p, e in factor_int(delta_f).items():
             if e == 1:
                 D *= p  # p-maximality is automatic when p exactly divides disc
                 C *= p
@@ -551,8 +521,6 @@ def bound_calculator(inp: BoundInputs) -> dict:
     term3 = (2n-2)(a-u)+1, chosen = min(max(term1, term2), term3);
     Ystar is the balancing exponent (n-1)/(a+1-1/k-u).
     """
-    from .errors import DivisionByZero
-
     n, k, a, u = inp.n, inp.ind, inp.a, inp.u
     denom = a + 1 - Fraction(1, k) - u
     if denom == 0:
@@ -605,8 +573,7 @@ def intransitive_height_report(n1: int, n2: int, H: int, budget: int = 10**6) ->
     n = n1 + n2
     if n1 < 1 or n2 < 1 or n > 8 or H > 30 or H < 0:
         raise UsageError("need n1, n2 >= 1, n1+n2 <= 8, 0 <= H <= 30")
-    if (2 * H + 1) ** n > budget:
-        raise BudgetExceeded(f"(2H+1)^n = {(2*H+1)**n} exceeds budget {budget}")
+    check_budget(n, H, budget)
     lo_const = Fraction(1, math.comb(n, n // 2))
     hi_const = math.sqrt(n + 1)
     rows = []
@@ -650,12 +617,7 @@ def intransitive_height_report(n1: int, n2: int, H: int, budget: int = 10**6) ->
 def _product(factors) -> MonicIntPoly:
     out = [1]
     for g in factors:
-        gf = g.full()
-        nxt = [0] * (len(out) + len(gf) - 1)
-        for i, x in enumerate(out):
-            for j, y in enumerate(gf):
-                nxt[i + j] += x * y
-        out = nxt
+        out = pmul(out, g.full())
     return MonicIntPoly.from_full(out)
 
 

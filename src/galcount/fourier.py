@@ -9,8 +9,7 @@ its transform over the coefficient space mod p is
 with [f,g] the coordinatewise dot product of coefficient vectors and N the
 dimension of the space (n for monic, n+1 for binary forms).  The table is
 built by adding each sigma-selection's multiples into the weight array and
-running an axis-by-axis DFT; a direct sparse double sum is kept as an
-independent cross-check path for small p.
+running an axis-by-axis DFT.
 
 The binary-form space is the full space of degree-n forms c_0 x^n + ... +
 c_n y^n, and its irreducibles are y together with the monic-in-x forms, so
@@ -30,11 +29,13 @@ from .polyarith import (
     MonicIntPoly,
     PolyModP,
     SplittingType,
+    factor_int,
     factor_mod_p,
     index_mod_p,
     index_table,
     is_prime,
-    ptrim,
+    pdivmod,
+    pmul,
 )
 
 SPACE_CAP = 2 * 10**7
@@ -79,8 +80,6 @@ def enumerate_irreducibles(p: int, d: int) -> tuple[tuple[int, ...], ...]:
         return tuple((a, 1) for a in range(p))
     lower = [enumerate_irreducibles(p, e) for e in range(1, d // 2 + 1)]
     out = []
-    from .polyarith import pdivmod
-
     for body in itertools.product(range(p), repeat=d):
         f = list(body) + [1]
         if all(
@@ -94,17 +93,8 @@ def irreducible_count_necklace(p: int, d: int) -> int:
     """(1/d) sum_{e|d} mu(e) p^(d/e), the necklace cross-check."""
 
     def mu(m: int) -> int:
-        out, q = 1, 2
-        while q * q <= m:
-            if m % q == 0:
-                m //= q
-                if m % q == 0:
-                    return 0
-                out = -out
-            q += 1
-        if m > 1:
-            out = -out
-        return out
+        fac = factor_int(m)
+        return 0 if any(e > 1 for e in fac.values()) else (-1) ** len(fac)
 
     return sum(mu(e) * p ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
 
@@ -118,15 +108,6 @@ def _pools(space: WeightSpace, d: int) -> list:
     if space.kind == "binary" and d == 1:
         pool = [_Y] + pool
     return pool
-
-
-def _form_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
 
 
 def _member_form(member, p: int) -> list[int]:
@@ -199,10 +180,10 @@ def _weight_array(space: WeightSpace, sigma: SplittingType) -> np.ndarray:
             for m, e in sel:
                 poly = _member_poly(m)
                 for _ in range(e):
-                    q = _form_mul(q, poly, p)  # ascending convolution works too
+                    q = pmul(q, poly, p)
             qd = len(q) - 1
             for mon in itertools.product(range(p), repeat=n - qd):
-                prod = _form_mul(q, [*reversed(mon), 1], p)
+                prod = pmul(q, [*reversed(mon), 1], p)
                 # descending (a_1..a_n) after the leading 1
                 idx = 0
                 for c in reversed(prod[:-1]):
@@ -214,10 +195,10 @@ def _weight_array(space: WeightSpace, sigma: SplittingType) -> np.ndarray:
             for m, e in sel:
                 form = _member_form(m, p)
                 for _ in range(e):
-                    q = _form_mul(q, form, p)
+                    q = pmul(q, form, p)
             qd = len(q) - 1
             for rest in itertools.product(range(p), repeat=n - qd + 1):
-                prod = _form_mul(q, list(rest), p)
+                prod = pmul(q, list(rest), p)
                 idx = 0
                 for c in prod:
                     idx = idx * p + c
@@ -269,24 +250,6 @@ def weight(space: WeightSpace, point: tuple[int, ...], sigma: SplittingType) -> 
     return count
 
 
-def direct_transform(space: WeightSpace, w: np.ndarray) -> np.ndarray:
-    """Sparse double-sum transform, the cross-check path (p <= 5 intended)."""
-    p = space.p
-    dim = space.dim
-    root = np.exp(2j * np.pi / p)
-    powers = root ** np.arange(p)
-    out = np.zeros((p,) * dim, dtype=np.complex128)
-    nz = np.argwhere(w != 0)
-    vals = w[w != 0]
-    for g in itertools.product(range(p), repeat=dim):
-        acc = 0j
-        garr = np.array(g)
-        phases = (nz @ garr) % p
-        acc = np.sum(vals * powers[phases])
-        out[g] = acc / p**dim
-    return out
-
-
 def parseval_gap(table: FourierTable) -> float:
     """Relative gap in sum_g |what(g)|^2 = p^-N sum_f w(f)^2."""
     lhs = float(np.sum(np.abs(table.values) ** 2))
@@ -294,6 +257,20 @@ def parseval_gap(table: FourierTable) -> float:
     if rhs == 0:
         return abs(lhs)
     return abs(lhs - rhs) / rhs
+
+
+def accelerating(xs, tol: float = 1e-9) -> bool:
+    """Does the series grow by more than tol at every step, with increments
+    that never shrink (up to a relative slack of 1e-6)?
+
+    That is the signature of a wrong power of p in the scaling; bounded
+    series, convergent from below, have shrinking increments.  A series of
+    fewer than two points has no increments and is never accelerating.
+    """
+    inc = [b - a for a, b in zip(xs, xs[1:])]
+    return bool(inc) and all(i > tol for i in inc) and all(
+        b >= a * (1 - 1e-6) for a, b in zip(inc, inc[1:])
+    )
 
 
 def verify_decay(table: FourierTable) -> dict:
@@ -357,18 +334,6 @@ def box_count_index(p: int, n: int, k: int, H: int) -> int:
     for _ in range(n):
         acc = np.tensordot(acc, c, axes=([acc.ndim - 1], [0]))
     return int(acc)
-
-
-def box_count_index_scan(p: int, n: int, k: int, H: int) -> int:
-    """Direct scan cross-check (small boxes only)."""
-    if (2 * H + 1) ** n > 10**6:
-        raise TooLarge("scan cross-check limited to 10^6 points")
-    mask = _index_mask(p, n, k)
-    count = 0
-    for tup in itertools.product(range(-H, H + 1), repeat=n):
-        if mask[tuple(a % p for a in tup)]:
-            count += 1
-    return count
 
 
 def multi_prime_box_count(conditions: list[tuple[int, int]], n: int, H: int) -> int:

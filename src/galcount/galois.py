@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -31,9 +31,14 @@ from . import permgroup as pg
 from .polyarith import (
     MonicIntPoly,
     PolyModP,
+    _deriv,
+    _squarefree_decomposition_Q,
+    _trim,
     disc,
     factor_mod_p,
+    interpolate,
     is_prime,
+    pderiv,
     pdivmod,
     pgcd,
     pmul,
@@ -127,30 +132,6 @@ def transitive_group(name: str) -> pg.PermGroup:
 # Hensel lifting and Zassenhaus factorization
 
 
-def _zmul(a: list[int], b: list[int], m: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
-    return ptrim(out)
-
-
-def _zdivmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
-    """Division by a monic polynomial over Z/m (ascending lists)."""
-    assert b[-1] == 1
-    a = a[:]
-    db, da = len(b) - 1, len(a) - 1
-    q = [0] * max(da - db + 1, 1)
-    for i in range(da - db, -1, -1):
-        c = a[i + db] % m
-        if c:
-            q[i] = c
-            for j in range(db + 1):
-                a[i + j] = (a[i + j] - c * b[j]) % m
-    return ptrim(q), ptrim(a[: max(db, 1)])
-
-
 def _pxgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     """(s, t) with s*a + t*b = 1 mod p, for coprime a, b."""
     r0, r1 = ptrim(a[:]), ptrim(b[:])
@@ -170,12 +151,12 @@ def _pxgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
 def _hensel_step(f, g, h, s, t, m):
     """One quadratic lift: from f=gh, sg+th=1 (mod m) to the same mod m^2."""
     m2 = m * m
-    e = ptrim([(x - y) % m2 for x, y in itertools.zip_longest(f, _zmul(g, h, m2), fillvalue=0)])
-    q, r = _zdivmod_monic(_zmul(s, e, m2), h, m2)
+    e = ptrim([(x - y) % m2 for x, y in itertools.zip_longest(f, pmul(g, h, m2), fillvalue=0)])
+    q, r = pdivmod(pmul(s, e, m2), h, m2)
     g1 = ptrim(
         [
             (x + y + z) % m2
-            for x, y, z in itertools.zip_longest(g, _zmul(t, e, m2), _zmul(q, g, m2), fillvalue=0)
+            for x, y, z in itertools.zip_longest(g, pmul(t, e, m2), pmul(q, g, m2), fillvalue=0)
         ]
     )
     h1 = ptrim([(x + y) % m2 for x, y in itertools.zip_longest(h, r, fillvalue=0)])
@@ -183,16 +164,16 @@ def _hensel_step(f, g, h, s, t, m):
         [
             (x + y - (1 if i == 0 else 0)) % m2
             for i, (x, y) in enumerate(
-                itertools.zip_longest(_zmul(s, g1, m2), _zmul(t, h1, m2), fillvalue=0)
+                itertools.zip_longest(pmul(s, g1, m2), pmul(t, h1, m2), fillvalue=0)
             )
         ]
     )
-    c, d = _zdivmod_monic(_zmul(s, b, m2), h1, m2)
+    c, d = pdivmod(pmul(s, b, m2), h1, m2)
     s1 = ptrim([(x - y) % m2 for x, y in itertools.zip_longest(s, d, fillvalue=0)])
     t1 = ptrim(
         [
             (x - y - z) % m2
-            for x, y, z in itertools.zip_longest(t, _zmul(t, b, m2), _zmul(c, g1, m2), fillvalue=0)
+            for x, y, z in itertools.zip_longest(t, pmul(t, b, m2), pmul(c, g1, m2), fillvalue=0)
         ]
     )
     return g1, h1, s1, t1
@@ -239,64 +220,6 @@ def _divides(f_desc: list[int], g_desc: list[int]) -> list[int] | None:
     return q
 
 
-def _squarefree_parts_over_Q(f: MonicIntPoly) -> list[tuple[MonicIntPoly, int]]:
-    """Squarefree decomposition of monic f via the repeated-gcd chain.
-
-    With g_0 = f and g_{i+1} = gcd(g_i, g_i'), the quotient of the radicals
-    rad(g_i)/rad(g_{i+1}) is the product of the irreducible factors of f
-    with multiplicity exactly i+1.  Degrees here are tiny, so exact
-    Fraction arithmetic is fine.
-    """
-    from fractions import Fraction
-
-    def fdivmod(a, b):
-        a = [Fraction(x) for x in a]
-        q = []
-        while len(a) >= len(b):
-            c = a[0] / b[0]
-            q.append(c)
-            for j in range(len(b)):
-                a[j] -= c * b[j]
-            a.pop(0)
-        while len(a) > 1 and a[0] == 0:
-            a.pop(0)
-        return q or [Fraction(0)], a or [Fraction(0)]
-
-    def fgcd(a, b):
-        a, b = a[:], b[:]
-        while any(x != 0 for x in b):
-            _, r = fdivmod(a, b)
-            a, b = b, r
-        return [c / a[0] for c in a]
-
-    chain = [[Fraction(c) for c in f.full()]]
-    while len(chain[-1]) > 1:
-        cur = chain[-1]
-        d = len(cur) - 1
-        deriv = [cur[i] * (d - i) for i in range(d)]
-        chain.append(fgcd(cur, deriv) if d > 0 else [Fraction(1)])
-    radicals = []
-    for g in chain:
-        if len(g) == 1:
-            radicals.append([Fraction(1)])
-        else:
-            d = len(g) - 1
-            deriv = [g[i] * (d - i) for i in range(d)]
-            q, _ = fdivmod(g, fgcd(g, deriv))
-            radicals.append(q)
-    out = []
-    for i in range(len(radicals) - 1):
-        piece, _ = fdivmod(radicals[i], radicals[i + 1])
-        if len(piece) > 1:
-            coeffs = []
-            for c in piece[1:]:
-                if c.denominator != 1:
-                    raise InternalError("non-integral squarefree part")
-                coeffs.append(int(c))
-            out.append((MonicIntPoly(tuple(coeffs)), i + 1))
-    return out
-
-
 def _zassenhaus(f: MonicIntPoly) -> list[MonicIntPoly]:
     """Factor a squarefree monic integer polynomial into monic irreducibles."""
     n = f.degree
@@ -310,7 +233,7 @@ def _zassenhaus(f: MonicIntPoly) -> list[MonicIntPoly]:
             p += 1
         fp = ptrim([c % p for c in fasc])
         if len(fp) - 1 == n:
-            dp = ptrim([(i * fp[i]) % p for i in range(1, len(fp))] or [0])
+            dp = pderiv(fp, p)
             if dp != [0] and len(pgcd(fp, dp, p)) == 1:
                 break
         p += 1
@@ -341,10 +264,8 @@ def _zassenhaus(f: MonicIntPoly) -> list[MonicIntPoly]:
         for combo in itertools.combinations(remaining, size):
             prod = [1]
             for i in combo:
-                prod = _zmul(prod, lifted[i], target)
+                prod = pmul(prod, lifted[i], target)
             cand = sym_desc(prod)
-            if abs(cand[-1]) > abs(rem_poly[-1]) and rem_poly[-1] != 0:
-                pass  # cheap screen not safe with zero constants; fall through
             q = _divides(rem_poly, cand)
             if q is not None:
                 found.append(MonicIntPoly.from_full(cand))
@@ -362,10 +283,12 @@ def _zassenhaus(f: MonicIntPoly) -> list[MonicIntPoly]:
 
 def factor_over_Z(f: MonicIntPoly) -> list[tuple[MonicIntPoly, int]]:
     """Complete factorization into monic integer irreducibles."""
-    out: list[tuple[MonicIntPoly, int]] = []
-    for part, mult in _squarefree_parts_over_Q(f):
-        for irr in _zassenhaus(part):
-            out.append((irr, mult))
+    out = [
+        (irr, mult)
+        for part, mult in _squarefree_decomposition_Q(f)
+        if part.degree  # a constant f is its own part and has no factors
+        for irr in _zassenhaus(part)
+    ]
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs, t[1]))
     return out
 
@@ -608,41 +531,13 @@ def _count_quintic_norm_factors(f: MonicIntPoly) -> int:
                 # (y0 - s x)^d contributes to x^j the coeff C(d,j)(-s)^j y0^(d-j)
                 for jj in range(d + 1):
                     comp[5 - jj] += ai * math.comb(d, jj) * (-s) ** jj * y0 ** (d - jj)
-            vals.append(resultant(f.full(), ptrimmed_desc(comp)))
-        from fractions import Fraction
-
-        coef = [Fraction(v) for v in vals]
-        m = len(ys)
-        for j in range(1, m):
-            for i in range(m - 1, j - 1, -1):
-                coef[i] = (coef[i] - coef[i - 1]) / (ys[i] - ys[i - j])
-        poly = [Fraction(0)] * m
-        acc = [Fraction(1)]
-        for j in range(m):
-            off = m - len(acc)
-            for i, c in enumerate(acc):
-                poly[off + i] += coef[j] * c
-            if j < m - 1:
-                shifted = acc + [Fraction(0)]
-                for i in range(1, len(shifted)):
-                    shifted[i] -= Fraction(ys[j]) * acc[i - 1]
-                acc = shifted
-        N = [int(c) for c in poly]
-        while N and N[0] == 0:
-            N.pop(0)
+            vals.append(resultant(f.full(), comp))
+        N = interpolate(ys, vals)
         if len(N) - 1 != 25:
             continue
         # need squarefree N for clean factor degrees
-        dN = [N[i] * (25 - i) for i in range(25)]
-        from .polyarith import resultant as _res
-
-        if _res(N, dN) == 0:
+        if resultant(N, _deriv(N)) == 0:
             continue
-        # normalize to monic by scaling the root: N has lc s^25 (up to sign)
-        lc = N[0]
-        if abs(lc) != s**25:
-            # unexpected but harmless; factor as-is via root scaling fallback
-            pass
         # factor N over Z (degree 25): count degree-5 irreducible factors
         quintics = 0
         for g, mult in _factor_primitive(N):
@@ -652,20 +547,13 @@ def _count_quintic_norm_factors(f: MonicIntPoly) -> int:
     raise InternalError("no squarefree Trager norm found")
 
 
-def ptrimmed_desc(c: list[int]) -> list[int]:
-    i = 0
-    while i < len(c) - 1 and c[i] == 0:
-        i += 1
-    return c[i:]
-
-
 def _factor_primitive(poly_desc: list[int]) -> list[tuple[list[int], int]]:
     """Factor a primitive non-monic integer polynomial via a monic transform.
 
     For g with leading coefficient L, L^(d-1) g(y/L) is monic in y; its
     factorization pulls back.  Returns (descending primitive factor, mult).
     """
-    g = ptrimmed_desc(poly_desc[:])
+    g = _trim(poly_desc)
     cont = 0
     for c in g:
         cont = math.gcd(cont, c)
@@ -740,7 +628,6 @@ def _exact_group_name(f: MonicIntPoly) -> str | None:
     if n == 2:
         return None if _is_square(disc(f)) else "C2"
     if n == 3:
-        a1, a2, a3 = f.coeffs
         if _has_integer_root(f):
             return None
         return "C3" if _is_square(disc(f)) else "S3"

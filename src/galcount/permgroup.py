@@ -1,7 +1,7 @@
 """Permutation groups: indices, primitivity, and wreath-product actions.
 
 Letters are 1-based in every external interface (constructors that take
-cycles, JSON export); internally permutations map {0,...,n-1} to itself.
+cycles); internally permutations map {0,...,n-1} to itself.
 
 ind(g) = n - #orbits of <g> = sum over cycles of (length - 1), and
 ind(G) = min of ind(g) over non-identity g.  These are the quantities the
@@ -10,7 +10,6 @@ bound calculator in `counting` consumes.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial
@@ -24,6 +23,7 @@ from .errors import (
     TrivialGroup,
     UsageError,
 )
+from .polyarith import factor_int
 
 CLOSURE_CAP = 10**7
 DEGREE_CAP = 10**5
@@ -57,10 +57,6 @@ class Permutation:
                     raise UsageError("cycles are not disjoint")
                 images[a - 1] = b - 1
         return cls(tuple(images))
-
-    @classmethod
-    def from_one_based(cls, images) -> "Permutation":
-        return cls(tuple(i - 1 for i in images))
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """(self * other)(x) = self(other(x))."""
@@ -96,9 +92,6 @@ class Permutation:
 
     def moved(self) -> int:
         return sum(1 for i, j in enumerate(self.images) if i != j)
-
-    def one_based(self) -> list[int]:
-        return [i + 1 for i in self.images]
 
 
 def cycle_type(g: Permutation) -> list[int]:
@@ -441,24 +434,10 @@ def _agl1(p: int) -> PermGroup:
     g = next(
         g
         for g in range(2, p)
-        if all(pow(g, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1))
+        if all(pow(g, (p - 1) // q, p) != 1 for q in factor_int(p - 1))
     )
     mul = Permutation(tuple((i * g) % p for i in range(p)))
     return PermGroup(p, [add, mul], name=f"AGL1_{p}", expected_order=p * (p - 1))
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def m11() -> PermGroup:
@@ -510,9 +489,3 @@ def catalogue_entry(G: PermGroup) -> dict:
         "ind": ind_of_group(G),
         "min_moved": min_moved_points(G),
     }
-
-
-def export_catalogue_jsonl(path: str) -> None:
-    with open(path, "w") as fh:
-        for G in catalogue():
-            fh.write(json.dumps(catalogue_entry(G)) + "\n")

@@ -1,13 +1,31 @@
-"""Exact polynomial arithmetic over Z and F_p.
+"""Exact polynomial arithmetic over Z, Q and F_p: galcount's one polynomial kernel.
 
-Integer polynomials are coefficient lists in descending order
-[lead, ..., const]; polynomials over F_p are lists in ascending order
-(index = power) because the gcd/factorization loops read nicer that way.
-MonicIntPoly stores only (a_1,...,a_n) for x^n + a_1 x^{n-1} + ... + a_n.
+Two coefficient conventions, each fixed:
 
-Sign convention, fixed for reproducibility: Res(f,g) is the determinant of
-the Sylvester matrix with the f-rows first, and
-disc(f) = (-1)^(d(d-1)/2) Res(f, f') / lc(f).
+- integer and rational polynomials are lists in descending order
+  [lead, ..., const].  MonicIntPoly stores only (a_1, ..., a_n) for
+  x^n + a_1 x^(n-1) + ... + a_n, and `full()` gives the descending list;
+- polynomials over F_p and Z/m are lists in ascending order (index = power).
+
+One helper per operation, shared by every module:
+
+- trim: `_trim` drops leading zeros (descending), `ptrim` drops trailing
+  zeros (ascending);
+- multiply: `pmul`, a convolution valid in either order, over Z or mod m,
+  that keeps the full untrimmed length;
+- derivative: `_deriv` (descending, over Z or Q), `pderiv` (ascending, mod p);
+- division and gcd over F_p: `pdivmod` (also over Z/m by a monic divisor),
+  `pgcd`, `pmonic`, `ppow_mod`;
+- squarefree decomposition: `_squarefree_decomposition_Q` (Yun, over Q) and
+  `_squarefree_decomposition` (over F_p);
+- interpolation: `interpolate`, exact Newton interpolation from integer
+  points to descending integer coefficients;
+- integer factorization: `factor_int`, by trial division;
+- resultant and discriminant: `resultant`, `disc_general`, `disc`.
+
+Sign convention, fixed for reproducibility: Res(f,g) is (-1)^(deg f deg g)
+times the determinant of the Sylvester matrix with the f-rows first, so that
+Res(x-a, x-b) = b-a, and disc(f) = (-1)^(d(d-1)/2) Res(f, f') / lc(f).
 """
 from __future__ import annotations
 
@@ -16,7 +34,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     CharacteristicTooSmall,
@@ -76,12 +93,6 @@ class MonicIntPoly:
             v = v * x + a
         return v
 
-    def derivative(self) -> list[int]:
-        """Descending coefficients of f' (not monic)."""
-        n = self.degree
-        full = self.full()
-        return [full[i] * (n - i) for i in range(n)]
-
     def height(self) -> int:
         return max((abs(a) for a in self.coeffs), default=0)
 
@@ -102,13 +113,9 @@ class MonicIntPoly:
         return cls(tuple(full[1:]))
 
 
-def height(f: MonicIntPoly) -> int:
-    return f.height()
-
-
 # ---------------------------------------------------------------------------
-# Resultants: Bareiss on the Sylvester matrix (primary) and modular CRT
-# (independent cross-check path)
+# Descending-list helpers (trim, derivative, interpolation) and integer
+# factorization
 
 
 def _trim(c: list[int]) -> list[int]:
@@ -116,6 +123,51 @@ def _trim(c: list[int]) -> list[int]:
     while i < len(c) - 1 and c[i] == 0:
         i += 1
     return c[i:]
+
+
+def _deriv(c: list) -> list:
+    """Descending coefficients of the derivative, over Z or Q; untrimmed."""
+    d = len(c) - 1
+    return [x * (d - i) for i, x in enumerate(c[:-1])]
+
+
+def factor_int(m: int) -> dict[int, int]:
+    """{prime: exponent} of |m| by trial division; {} when |m| <= 1."""
+    m = abs(m)
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= m:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        out[m] = out.get(m, 0) + 1
+    return out
+
+
+def interpolate(xs: list[int], ys: list[int]) -> list[int]:
+    """Descending integer coefficients of the polynomial of degree < len(xs)
+    through the points (xs[i], ys[i]).
+
+    Newton divided differences over exact rationals, expanded to the power
+    basis by Horner's rule; the coefficients must be integers, asserted.
+    """
+    m = len(xs)
+    coef = [Fraction(y) for y in ys]
+    for j in range(1, m):
+        for i in range(m - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    poly = [coef[-1]]
+    for j in range(m - 2, -1, -1):  # poly <- poly * (t - xs[j]) + coef[j]
+        poly = [a - xs[j] * b for a, b in zip(poly + [0], [0] + poly)]
+        poly[-1] += coef[j]
+    assert all(c.denominator == 1 for c in poly)
+    return _trim([int(c) for c in poly])
+
+
+# ---------------------------------------------------------------------------
+# Resultants: Bareiss on the Sylvester matrix
 
 
 def sylvester_matrix(f: list[int], g: list[int]) -> list[list[int]]:
@@ -175,86 +227,7 @@ def resultant(f: list[int], g: list[int]) -> int:
     return -det if (m * n) % 2 else det
 
 
-def _res_mod_p(f: list[int], g: list[int], p: int) -> int:
-    """Resultant mod p by the Euclidean product formula."""
-    a = [c % p for c in _trim(f)]
-    b = [c % p for c in _trim(g)]
-    a, b = _trim(a), _trim(b)
-    res = 1
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        if db < 0:
-            return 0
-        if db == 0:
-            return res * pow(b[0], da, p) % p
-        # remainder of a by b
-        lcb = b[0]
-        inv = pow(lcb, p - 2, p)
-        r = a[:]
-        for i in range(da - db + 1):
-            q = r[i] * inv % p
-            if q:
-                for j in range(db + 1):
-                    r[i + j] = (r[i + j] - q * b[j]) % p
-        r = _trim(r)
-        dr = len(r) - 1 if r != [0] else -1
-        if dr < 0:
-            return 0
-        res = res * pow(lcb, da - dr, p) % p
-        if (da * db) % 2 == 1:
-            res = (-res) % p
-        a, b = b, r
-
-
-@lru_cache(maxsize=1)
-def _crt_primes() -> list[int]:
-    out = []
-    q = 1 << 30
-    while len(out) < 64:
-        q += 1
-        if is_prime(q):
-            out.append(q)
-    return out
-
-
-def resultant_crt(f: list[int], g: list[int]) -> int:
-    """Independent code path: CRT over primes past the Hadamard bound."""
-    f, g = _trim(list(f)), _trim(list(g))
-    if f == [0] or g == [0]:
-        raise UsageError("resultant of the zero polynomial")
-    m, n = len(f) - 1, len(g) - 1
-    if m == 0:
-        return f[0] ** n
-    if n == 0:
-        return g[0] ** m
-    bound = 1
-    for row in sylvester_matrix(f, g):
-        bound *= math.isqrt(sum(c * c for c in row)) + 1
-    primes, modulus, res = [], 1, 0
-    pool = iter(_crt_primes())
-    while modulus <= 2 * bound:
-        try:
-            p = next(pool)
-        except StopIteration:  # extend the pool
-            q = _crt_primes()[-1] + 1
-            while not is_prime(q) or q in primes:
-                q += 1
-            p = q
-        if f[0] % p == 0 or g[0] % p == 0:
-            continue
-        rp = _res_mod_p(f, g, p)
-        # CRT combine
-        inv = pow(modulus % p, p - 2, p) if modulus > 1 else 1
-        res = res + modulus * ((rp - res) * inv % p)
-        modulus *= p
-        primes.append(p)
-    res %= modulus
-    if res > modulus // 2:
-        res -= modulus
-    return -res if (m * n) % 2 else res
-
-
-def disc_general(f: list[int], use_crt: bool = False) -> int:
+def disc_general(f: list[int]) -> int:
     """disc of an integer polynomial: (-1)^(d(d-1)/2) Res(f,f') / lc."""
     f = _trim(list(f))
     d = len(f) - 1
@@ -262,16 +235,15 @@ def disc_general(f: list[int], use_crt: bool = False) -> int:
         raise UsageError("disc needs degree >= 1")
     if d == 1:
         return 1
-    fp = _trim([f[i] * (d - i) for i in range(d)])
-    res = resultant_crt(f, fp) if use_crt else resultant(f, fp)
+    res = resultant(f, _deriv(f))
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     q, r = divmod(sign * res, f[0])
     assert r == 0
     return q
 
 
-def disc(f: MonicIntPoly, use_crt: bool = False) -> int:
-    return disc_general(f.full(), use_crt=use_crt)
+def disc(f: MonicIntPoly) -> int:
+    return disc_general(f.full())
 
 
 # ---------------------------------------------------------------------------
@@ -282,35 +254,12 @@ def disc_poly_in_last(n: int, prefix: tuple[int, ...]) -> list[int]:
     """Descending integer coefficients of a_n |-> Disc(x^n + a_1 x^(n-1) + ... + a_n).
 
     Degree in a_n is exactly n-1 (the leading coefficient is +-n^n), so n
-    interpolation points determine it; Lagrange interpolation over exact
-    rationals must land on integers, asserted.
+    interpolation points determine it.
     """
     if len(prefix) != n - 1:
         raise UsageError("prefix must have length n-1")
     xs = list(range(n))
-    ys = [disc(MonicIntPoly((*prefix, t))) for t in xs]
-    # Newton divided differences
-    coef = [Fraction(y) for y in ys]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    # expand Newton form to the descending power basis
-    poly = [Fraction(0)] * n
-    acc = [Fraction(1)]  # descending coeffs of prod_{i<j} (t - x_i)
-    for j in range(n):
-        offset = n - len(acc)
-        for i, c in enumerate(acc):
-            poly[offset + i] += coef[j] * c
-        if j < n - 1:
-            shifted = acc + [Fraction(0)]
-            for i in range(1, len(shifted)):
-                shifted[i] -= Fraction(xs[j]) * acc[i - 1]
-            acc = shifted
-    out = []
-    for c in poly:
-        assert c.denominator == 1
-        out.append(int(c))
-    return _trim(out)
+    return interpolate(xs, [disc(MonicIntPoly((*prefix, t))) for t in xs])
 
 
 @dataclass(frozen=True)
@@ -360,16 +309,20 @@ def ptrim(c: list[int]) -> list[int]:
     return c
 
 
-def pmul(a: list[int], b: list[int], p: int) -> list[int]:
+def pmul(a: list[int], b: list[int], m: int = 0) -> list[int]:
+    """Product of two coefficient lists in the same order (either one),
+    reduced mod m when m > 0.  The result has the full length
+    len(a) + len(b) - 1 and is not trimmed."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return ptrim(out)
+                out[i + j] += x * y
+    return [c % m for c in out] if m else out
 
 
 def pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) over F_p; also over Z/m for a monic divisor b."""
     a = a[:]
     db, da = len(b) - 1, len(a) - 1
     if b == [0]:
@@ -637,10 +590,7 @@ def dedekind_p_maximal(f: MonicIntPoly, p: int) -> bool:
     # integer lifts, monic, ascending
     glift = [c if c <= p // 2 else c - p for c in gstar]
     hlift = [c if c <= p // 2 else c - p for c in hstar]
-    prod = [0] * (len(glift) + len(hlift) - 1)
-    for i, x in enumerate(glift):
-        for j, y in enumerate(hlift):
-            prod[i + j] += x * y
+    prod = pmul(glift, hlift)
     fasc = list(reversed(f.full()))
     # g*h* == f mod p, so the difference is divisible by p coefficient-wise
     diff = [a - b for a, b in itertools.zip_longest(prod, fasc, fillvalue=0)]
@@ -689,8 +639,7 @@ def count_index_completions(p: int, n: int, k: int, prefix: tuple[int, ...]) -> 
     count = 0
     for suffix in itertools.product(range(p), repeat=k):
         full = [1, *prefix, *suffix]
-        deriv = [full[i] * (n - i) for i in range(n)]
-        if _index_via_gcd(full, deriv, p) == k:
+        if _index_via_gcd(full, _deriv(full), p) == k:
             count += 1
     return count
 
@@ -701,9 +650,7 @@ def index_table(p: int, n: int) -> list[int]:
         raise CharacteristicTooSmall("need p > n")
     out = []
     for body in itertools.product(range(p), repeat=n - 1):
-        full = [1, *body, 0]
-        deriv = [full[i] * (n - i) for i in range(n)]
-        dasc = ptrim([c % p for c in reversed(deriv)])
+        dasc = ptrim([c % p for c in reversed(_deriv([1, *body, 0]))])
         for an in range(p):
             fasc = [an, *reversed(body), 1]
             g = pgcd(fasc, dasc, p)
@@ -760,7 +707,8 @@ def power_sum_solution_count(p: int, weights: tuple[int, ...], targets: tuple[in
 
 def _squarefree_decomposition_Q(f: MonicIntPoly) -> list[tuple[MonicIntPoly, int]]:
     """Yun's algorithm in characteristic 0: monic squarefree parts with
-    multiplicities.  Gauss's lemma keeps every part integer-coefficient."""
+    their multiplicities, in increasing multiplicity; a constant f is its
+    own single part.  Gauss's lemma keeps every part integer-coefficient."""
 
     def fdivmod(a, b):
         a = list(a)
@@ -774,22 +722,12 @@ def _squarefree_decomposition_Q(f: MonicIntPoly) -> list[tuple[MonicIntPoly, int
 
     def fgcd(a, b):
         while b and (len(b) > 1 or b[0] != 0):
-            _, r = fdivmod(a, b)
-            while len(r) > 1 and r[0] == 0:
-                r.pop(0)
-            a, b = b, r
+            a, b = b, _trim(fdivmod(a, b)[1])
         return [c / a[0] for c in a]
 
-    def fderiv(a):
-        d = len(a) - 1
-        return [a[i] * (d - i) for i in range(d)]
-
     def to_poly(a):
-        ints = []
-        for c in a:
-            assert c.denominator == 1
-            ints.append(int(c))
-        return MonicIntPoly(tuple(ints[1:]))
+        assert all(c.denominator == 1 for c in a)
+        return MonicIntPoly(tuple(int(c) for c in a[1:]))
 
     def fsub(a, b):
         pad = len(a) - len(b)
@@ -797,18 +735,15 @@ def _squarefree_decomposition_Q(f: MonicIntPoly) -> list[tuple[MonicIntPoly, int
             a = [Fraction(0)] * (-pad) + list(a)
         elif pad > 0:
             b = [Fraction(0)] * pad + list(b)
-        out = [x - y for x, y in zip(a, b)]
-        while len(out) > 1 and out[0] == 0:
-            out.pop(0)
-        return out
+        return _trim([x - y for x, y in zip(a, b)])
 
     fq = [Fraction(c) for c in f.full()]
-    a = fgcd(fq, fderiv(fq))
+    a = fgcd(fq, _deriv(fq))
     if len(a) == 1:
         return [(f, 1)]
     b, _ = fdivmod(fq, a)
-    c, _ = fdivmod(fderiv(fq), a)
-    d = fsub(c, fderiv(b))
+    c, _ = fdivmod(_deriv(fq), a)
+    d = fsub(c, _deriv(b))
     out = []
     i = 1
     while len(b) > 1:
@@ -817,7 +752,7 @@ def _squarefree_decomposition_Q(f: MonicIntPoly) -> list[tuple[MonicIntPoly, int
             out.append((to_poly(p), i))
         b, _ = fdivmod(b, p)
         c, _ = fdivmod(d, p)
-        d = fsub(c, fderiv(b))
+        d = fsub(c, _deriv(b))
         i += 1
     return out
 

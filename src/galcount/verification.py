@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -19,14 +20,13 @@ from .errors import UsageError
 from . import fourier, permgroup
 from .polyarith import (
     DoubleDiscInput,
-    MonicIntPoly,
     SplittingType,
     disc_poly_in_last,
     double_disc,
     index_table,
     is_prime,
     mod_p2_forced_test,
-    partition_count,
+    partition_bound,
     power_sum_solution_count,
 )
 from .errors import SubsetSumZero
@@ -48,7 +48,7 @@ def verify_prop33(ps=(5, 7, 11, 13), ns=(3, 4, 5)) -> dict:
                 continue
             tab = np.array(index_table(p, n), dtype=np.int64)
             for k in range(1, n):
-                bound = partition_count(k, n - k) * math.factorial(n - k)
+                bound = partition_bound(k, n - k)
                 rows = tab.reshape(p ** (n - k), p**k)
                 counts = (rows >= k).sum(axis=1)
                 worst = int(counts.max())
@@ -248,22 +248,16 @@ def _sigmas_up_to(n: int):
 
 def _multiplicity_splits(part):
     """Ways to read a degree multiset as (degree, multiplicity) pairs."""
-    from collections import Counter
-
     counts = Counter(part)
     per_degree = []
     for d, c in sorted(counts.items()):
-        per_degree.append([tuple((d, e) for e in comp) for comp in _compositions(c)])
+        # a multiset of multiplicities summing to c is a partition of c
+        per_degree.append([tuple((d, e) for e in comp) for comp in _partitions(c)])
     out = []
     for pick in itertools.product(*per_degree):
         flat = tuple(sorted(x for grp in pick for x in grp))
         out.append(flat)
     return out
-
-
-def _compositions(c: int):
-    """Multisets of positive integers summing to c (partitions of c)."""
-    return list(_partitions(c))
 
 
 def verify_decay(ns=(3, 4), ps=(3, 5, 7, 11), spaces=("monic", "binary"), tol=1e-9) -> dict:
@@ -292,17 +286,7 @@ def verify_decay(ns=(3, 4), ps=(3, 5, 7, 11), spaces=("monic", "binary"), tol=1e
                     rep = fourier.verify_decay(table)
                     errs.append(rep["mainTermError"])
                     maxima.append(rep["maxNonzeroScaled"])
-                def accelerating(xs):
-                    # bounded-looking series (convergent from below) have
-                    # shrinking increments; flag only sustained growth whose
-                    # increments never shrink, the signature of a wrong
-                    # power of p in the scaling
-                    inc = [b - a for a, b in zip(xs, xs[1:])]
-                    return all(i > tol for i in inc) and all(
-                        b >= a * (1 - 1e-6) for a, b in zip(inc, inc[1:])
-                    )
-
-                if accelerating(errs) or accelerating(maxima):
+                if fourier.accelerating(errs, tol) or fourier.accelerating(maxima, tol):
                     violations.append(
                         {"space": kind, "n": n, "sigma": str(sigma), "mainTermErrors": errs, "maxima": maxima}
                     )

@@ -1,0 +1,36 @@
+"""Static hygiene: no module of the package keeps an unused module-level import."""
+
+import ast
+import pathlib
+
+import pytest
+
+import galcount
+
+PACKAGE = pathlib.Path(galcount.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by top-level imports that the module never reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(bound.items()) if name not in used]
+
+
+def test_guard_flags_an_unused_import():
+    assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == ["os (line 1)"]
+    assert unused_imports("from a import b as c\nc()\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -1,5 +1,6 @@
 """Exact integer/F_p polynomial arithmetic: discriminants, factoring, indices."""
 
+import functools
 import math
 import random
 
@@ -7,6 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from galcount import galois
 from galcount import polyarith as pa
 from galcount.errors import (
     CharacteristicTooSmall,
@@ -79,11 +81,99 @@ def test_resultant_matches_sylvester_determinant(fc, gc):
     assert pa.resultant(f, g) == sign * det
 
 
+def _res_mod_p(f: list[int], g: list[int], p: int) -> int:
+    """Resultant mod p by the Euclidean product formula."""
+    a = [c % p for c in pa._trim(f)]
+    b = [c % p for c in pa._trim(g)]
+    a, b = pa._trim(a), pa._trim(b)
+    res = 1
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        if db < 0:
+            return 0
+        if db == 0:
+            return res * pow(b[0], da, p) % p
+        # remainder of a by b
+        lcb = b[0]
+        inv = pow(lcb, p - 2, p)
+        r = a[:]
+        for i in range(da - db + 1):
+            q = r[i] * inv % p
+            if q:
+                for j in range(db + 1):
+                    r[i + j] = (r[i + j] - q * b[j]) % p
+        r = pa._trim(r)
+        dr = len(r) - 1 if r != [0] else -1
+        if dr < 0:
+            return 0
+        res = res * pow(lcb, da - dr, p) % p
+        if (da * db) % 2 == 1:
+            res = (-res) % p
+        a, b = b, r
+
+
+@functools.lru_cache(maxsize=1)
+def _crt_primes() -> list[int]:
+    out = []
+    q = 1 << 30
+    while len(out) < 64:
+        q += 1
+        if pa.is_prime(q):
+            out.append(q)
+    return out
+
+
+def resultant_crt(f: list[int], g: list[int]) -> int:
+    """Independent code path: CRT over primes past the Hadamard bound."""
+    f, g = pa._trim(list(f)), pa._trim(list(g))
+    if f == [0] or g == [0]:
+        raise UsageError("resultant of the zero polynomial")
+    m, n = len(f) - 1, len(g) - 1
+    if m == 0:
+        return f[0] ** n
+    if n == 0:
+        return g[0] ** m
+    bound = 1
+    for row in pa.sylvester_matrix(f, g):
+        bound *= math.isqrt(sum(c * c for c in row)) + 1
+    primes, modulus, res = [], 1, 0
+    pool = iter(_crt_primes())
+    while modulus <= 2 * bound:
+        try:
+            p = next(pool)
+        except StopIteration:  # extend the pool
+            q = _crt_primes()[-1] + 1
+            while not pa.is_prime(q) or q in primes:
+                q += 1
+            p = q
+        if f[0] % p == 0 or g[0] % p == 0:
+            continue
+        rp = _res_mod_p(f, g, p)
+        # CRT combine
+        inv = pow(modulus % p, p - 2, p) if modulus > 1 else 1
+        res = res + modulus * ((rp - res) * inv % p)
+        modulus *= p
+        primes.append(p)
+    res %= modulus
+    if res > modulus // 2:
+        res -= modulus
+    return -res if (m * n) % 2 else res
+
+
+def disc_crt(f: pa.MonicIntPoly) -> int:
+    """disc through resultant_crt, with the sign convention of pa.disc."""
+    d = f.degree
+    if d == 1:
+        return 1
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    return sign * resultant_crt(f.full(), pa._deriv(f.full()))
+
+
 @given(st.lists(small_coeff, min_size=1, max_size=7))
 @settings(max_examples=80, deadline=None)
 def test_bareiss_and_crt_resultant_agree(coeffs):
     f = pa.MonicIntPoly(tuple(coeffs))
-    assert pa.disc(f, use_crt=False) == pa.disc(f, use_crt=True)
+    assert pa.disc(f) == disc_crt(f)
 
 
 @given(
@@ -310,6 +400,71 @@ def test_mahler_height_bracket(coeffs):
     tol = 1e-6
     assert f.height() / math.comb(n, n // 2) <= m + tol
     assert m - tol <= math.sqrt(n + 1) * f.height()
+
+
+# ---------------------------------------------------------------------------
+# squarefree decomposition over Q, against sympy's sqf_list
+
+
+def _sqf_cases():
+    """Seeded monic polynomials of degree 2..7, descending: random ones, and
+    built products g^2 h, g^3 and g^3 h^2, so multiplicities above 1 occur."""
+    rng = random.Random(11)
+
+    def monic(d):
+        return [1, *(rng.randrange(-5, 6) for _ in range(d))]
+
+    def times(*factors):
+        out = [1]
+        for g in factors:
+            out = pa.pmul(out, g)
+        return out
+
+    cases = [monic(rng.randrange(2, 8)) for _ in range(30)]
+    for _ in range(25):
+        g = monic(rng.randrange(1, 4))
+        cases.append(times(g, g, monic(rng.randrange(0, 8 - 2 * (len(g) - 1)))))
+    for _ in range(15):
+        g = monic(rng.randrange(1, 3))
+        cases.append(times(g, g, g))
+    for _ in range(10):
+        g, h = monic(1), monic(rng.randrange(1, 3))
+        cases.append(times(g, g, g, h, h))
+    return cases
+
+
+def _sympy_sqf(full):
+    _, parts = sympy.sqf_list(to_sympy(full))
+    return sorted((tuple(int(c) for c in g.all_coeffs()), k) for g, k in parts)
+
+
+def test_squarefree_decomposition_matches_sympy():
+    repeated = 0
+    for full in _sqf_cases():
+        f = pa.MonicIntPoly.from_full(full)
+        want = _sympy_sqf(full)
+        repeated += any(k > 1 for _, k in want)
+        got = sorted((tuple(g.full()), k) for g, k in pa._squarefree_decomposition_Q(f))
+        assert got == want, full
+        # factor_over_Z: the irreducibles of each multiplicity multiply out
+        # to the squarefree part of that multiplicity
+        by_mult: dict[int, list[int]] = {}
+        for g, k in galois.factor_over_Z(f):
+            by_mult[k] = pa.pmul(by_mult.get(k, [1]), g.full())
+        assert sorted((tuple(g), k) for k, g in by_mult.items()) == want, full
+    assert repeated >= 40
+
+
+def test_mahler_measure_of_repeated_roots():
+    for full in _sqf_cases():
+        parts = _sympy_sqf(full)
+        if all(k == 1 for _, k in parts):
+            continue
+        expect = 1.0
+        for g, k in parts:
+            expect *= pa.mahler_measure(pa.MonicIntPoly.from_full(list(g)), tol=1e-9) ** k
+        got = pa.mahler_measure(pa.MonicIntPoly.from_full(full), tol=1e-8)
+        assert got == pytest.approx(expect, rel=1e-7, abs=1e-7), full
 
 
 def test_serialization_roundtrip():

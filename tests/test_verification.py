@@ -48,6 +48,9 @@ def test_decay_single_space():
     rep = vf.verify_decay(ns=(3,), ps=(3, 5, 7), spaces=("monic",))
     assert rep["pass"] and rep["violations"] == 0
     assert all(len(s["mainTermErrors"]) == 3 for s in rep["details"]["series"])
+    # a single prime gives series without increments: never accelerating
+    rep = vf.verify_decay(ns=(3,), ps=(5,), spaces=("monic",))
+    assert rep["pass"] and rep["violations"] == 0
 
 
 def test_sigma_enumeration_covers_all_types():
