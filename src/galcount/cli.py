@@ -3,7 +3,8 @@
 Subcommands: count, fourier, group, verify, bound.  Results are written as
 JSON lines (one object per result), optionally mirrored to CSV; every
 object embeds the run configuration and a format-version field.  Exit
-codes: 0 success, 1 usage or configuration error, 2 resource or budget
+codes: 0 success, 1 usage or configuration error (including an --out,
+--csv or --checkpoint path that cannot be written), 2 resource or budget
 error, 3 internal invariant failure.
 """
 from __future__ import annotations
@@ -11,16 +12,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
 
 from .errors import InternalError, ResourceError, UsageError
 from . import counting, fourier, permgroup, verification
+from .counting import FORMAT_VERSION
 from .galois import transitive_group
 from .polyarith import SplittingType
-
-FORMAT_VERSION = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,14 +88,6 @@ def _config_echo(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
-# ---------------------------------------------------------------------------
-# count with checkpointing
-
-
-def _checkpoint_path(root, n, H, a1):
-    return os.path.join(root, f"count_n{n}_H{H}_a1{a1:+d}.json")
-
-
 def cmd_count(args) -> list[dict]:
     ladder = _int_list(args.H)
     if not ladder or any(h < 0 for h in ladder):
@@ -104,12 +95,8 @@ def cmd_count(args) -> list[dict]:
     out = []
     counts = []
     for H in ladder:
-        if args.checkpoint:
-            led, computed = _run_checkpointed(args, H)
-            mode, value = counting.ledger_E(led)
-        else:
-            result = counting.compute_E(args.n, H, parallelism=args.parallelism, budget=args.budget)
-            led, mode, value = result["ledger"], result["mode"], result["value"]
+        result = counting.compute_E(args.n, H, args.parallelism, args.budget, args.checkpoint)
+        mode, value = result["mode"], result["value"]
         if mode == "exact":
             counts.append((H, value))
         obj = {
@@ -117,11 +104,11 @@ def cmd_count(args) -> list[dict]:
             "config": _config_echo(args),
             "type": "ledger",
             "E" if mode == "exact" else "EInterval": value,
-            **led.to_json(),
+            **result["ledger"].to_json(),
         }
         if args.checkpoint:
-            obj["slicesComputed"] = computed
-            if computed == 0:
+            obj["slicesComputed"] = result["slicesComputed"]
+            if result["slicesComputed"] == 0:
                 obj["status"] = "up to date"
         out.append(obj)
     if len(counts) >= 3 and all(h > 0 and c > 0 for h, c in counts):
@@ -130,39 +117,6 @@ def cmd_count(args) -> list[dict]:
             {"formatVersion": FORMAT_VERSION, "config": _config_echo(args), "type": "fit", **fit}
         )
     return out
-
-
-def _run_checkpointed(args, H):
-    root = args.checkpoint
-    n = args.n
-    counting.check_budget(n, H, args.budget)
-    os.makedirs(root, exist_ok=True)
-    merged = counting.CountLedger(n=n, H=H)
-    computed = 0
-    for a1 in range(-H, H + 1):
-        path = _checkpoint_path(root, n, H, a1)
-        if os.path.exists(path):
-            with open(path) as fh:
-                led = counting.CountLedger.from_json(json.load(fh)["ledger"])
-        else:
-            led = counting.slice_ledger(n, H, a1)
-            computed += 1
-            record = {
-                "formatVersion": FORMAT_VERSION,
-                "n": n,
-                "H": H,
-                "a1": a1,
-                "ledger": led.to_json(),
-            }
-            tmp = path + ".tmp"
-            with open(tmp, "w") as fh:
-                json.dump(record, fh, sort_keys=True)
-            os.replace(tmp, path)
-        merged = merged.merge(led)
-    return merged, computed
-
-
-# ---------------------------------------------------------------------------
 
 
 def cmd_fourier(args) -> list[dict]:
@@ -207,10 +161,11 @@ def cmd_group(args) -> list[dict]:
     else:
         params = {}
         for item in args.wreath.split(","):
-            if "=" not in item:
+            try:
+                k, v = item.split("=", 1)
+                params[k.strip()] = int(v)
+            except ValueError:
                 raise UsageError(f"bad wreath component {item!r}")
-            k, v = item.split("=", 1)
-            params[k.strip()] = int(v)
         missing = {"m", "k", "r"} - set(params)
         if missing:
             raise UsageError(f"wreath spec needs m, k, r (missing {sorted(missing)})")
@@ -232,6 +187,8 @@ def cmd_bound(args) -> list[dict]:
     inp = counting.BoundInputs(n=args.n, ind=args.ind, a=_fraction(args.a), u=_fraction(args.u))
     res = counting.bound_calculator(inp)
     prec = args.precision
+    if prec < 0:
+        raise UsageError("need --precision >= 0")
     obj = {"formatVersion": FORMAT_VERSION, "config": _config_echo(args), "type": "bound"}
     for key, val in res.items():
         obj[key] = str(val)
@@ -268,6 +225,11 @@ def main(argv=None) -> int:
         return 0
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:
+        if e.filename is None:  # not a file the user named
+            raise
+        print(f"error: cannot write {e.filename}: {e.strerror}", file=sys.stderr)
         return 1
     except ResourceError as e:
         print(f"resource error: {e}", file=sys.stderr)

@@ -4,7 +4,9 @@ The box {max |a_i| <= H} is cut into slices along a_1.  Each slice is
 counted independently (vectorized for degrees 2-4, scalar for 5-7) and the
 slice ledgers are merged in a fixed order, so the result is independent of
 the worker schedule.  The checksum of a merged ledger is the XOR of the
-per-slice checksums, hence also schedule-independent.
+per-slice checksums, hence also schedule-independent.  With a checkpoint
+directory each slice is stored as a file as soon as it is counted, and a
+stored slice is reused only if it re-seals (see `_load_slice`).
 
 E_n(H) counts monic degree-n integer polynomials in the box whose Galois
 group is not the full symmetric group; polynomials with vanishing
@@ -16,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,6 +39,7 @@ from . import galois
 from .polyarith import MonicIntPoly, disc, factor_int, field_disc_valuation, pmul
 
 DEFAULT_BUDGET = 10**9
+FORMAT_VERSION = 1
 
 DEGREE_GROUPS = {
     1: (),
@@ -118,25 +122,11 @@ class CountLedger:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
-def _sealed(n, H, a1, counts: dict) -> CountLedger:
-    """Attach the slice checksum: crc32 over the canonical slice record."""
-    led = CountLedger(
-        n=n,
-        H=H,
-        total=counts["total"],
-        disc_zero=counts["discZero"],
-        reducible=counts["reducible"],
-        per_group=counts["perGroup"],
-        square_disc=counts["squareDisc"],
-        unresolved=counts["unresolved"],
-    )
-    body = json.dumps(
-        {"a1": a1, **{k: led.to_json()[k] for k in ("n", "H", "total", "discZero", "reducible", "perGroup", "squareDisc", "unresolved")}},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    led.checksum = zlib.crc32(body.encode())
-    return led
+def _slice_crc(a1: int, led: CountLedger) -> int:
+    """Slice checksum: crc32 over a1 and the counts of the canonical record."""
+    body = {"a1": a1, **led.to_json()}
+    del body["caseHistogram"], body["checksum"]
+    return zlib.crc32(json.dumps(body, sort_keys=True, separators=(",", ":")).encode())
 
 
 def _square_mask(d: np.ndarray) -> np.ndarray:
@@ -153,21 +143,8 @@ def _square_mask(d: np.ndarray) -> np.ndarray:
 # Slice counters
 
 
-def _empty_counts(total=0):
-    return {
-        "total": total,
-        "discZero": 0,
-        "reducible": 0,
-        "perGroup": {},
-        "squareDisc": 0,
-        "unresolved": 0,
-    }
-
-
 def _slice_counts_n1(H, a1):
-    c = _empty_counts(total=1)
-    c["reducible"] = 1  # x + a1 is linear
-    return c
+    return CountLedger(n=1, H=H, total=1, reducible=1)  # x + a1 is linear
 
 
 def _slice_counts_n2(H, a1):
@@ -175,13 +152,11 @@ def _slice_counts_n2(H, a1):
     d = np.int64(a1) * a1 - 4 * a2
     zero = d == 0
     sq = _square_mask(np.where(d > 0, d, 0)) & (d > 0)
-    c = _empty_counts(total=2 * H + 1)
-    c["discZero"] = int(zero.sum())
-    c["reducible"] = int(sq.sum())
+    led = CountLedger(n=2, H=H, total=2 * H + 1, disc_zero=int(zero.sum()), reducible=int(sq.sum()))
     c2 = int((~zero & ~sq).sum())
     if c2:
-        c["perGroup"]["C2"] = c2
-    return c
+        led.per_group["C2"] = c2
+    return led
 
 
 def _cubic_root_mask(H, a1, S):
@@ -211,17 +186,11 @@ def _slice_counts_n3(H, a1):
     zero = d == 0
     red = _cubic_root_mask(H, a1, S) & ~zero
     sq = _square_mask(np.where(d > 0, d, 0)) & (d > 0) & ~zero & ~red
-    c = _empty_counts(total=S * S)
-    c["discZero"] = int(zero.sum())
-    c["reducible"] = int(red.sum())
-    n_c3 = int(sq.sum())
-    n_s3 = int((~zero & ~red & ~sq).sum())
-    if n_c3:
-        c["perGroup"]["C3"] = n_c3
-    if n_s3:
-        c["perGroup"]["S3"] = n_s3
-    c["squareDisc"] = n_c3
-    return c
+    led = CountLedger(n=3, H=H, total=S * S, disc_zero=int(zero.sum()), reducible=int(red.sum()))
+    groups = {"C3": int(sq.sum()), "S3": int((~zero & ~red & ~sq).sum())}
+    led.per_group = {k: v for k, v in groups.items() if v}
+    led.square_disc = groups["C3"]
+    return led
 
 
 def _quartic_reducible_mask(H, a1, S):
@@ -256,11 +225,8 @@ def _quartic_reducible_mask(H, a1, S):
 def _slice_counts_n4(H, a1):
     S = 2 * H + 1
     red = _quartic_reducible_mask(H, a1, S)
-    c = _empty_counts(total=S**3)
-    n_red = 0
-    n_zero = 0
+    led = CountLedger(n=4, H=H, total=S**3)
     groups = dict.fromkeys(DEGREE_GROUPS[4], 0)
-    sq = 0
     rng = range(-H, H + 1)
     for i2, a2 in enumerate(rng):
         for i3, a3 in enumerate(rng):
@@ -269,89 +235,131 @@ def _slice_counts_n4(H, a1):
                 P, Q, R = galois.depressed_quartic(a1, a2, a3, a4)
                 delta = galois.quartic_disc_depressed(P, Q, R)
                 if delta == 0:
-                    n_zero += 1
+                    led.disc_zero += 1
                     continue
                 if row[i4]:
-                    n_red += 1
+                    led.reducible += 1
                     continue
-                name = galois.quartic_group_irreducible(a1, a2, a3, a4)
-                groups[name] += 1
-                if name in ("A4", "V4"):
-                    sq += 1
-    c["discZero"] = n_zero
-    c["reducible"] = n_red
-    c["perGroup"] = {k: v for k, v in groups.items() if v}
-    c["squareDisc"] = sq
-    return c
+                groups[galois.quartic_group_irreducible(a1, a2, a3, a4)] += 1
+    led.per_group = {k: v for k, v in groups.items() if v}
+    led.square_disc = groups["A4"] + groups["V4"]
+    return led
 
 
 def _slice_counts_n5(H, a1):
     S = 2 * H + 1
-    c = _empty_counts(total=S**4)
+    led = CountLedger(n=5, H=H, total=S**4)
     groups = dict.fromkeys(DEGREE_GROUPS[5], 0)
     for rest in itertools.product(range(-H, H + 1), repeat=4):
         f = MonicIntPoly((a1, *rest))
         if disc(f) == 0:
-            c["discZero"] += 1
+            led.disc_zero += 1
             continue
         name = galois._exact_group_name(f)
         if name is None:
-            c["reducible"] += 1
+            led.reducible += 1
         else:
             groups[name] += 1
             if name in ("C5", "D5", "A5"):
-                c["squareDisc"] += 1
-    c["perGroup"] = {k: v for k, v in groups.items() if v}
-    return c
+                led.square_disc += 1
+    led.per_group = {k: v for k, v in groups.items() if v}
+    return led
 
 
 def _slice_counts_interval(n, H, a1):
     """Degrees 6-7: reducibility is exact, S_n only by certificate."""
     S = 2 * H + 1
-    c = _empty_counts(total=S ** (n - 1))
+    led = CountLedger(n=n, H=H, total=S ** (n - 1))
     certified = 0
     for rest in itertools.product(range(-H, H + 1), repeat=n - 1):
         f = MonicIntPoly((a1, *rest))
         if disc(f) == 0:
-            c["discZero"] += 1
+            led.disc_zero += 1
             continue
         if not galois.is_irreducible(f):
-            c["reducible"] += 1
+            led.reducible += 1
             continue
         verdict = galois.sn_certificate(f, prime_budget=25)
         if verdict.status == "certifiedSn":
             certified += 1
         else:
             if verdict.status == "certifiedSubsetAn":
-                c["squareDisc"] += 1
-            c["unresolved"] += 1
+                led.square_disc += 1
+            led.unresolved += 1
     if certified:
-        c["perGroup"][SN_NAME[n]] = certified
-    return c
+        led.per_group[SN_NAME[n]] = certified
+    return led
 
 
 def slice_ledger(n: int, H: int, a1: int) -> CountLedger:
     """Ledger for the sub-box with the leading coefficient pinned to a1."""
     if n == 1:
-        counts = _slice_counts_n1(H, a1)
+        led = _slice_counts_n1(H, a1)
     elif n == 2:
-        counts = _slice_counts_n2(H, a1)
+        led = _slice_counts_n2(H, a1)
     elif n == 3:
-        counts = _slice_counts_n3(H, a1)
+        led = _slice_counts_n3(H, a1)
     elif n == 4:
-        counts = _slice_counts_n4(H, a1)
+        led = _slice_counts_n4(H, a1)
     elif n == 5:
-        counts = _slice_counts_n5(H, a1)
+        led = _slice_counts_n5(H, a1)
     elif n in (6, 7):
-        counts = _slice_counts_interval(n, H, a1)
+        led = _slice_counts_interval(n, H, a1)
     else:
         raise DegreeOutOfRange("enumeration implemented for n <= 7")
-    return _sealed(n, H, a1, counts)
+    led.checksum = _slice_crc(a1, led)
+    return led
+
+
+# ---------------------------------------------------------------------------
+# Slice files: one per (n, H, a1), written whole or not at all
+
+
+def _slice_path(root, n, H, a1):
+    return os.path.join(root, f"count_n{n}_H{H}_a1{a1:+d}.json")
+
+
+def _store_slice(root, n, H, a1, led: CountLedger) -> None:
+    path = _slice_path(root, n, H, a1)
+    record = {"formatVersion": FORMAT_VERSION, "n": n, "H": H, "a1": a1, "ledger": led.to_json()}
+    with open(path + ".tmp", "w") as fh:
+        json.dump(record, fh, sort_keys=True)
+    os.replace(path + ".tmp", path)
+
+
+def _load_slice(root, n, H, a1) -> CountLedger | None:
+    """The stored slice if it re-seals, else None (a cache miss).
+
+    It re-seals when the file parses, its formatVersion, n, H and a1 are the
+    expected ones, total = discZero + reducible + sum(perGroup) + unresolved
+    = (2H+1)^(n-1), the checksum recomputed from a1 and the counts is the
+    stored one, and it has no case histogram, which the checksum does not
+    cover and no slice counter fills.
+    """
+    try:
+        with open(_slice_path(root, n, H, a1)) as fh:
+            record = json.load(fh)
+        led = CountLedger.from_json(record["ledger"])
+        stored, led.checksum = led.checksum, _slice_crc(a1, led)
+        counted = led.disc_zero + led.reducible + sum(led.per_group.values()) + led.unresolved
+        ok = (
+            (record["formatVersion"], record["n"], record["H"], record["a1"], led.n, led.H)
+            == (FORMAT_VERSION, n, H, a1, n, H)
+            and led.total == counted == (2 * H + 1) ** (n - 1)
+            and stored == led.checksum
+            and not led.case_histogram
+        )
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return led if ok else None
 
 
 def _slice_worker(args):
-    n, H, a1 = args
-    return a1, slice_ledger(n, H, a1)
+    n, H, a1, checkpoint = args
+    led = slice_ledger(n, H, a1)
+    if checkpoint:
+        _store_slice(checkpoint, n, H, a1, led)
+    return a1, led
 
 
 def check_budget(n: int, H: int, budget: int) -> None:
@@ -365,38 +373,62 @@ def enumerate_box(
     H: int,
     parallelism: int = 1,
     budget: int = DEFAULT_BUDGET,
-) -> CountLedger:
-    if n < 1 or H < 0:
-        raise UsageError("need n >= 1 and H >= 0")
+    checkpoint: str | None = None,
+) -> tuple[CountLedger, int]:
+    """The merged ledger of the box and the number of slices computed.
+
+    With a `checkpoint` directory, every stored slice that re-seals is
+    reused and every computed slice is stored as soon as it is done, by
+    the process that computed it.  The missing slices are computed in a
+    Pool of min(parallelism, missing slices, CPUs) processes, if above 1.
+    """
+    if not 1 <= n <= 7 or H < 0:
+        raise UsageError("need 1 <= n <= 7 and H >= 0")
     check_budget(n, H, budget)
-    a1s = list(range(-H, H + 1))
-    if parallelism > 1 and len(a1s) > 1:
-        with Pool(parallelism) as pool:
-            results = dict(pool.map(_slice_worker, [(n, H, a1) for a1 in a1s]))
+    a1s = range(-H, H + 1)
+    results = {}
+    if checkpoint:
+        os.makedirs(checkpoint, exist_ok=True)
+        for a1 in a1s:
+            led = _load_slice(checkpoint, n, H, a1)
+            if led is not None:
+                results[a1] = led
+    todo = [(n, H, a1, checkpoint) for a1 in a1s if a1 not in results]
+    workers = min(parallelism, len(todo), os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(workers) as pool:
+            results.update(pool.map(_slice_worker, todo))
     else:
-        results = {a1: slice_ledger(n, H, a1) for a1 in a1s}
+        results.update(map(_slice_worker, todo))
     merged = CountLedger(n=n, H=H)
     for a1 in a1s:  # fixed order; checksum is order-free anyway
         merged = merged.merge(results[a1])
-    return merged
+    return merged, len(todo)
 
 
 # ---------------------------------------------------------------------------
 # Headline counts
 
 
-def compute_E(n: int, H: int, parallelism: int = 1, budget: int = DEFAULT_BUDGET) -> dict:
+def compute_E(
+    n: int,
+    H: int,
+    parallelism: int = 1,
+    budget: int = DEFAULT_BUDGET,
+    checkpoint: str | None = None,
+) -> dict:
     """E_n(H): polynomials in the box whose group is not S_n.
 
     Exact for n <= 5; a certified interval [lower, upper] for n in {6, 7}.
+    "slicesComputed" counts the slices not taken from `checkpoint`.
     """
     if n >= 1:
         check_budget(n, H, budget)
     if not 2 <= n <= 7:
         raise DegreeOutOfRange("compute_E implemented for 2 <= n <= 7")
-    led = enumerate_box(n, H, parallelism=parallelism, budget=budget)
+    led, computed = enumerate_box(n, H, parallelism, budget, checkpoint)
     mode, value = ledger_E(led)
-    return {"mode": mode, "value": value, "ledger": led}
+    return {"mode": mode, "value": value, "ledger": led, "slicesComputed": computed}
 
 
 def ledger_E(led: CountLedger) -> tuple[str, int | list[int]]:
@@ -414,7 +446,7 @@ def compute_N(n: int, H: int, group_name: str, parallelism: int = 1) -> int:
     name = GROUP_ALIASES.get(group_name, group_name)
     if name not in DEGREE_GROUPS[n]:
         raise UnknownGroup(f"{group_name} is not a transitive group label of degree {n}")
-    led = enumerate_box(n, H, parallelism=parallelism)
+    led, _ = enumerate_box(n, H, parallelism=parallelism)
     return led.per_group.get(name, 0)
 
 

@@ -264,11 +264,11 @@ def accelerating(xs, tol: float = 1e-9) -> bool:
     that never shrink (up to a relative slack of 1e-6)?
 
     That is the signature of a wrong power of p in the scaling; bounded
-    series, convergent from below, have shrinking increments.  A series of
-    fewer than two points has no increments and is never accelerating.
+    series, convergent from below, have shrinking increments.  With fewer
+    than three points there are no two increments to compare: never accelerating.
     """
     inc = [b - a for a, b in zip(xs, xs[1:])]
-    return bool(inc) and all(i > tol for i in inc) and all(
+    return len(inc) >= 2 and all(i > tol for i in inc) and all(
         b >= a * (1 - 1e-6) for a, b in zip(inc, inc[1:])
     )
 

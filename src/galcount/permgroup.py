@@ -138,8 +138,11 @@ class PermGroup:
                 raise UsageError("generator degree mismatch")
 
     def elements(self, cap: int = CLOSURE_CAP) -> list[tuple[int, ...]]:
-        """Full closure as raw image tuples (breadth-first multiplication)."""
+        """Full closure as raw image tuples (breadth-first multiplication),
+        refused once it would store more than `cap` entries (elements x degree)."""
         if self._elements is None:
+            if self.expected_order is not None and self.expected_order * self.degree > cap:
+                raise GroupTooLarge(f"closure of {self.expected_order} x {self.degree} entries exceeds cap {cap}")
             gens = [g.images for g in self.generators]
             ident = tuple(range(self.degree))
             seen = {ident}
@@ -152,8 +155,8 @@ class PermGroup:
                         if prod not in seen:
                             seen.add(prod)
                             nxt.append(prod)
-                if len(seen) > cap:
-                    raise GroupTooLarge(f"closure exceeds cap {cap}")
+                if len(seen) * self.degree > cap:
+                    raise GroupTooLarge(f"closure exceeds cap {cap} entries")
                 frontier = nxt
             self._elements = sorted(seen)
             if self.expected_order is not None and len(seen) != self.expected_order:

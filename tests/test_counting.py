@@ -1,7 +1,9 @@
 """Exact box enumeration ledgers, E_n/N_n counts, sieve cases, bound calculator."""
 
 import itertools
+import json
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -52,7 +54,7 @@ def naive_ledger(n, H):
 
 def test_ledger_counts_match_naive_small_boxes():
     for n, H in [(2, 5), (3, 3), (4, 2)]:
-        led = ct.enumerate_box(n, H)
+        led = ct.enumerate_box(n, H)[0]
         total, dz, red, per_group, sq = naive_ledger(n, H)
         assert led.total == total == (2 * H + 1) ** n
         assert led.disc_zero == dz
@@ -64,14 +66,14 @@ def test_ledger_counts_match_naive_small_boxes():
 
 def test_ledger_invariant_holds():
     for n, H in [(2, 6), (3, 4), (5, 1)]:
-        led = ct.enumerate_box(n, H)
+        led = ct.enumerate_box(n, H)[0]
         classified = led.reducible + sum(led.per_group.values()) + led.unresolved
         assert classified == led.total - led.disc_zero
 
 
 def test_merge_equals_single_pass():
     n, H = 3, 4
-    whole = ct.enumerate_box(n, H)
+    whole = ct.enumerate_box(n, H)[0]
     merged = ct.CountLedger(n=n, H=H)
     for a1 in range(-H, H + 1):
         merged = merged.merge(ct.slice_ledger(n, H, a1))
@@ -84,15 +86,120 @@ def test_merge_equals_single_pass():
 
 
 def test_ledger_json_roundtrip():
-    led = ct.enumerate_box(3, 2)
+    led = ct.enumerate_box(3, 2)[0]
     again = ct.CountLedger.from_json(led.to_json())
     assert again.canonical() == led.canonical()
 
 
 def test_parallel_ledgers_identical():
-    base = ct.enumerate_box(3, 6, parallelism=1).canonical()
+    base = ct.enumerate_box(3, 6, parallelism=1)[0].canonical()
     for workers in (2, 4):
-        assert ct.enumerate_box(3, 6, parallelism=workers).canonical() == base
+        assert ct.enumerate_box(3, 6, parallelism=workers)[0].canonical() == base
+
+
+# ---------------------------------------------------------------------------
+# checkpointed slices
+
+
+def _slice_file(ck, n, H, a1):
+    return ck / f"count_n{n}_H{H}_a1{a1:+d}.json"
+
+
+def test_checkpoint_slice_file_bytes_pinned(tmp_path):
+    # a directory written by an earlier build resumes without recomputation
+    led, computed = ct.enumerate_box(2, 5, checkpoint=str(tmp_path))
+    assert computed == 11 and len(list(tmp_path.iterdir())) == 11
+    assert _slice_file(tmp_path, 2, 5, 0).read_text() == (
+        '{"H": 5, "a1": 0, "formatVersion": 1, "ledger": {"H": 5, "caseHistogram": {}, '
+        '"checksum": 3295712191, "discZero": 1, "n": 2, "perGroup": {"C2": 8}, "reducible": 2, '
+        '"squareDisc": 0, "total": 11, "unresolved": 0}, "n": 2}'
+    )
+    again, computed = ct.enumerate_box(2, 5, checkpoint=str(tmp_path))
+    assert computed == 0 and again.canonical() == led.canonical()
+
+
+def _edit_record(change):
+    def damage(path):
+        rec = json.loads(path.read_text())
+        change(rec)
+        path.write_text(json.dumps(rec, sort_keys=True))
+
+    return damage
+
+
+def _raise_s3(rec):
+    rec["ledger"]["total"] += 1000
+    rec["ledger"]["perGroup"]["S3"] += 1000
+
+
+def _move_one_to_c3(rec):  # the invariant still holds; only the checksum catches it
+    rec["ledger"]["perGroup"]["S3"] -= 1
+    rec["ledger"]["perGroup"]["C3"] = rec["ledger"]["perGroup"].get("C3", 0) + 1
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _edit_record(_raise_s3),
+        _edit_record(_move_one_to_c3),
+        _edit_record(lambda rec: rec.update(a1=0)),
+        _edit_record(lambda rec: rec.update(formatVersion=2)),
+        _edit_record(lambda rec: rec["ledger"].update(caseHistogram={"I": 5})),
+        lambda path: path.write_text(path.read_text()[:40]),
+        lambda path: path.write_text("[]"),
+        lambda path: path.write_text('{"ledger": {"n": 3}}'),
+    ],
+    ids=["raised", "moved", "a1", "version", "histogram", "truncated", "list", "partial"],
+)
+def test_checkpoint_damaged_slice_recomputed(tmp_path, damage):
+    direct = ct.enumerate_box(3, 4)[0]
+    ct.enumerate_box(3, 4, checkpoint=str(tmp_path))
+    path = _slice_file(tmp_path, 3, 4, 1)
+    good = path.read_bytes()
+    damage(path)
+    led, computed = ct.enumerate_box(3, 4, checkpoint=str(tmp_path))
+    assert computed == 1
+    assert led.canonical() == direct.canonical()
+    assert path.read_bytes() == good
+
+
+def test_checkpoint_not_created_for_a_refused_box(tmp_path):
+    ck = str(tmp_path / "ck")
+    for n, H in ((8, 0), (0, 1), (3, -1)):
+        with pytest.raises(UsageError):
+            ct.enumerate_box(n, H, checkpoint=ck)
+    with pytest.raises(BudgetExceeded):
+        ct.enumerate_box(3, 10, budget=100, checkpoint=ck)
+    assert not os.path.exists(ck)
+
+
+def test_pool_capped_at_slices_to_compute(tmp_path, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(ct, "Pool", SerialPool)
+    direct = ct.enumerate_box(3, 2)[0]
+    led, computed = ct.enumerate_box(3, 2, parallelism=10**6, checkpoint=str(tmp_path))
+    assert computed == 5 and led.canonical() == direct.canonical()
+    workers = min(5, os.cpu_count() or 1)
+    assert sizes == ([workers] if workers > 1 else [])
+    # one missing slice, or none, starts no Pool
+    _slice_file(tmp_path, 3, 2, 0).unlink()
+    assert ct.enumerate_box(3, 2, parallelism=10**6, checkpoint=str(tmp_path))[1] == 1
+    assert ct.enumerate_box(3, 2, parallelism=10**6, checkpoint=str(tmp_path))[1] == 0
+    assert sizes == ([workers] if workers > 1 else [])
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +230,7 @@ def test_N_known_values():
     assert ct.compute_N(2, 1, "S2") == 5  # alias resolves to C2
     assert ct.compute_N(2, 1, "C2") == 5
     # every cubic counted as C3 has square discriminant
-    led = ct.enumerate_box(3, 6)
+    led = ct.enumerate_box(3, 6)[0]
     assert led.per_group.get("C3", 0) <= led.square_disc
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from galcount import fourier
 from galcount import verification as vf
 from galcount.errors import UsageError
 
@@ -48,9 +49,13 @@ def test_decay_single_space():
     rep = vf.verify_decay(ns=(3,), ps=(3, 5, 7), spaces=("monic",))
     assert rep["pass"] and rep["violations"] == 0
     assert all(len(s["mainTermErrors"]) == 3 for s in rep["details"]["series"])
-    # a single prime gives series without increments: never accelerating
-    rep = vf.verify_decay(ns=(3,), ps=(5,), spaces=("monic",))
-    assert rep["pass"] and rep["violations"] == 0
+    # one or two primes give at most one increment: never accelerating
+    for ps in ((5,), (5, 7)):
+        rep = vf.verify_decay(ns=(3,), ps=ps, spaces=("monic", "binary"))
+        assert rep["pass"] and rep["violations"] == 0
+    # three points with growing increments are still flagged
+    assert fourier.accelerating([0.0, 1.0, 3.0])
+    assert not fourier.accelerating([0.0, 2.0, 3.0])
 
 
 def test_sigma_enumeration_covers_all_types():
