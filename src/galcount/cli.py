@@ -10,6 +10,7 @@ error, 3 internal invariant failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -199,29 +200,26 @@ def cmd_bound(args) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _write_outputs(objs, out_path, csv_path):
-    lines = [json.dumps(o, sort_keys=True) for o in objs]
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    else:
-        for line in lines:
-            print(line)
-    if csv_path:
+def _write_outputs(objs, out_fh, csv_fh):
+    for o in objs:
+        print(json.dumps(o, sort_keys=True), file=out_fh or sys.stdout)
+    if csv_fh:
         keys = sorted({k for o in objs for k in o})
-        with open(csv_path, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=keys)
-            w.writeheader()
-            for o in objs:
-                w.writerow({k: json.dumps(o[k], sort_keys=True) if isinstance(o.get(k), (dict, list)) else o.get(k, "") for k in keys})
+        w = csv.DictWriter(csv_fh, fieldnames=keys)
+        w.writeheader()
+        for o in objs:
+            w.writerow({k: json.dumps(o[k], sort_keys=True) if isinstance(o.get(k), (dict, list)) else o.get(k, "") for k in keys})
 
 
 def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        objs = args.func(args)
-        _write_outputs(objs, args.out, args.csv)
+        # open the outputs first, so an unwritable path fails before any work
+        with contextlib.ExitStack() as stack:
+            out_fh = stack.enter_context(open(args.out, "w")) if args.out else None
+            csv_fh = stack.enter_context(open(args.csv, "w", newline="")) if args.csv else None
+            _write_outputs(args.func(args), out_fh, csv_fh)
         return 0
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

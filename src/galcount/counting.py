@@ -458,7 +458,6 @@ def compute_N(n: int, H: int, group_name: str, parallelism: int = 1) -> int:
 class SieveParams:
     n: int
     delta: Fraction | None = None
-    Y: float | None = None
 
     def resolved_delta(self) -> Fraction:
         d = self.delta if self.delta is not None else Fraction(1, 2 * self.n)

@@ -324,16 +324,7 @@ def _index_mask(p: int, n: int, k: int) -> np.ndarray:
 
 def box_count_index(p: int, n: int, k: int, H: int) -> int:
     """#{monic f in [-H,H]^n : ind(f mod p) >= k}, exact."""
-    if (2 * H + 1) ** n > 10**9:
-        raise TooLarge("box exceeds the scan budget")
-    if k <= 0:
-        return (2 * H + 1) ** n
-    mask = _index_mask(p, n, k).astype(object)
-    c = _residue_counts(p, H).astype(object)
-    acc = mask
-    for _ in range(n):
-        acc = np.tensordot(acc, c, axes=([acc.ndim - 1], [0]))
-    return int(acc)
+    return multi_prime_box_count([(p, k)], n, H)
 
 
 def multi_prime_box_count(conditions: list[tuple[int, int]], n: int, H: int) -> int:

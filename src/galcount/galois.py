@@ -2,23 +2,53 @@
 
 factor_over_Z is classical Zassenhaus: factor mod a good prime, Hensel-lift
 past the Mignotte bound, recombine subsets.  Group identification uses the
-square-discriminant test (cubics), the cubic resolvent of the depressed
-quartic, and for quintics the degree-6 resolvent of the F_20-invariant
-theta = sum x_i^2 (x_{i+1} x_{i-1} + x_{i+2} x_{i-2}) (indices mod 5),
-whose rational-root test decides solvability.  The resolvent sextic is
-assembled from high-precision roots and verified to round to integers,
-which doubles as a self-check of the invariant data.
+square-discriminant test (cubics) and the cubic resolvent of the depressed
+quartic.  Quintics are decided by one loop over the unramified primes p,
+with integer arithmetic only:
 
-C_5 is separated from D_5 by counting degree-5 factors of the Trager norm
-Res_x(f(x), f(y - sx)): the norm splits into five quintics exactly when f
-splits into linear factors over its own root field.
+- A Frobenius of type 2+1+1+1 or 3+2 gives a transposition (after cubing)
+  and one of type 3+1+1 a 3-cycle.  The group G is transitive of prime
+  degree, hence primitive, so by Jordan's theorem it is S5, or A5 when the
+  discriminant is a square.
+- Otherwise the loop stops at the first p where f has five distinct roots
+  mod p; Chebotarev guarantees such primes (density 1/|G|).
+
+At that prime the roots r_0..r_4 of f in Z_p are Hensel-lifted mod
+q = p^k > 2(1 + 10R^4)^6, where R = 1 + H(f) exceeds every complex |r_i|.
+G acts on these roots.  theta = sum x_i^2 (x_(i-1) x_(i+1) + x_(i-2) x_(i+2))
+(indices mod 5) has stabilizer F20 = AGL(1, 5) and six conjugates theta_o,
+one per root ordering o up to F20; each is ten monomials of degree 4, so
+|theta_o| <= 10R^4.  The resolvent sextic S(y) = prod_o (y - theta_o) has
+coefficients below (1 + 10R^4)^6 < q/2 in size, so the symmetric residues
+mod q are the exact integers.
+
+G is solvable iff it lies in some Stab(theta_o), which makes theta_o an
+integer root of S; conversely a simple integer root t = theta_o puts G in
+Stab(theta_o).  An integer root t satisfies |t| <= 10R^4 < q/2, so it is
+the symmetric residue of some theta_o, and only those six values are tried.
+A repeated integer root raises InternalError (the test would need a
+Tschirnhaus transform).  For a simple root, theta_o = t exactly: another
+theta_o' = t mod q would make q divide S'(t) = prod_(o' != o) (t - theta_o'),
+a nonzero integer of size at most (20R^4)^5 < q.  So G <= Stab(theta_o), the
+F20 whose translations are the powers of the 5-cycle c along o.
+
+A nonsquare discriminant leaves G = F20.  A square one leaves G inside
+F20 cap A5 = D5; being transitive, G contains c, so G is C5 = <c> or D5.
+psi_s = sum_j r_(c^j) r_(c^(j+1))^s is fixed by c, and the reflections of
+D5 swap it with psi'_s, the same sum with each pair reversed.  Hence
+u = psi_s + psi'_s and v = psi_s psi'_s are integers, with |u| <= 10R^6 and
+|v| <= 25R^12 < q/2, and u^2 - 4v = (psi_s - psi'_s)^2.  When that is
+nonzero, psi_s is rational, i.e. G = C5, iff u^2 - 4v is a perfect square.
+The first s in 2..5 with u^2 - 4v != 0 is used.  One exists:
+psi_s - psi'_s = sum_m r_m^s (r_(m-1) - r_(m+1)) (indices along c) vanishes
+for s = 0 and 1, so vanishing for s = 2, 3, 4 as well would make the
+Vandermonde system in the distinct r_m force r_(m-1) = r_(m+1).
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     DegreeOutOfRange,
@@ -33,17 +63,14 @@ from .polyarith import (
     PolyModP,
     _deriv,
     _squarefree_decomposition_Q,
-    _trim,
     disc,
     factor_mod_p,
-    interpolate,
     is_prime,
     pderiv,
     pdivmod,
     pgcd,
     pmul,
     ptrim,
-    resultant,
     splitting_type,
 )
 
@@ -202,6 +229,12 @@ def _hensel_lift_list(f: list[int], factors: list[list[int]], p: int, target: in
     )
 
 
+def _sym(c: int, q: int) -> int:
+    """The representative of c mod q in (-q/2, q/2]."""
+    c %= q
+    return c - q if c > q // 2 else c
+
+
 def _divides(f_desc: list[int], g_desc: list[int]) -> list[int] | None:
     """Exact quotient f/g over Z if it divides (both monic, descending), else None."""
     f = f_desc[:]
@@ -248,13 +281,6 @@ def _zassenhaus(f: MonicIntPoly) -> list[MonicIntPoly]:
         target *= p
     lifted = _hensel_lift_list(fasc, modular, p, target)
 
-    def sym_desc(poly_asc: list[int]) -> list[int]:
-        out = []
-        for c in reversed(poly_asc):
-            c %= target
-            out.append(c - target if c > target // 2 else c)
-        return out
-
     remaining = list(range(len(lifted)))
     rem_poly = f.full()
     found: list[MonicIntPoly] = []
@@ -265,7 +291,7 @@ def _zassenhaus(f: MonicIntPoly) -> list[MonicIntPoly]:
             prod = [1]
             for i in combo:
                 prod = pmul(prod, lifted[i], target)
-            cand = sym_desc(prod)
+            cand = [_sym(c, target) for c in reversed(prod)]
             q = _divides(rem_poly, cand)
             if q is not None:
                 found.append(MonicIntPoly.from_full(cand))
@@ -401,213 +427,88 @@ def quartic_group_irreducible(a: int, b: int, c: int, d: int) -> str:
     return "C4" if _is_square(j) else "D4"
 
 
-# --- quintic resolvent sextic -------------------------------------------------
+# --- quintics, decided at one split prime ------------------------------------
+
+# One root ordering (o_0, ..., o_4) per coset of F20 = AGL(1, 5) in S5: the
+# orderings that start at root 0, up to o_i -> o_(a*i mod 5) for a = 1..4.
+_F20_COSETS = sorted(
+    {
+        min(tuple(o[a * i % 5] for i in range(5)) for a in range(1, 5))
+        for o in ((0, *t) for t in itertools.permutations(range(1, 5)))
+    }
+)
 
 
-@lru_cache(maxsize=1)
-def _theta_orbit() -> list[tuple[tuple[tuple[int, ...], int], ...]]:
-    """The 6 conjugates of the F_20-invariant theta, as monomial multisets."""
-    base = [
-        (1, 2, 5),
-        (1, 3, 4),
-        (2, 1, 3),
-        (2, 4, 5),
-        (3, 1, 5),
-        (3, 2, 4),
-        (4, 1, 2),
-        (4, 3, 5),
-        (5, 1, 4),
-        (5, 2, 3),
-    ]
-
-    def monomial(i, j, k):
-        e = [0] * 5
-        e[i - 1] += 2
-        e[j - 1] += 1
-        e[k - 1] += 1
-        return tuple(e)
-
-    def canon(mons):
-        counts: dict[tuple[int, ...], int] = {}
-        for m in mons:
-            counts[m] = counts.get(m, 0) + 1
-        return tuple(sorted(counts.items()))
-
-    orbit = set()
-    for perm in itertools.permutations(range(5)):
-        mons = []
-        for i, j, k in base:
-            e = monomial(i, j, k)
-            pe = tuple(e[perm[t]] for t in range(5))
-            mons.append(pe)
-        orbit.add(canon(mons))
-    if len(orbit) != 6:
-        raise InternalError(f"theta orbit has size {len(orbit)}, expected 6")
-    return sorted(orbit)
+def _theta(roots: list[int], o: tuple[int, ...]) -> int:
+    """theta at the ordering o: sum x_i^2 (x_(i-1) x_(i+1) + x_(i-2) x_(i+2))."""
+    x = [roots[i] for i in o]
+    return sum(x[i] ** 2 * (x[i - 1] * x[(i + 1) % 5] + x[i - 2] * x[(i + 2) % 5]) for i in range(5))
 
 
-def quintic_resolvent_sextic(f: MonicIntPoly) -> list[int]:
-    """Integer coefficients (descending) of the degree-6 resolvent of f.
+def _split_roots(f: MonicIntPoly, p: int) -> tuple[list[int], int]:
+    """(roots, q): the five roots of f in Z/q, q = p^k > 2(1 + 10R^4)^6.
 
-    Evaluated from high-precision roots; coefficients must round to
-    integers, which is asserted (self-check of the invariant data).
+    f must have five distinct roots mod p; R = 1 + H(f) bounds every
+    complex root.
     """
-    import mpmath
-
-    if f.degree != 5:
-        raise UsageError("resolvent defined for quintics")
-    prec = 120
-    for _ in range(6):
-        with mpmath.workprec(prec):
-            roots = mpmath.polyroots([1, *f.coeffs], maxsteps=200, extraprec=prec)
-            thetas = []
-            for mons in _theta_orbit():
-                acc = mpmath.mpc(0)
-                for expvec, cnt in mons:
-                    term = mpmath.mpc(1)
-                    for t in range(5):
-                        if expvec[t]:
-                            term *= roots[t] ** expvec[t]
-                    acc += cnt * term
-                thetas.append(acc)
-            poly = [mpmath.mpc(1)]
-            for th in thetas:
-                nxt = [mpmath.mpc(0)] * (len(poly) + 1)
-                for i, c in enumerate(poly):
-                    nxt[i] += c
-                    nxt[i + 1] -= c * th
-                poly = nxt
-            ints = []
-            ok = True
-            for c in poly:
-                ri = mpmath.nint(c.real)
-                if abs(c.real - ri) > 0.25 or abs(c.imag) > 0.25:
-                    ok = False
-                    break
-                ints.append(int(ri))
-            if ok:
-                return ints
-        prec *= 2
-    raise InternalError("resolvent sextic failed to stabilize")
+    R = 1 + f.height()
+    q = p
+    while q <= 2 * (1 + 10 * R**4) ** 6:
+        q *= p
+    linear = [[-r % p, 1] for r in range(p) if f(r) % p == 0]
+    if len(linear) != 5:
+        raise UsageError(f"f does not split into distinct linear factors mod {p}")
+    lifted = _hensel_lift_list(list(reversed(f.full())), linear, p, q)
+    return [-g[0] % q for g in lifted], q
 
 
-def _sextic_rational_root(coeffs_desc: list[int], f: MonicIntPoly) -> int | None:
-    """An integer root of the monic sextic, localized from the theta values."""
-    import mpmath
+def quintic_resolvent_sextic(roots: list[int], q: int) -> list[int]:
+    """Integer coefficients (descending) of prod_o (y - theta_o).
 
-    with mpmath.workprec(200):
-        roots = mpmath.polyroots([mpmath.mpf(c) for c in coeffs_desc], maxsteps=200, extraprec=200)
-        cands = set()
-        for r in roots:
-            if abs(r.imag) < 1e-6 * (1 + abs(r.real)):
-                base = int(mpmath.nint(r.real))
-                cands.update(range(base - 2, base + 3))
-    for y in sorted(cands):
-        v = 0
-        for c in coeffs_desc:
-            v = v * y + c
-        if v == 0:
-            return y
-    return None
-
-
-def _count_quintic_norm_factors(f: MonicIntPoly) -> int:
-    """Number of monic quintic factors of N(y) = Res_x(f(x), f(y - sx)).
-
-    For an irreducible quintic with square discriminant and solvable group
-    this is 5 for C_5 (f splits over its root field) and 1 for D_5.
+    `roots, q` come from `_split_roots`; the coefficients are below q/2 in
+    size, so their symmetric residues are exact.
     """
-    for s in range(1, 8):
-        # interpolate N(y): degree 25, leading coefficient s^25 ... compute at 26 points
-        ys = list(range(26))
-        vals = []
-        for y0 in ys:
-            # f(y0 - s x) as a polynomial in x, descending
-            # expand sum a_i (y0 - s x)^(5-i)
-            comp = [0] * 6
-            full = f.full()
-            for i, ai in enumerate(full):
-                d = 5 - i
-                # (y0 - s x)^d contributes to x^j the coeff C(d,j)(-s)^j y0^(d-j)
-                for jj in range(d + 1):
-                    comp[5 - jj] += ai * math.comb(d, jj) * (-s) ** jj * y0 ** (d - jj)
-            vals.append(resultant(f.full(), comp))
-        N = interpolate(ys, vals)
-        if len(N) - 1 != 25:
-            continue
-        # need squarefree N for clean factor degrees
-        if resultant(N, _deriv(N)) == 0:
-            continue
-        # factor N over Z (degree 25): count degree-5 irreducible factors
-        quintics = 0
-        for g, mult in _factor_primitive(N):
-            if len(g) - 1 == 5:
-                quintics += mult
-        return quintics
-    raise InternalError("no squarefree Trager norm found")
-
-
-def _factor_primitive(poly_desc: list[int]) -> list[tuple[list[int], int]]:
-    """Factor a primitive non-monic integer polynomial via a monic transform.
-
-    For g with leading coefficient L, L^(d-1) g(y/L) is monic in y; its
-    factorization pulls back.  Returns (descending primitive factor, mult).
-    """
-    g = _trim(poly_desc)
-    cont = 0
-    for c in g:
-        cont = math.gcd(cont, c)
-    g = [c // cont for c in g]
-    if g[0] < 0:
-        g = [-c for c in g]
-    L = g[0]
-    d = len(g) - 1
-    if L == 1:
-        mon = MonicIntPoly(tuple(g[1:]))
-    else:
-        mon = MonicIntPoly(tuple(g[i] * L ** (i - 1) for i in range(1, d + 1)))
-    out = []
-    for fac, mult in factor_over_Z(mon):
-        if L == 1:
-            out.append((fac.full(), mult))
-        else:
-            # pull back y -> L y and strip content
-            fd = fac.degree
-            back = [fac.full()[i] * L ** (fd - i) for i in range(fd + 1)]
-            c0 = 0
-            for c in back:
-                c0 = math.gcd(c0, c)
-            out.append(([c // c0 for c in back], mult))
-    return out
+    sextic = [1]
+    for o in _F20_COSETS:
+        sextic = pmul(sextic, [-_theta(roots, o), 1], q)
+    return [_sym(c, q) for c in reversed(sextic)]
 
 
 def quintic_group_irreducible(f: MonicIntPoly) -> str:
+    """Galois group name of the irreducible quintic f, decided as the module docstring says."""
     delta = disc(f)
     square = _is_square(delta)
-    # Frobenius shortcut.  The group is transitive of prime degree, hence
-    # primitive; a Frobenius of type 3+1+1 is a 3-cycle, which by Jordan's
-    # theorem forces the group to contain A5, and a type 2+1+1+1 or 3+2
-    # yields a transposition (possibly after cubing), forcing S5.  This
-    # settles the generic cases without the resolvent sextic.
-    sampled = 0
     for p in _ascending_primes():
-        if sampled >= 12:
-            break
         if delta % p == 0:
             continue
-        sampled += 1
         degs = sorted((d for d, _ in splitting_type(f, p).parts), reverse=True)
         if degs in ([2, 1, 1, 1], [3, 2]):
             return "S5"
         if degs == [3, 1, 1]:
             return "A5" if square else "S5"
-    sext = quintic_resolvent_sextic(f)
-    solvable = _sextic_rational_root(sext, f) is not None
-    if not solvable:
+        if degs == [1, 1, 1, 1, 1]:
+            break
+    roots, q = _split_roots(f, p)
+    sextic = quintic_resolvent_sextic(roots, q)
+    resolvent = MonicIntPoly.from_full(sextic)
+    for o in _F20_COSETS:
+        t = _sym(_theta(roots, o), q)
+        if resolvent(t) == 0:
+            break
+    else:
         return "A5" if square else "S5"
+    if sum(c * t ** (5 - i) for i, c in enumerate(_deriv(sextic))) == 0:
+        raise InternalError(f"resolvent sextic {sextic} has the repeated integer root {t}")
     if not square:
         return "F20"
-    return "C5" if _count_quintic_norm_factors(f) >= 2 else "D5"
+    x = [roots[i] for i in o]
+    for s in range(2, 6):
+        psi = sum(x[j] * pow(x[(j + 1) % 5], s, q) for j in range(5))
+        psi_rev = sum(x[(j + 1) % 5] * pow(x[j], s, q) for j in range(5))
+        u, v = _sym(psi + psi_rev, q), _sym(psi * psi_rev, q)
+        if u * u != 4 * v:
+            return "C5" if _is_square(u * u - 4 * v) else "D5"
+    raise InternalError(f"psi_s = psi'_s for s = 2..5 although the roots of {f.coeffs} are distinct")
 
 
 def galois_group_exact(f: MonicIntPoly) -> GaloisVerdict:

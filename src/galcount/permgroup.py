@@ -137,12 +137,12 @@ class PermGroup:
             if g.degree != self.degree:
                 raise UsageError("generator degree mismatch")
 
-    def elements(self, cap: int = CLOSURE_CAP) -> list[tuple[int, ...]]:
+    def elements(self) -> list[tuple[int, ...]]:
         """Full closure as raw image tuples (breadth-first multiplication),
-        refused once it would store more than `cap` entries (elements x degree)."""
+        refused once it would store more than CLOSURE_CAP entries (elements x degree)."""
         if self._elements is None:
-            if self.expected_order is not None and self.expected_order * self.degree > cap:
-                raise GroupTooLarge(f"closure of {self.expected_order} x {self.degree} entries exceeds cap {cap}")
+            if self.expected_order is not None and self.expected_order * self.degree > CLOSURE_CAP:
+                raise GroupTooLarge(f"closure of {self.expected_order} x {self.degree} entries exceeds cap {CLOSURE_CAP}")
             gens = [g.images for g in self.generators]
             ident = tuple(range(self.degree))
             seen = {ident}
@@ -155,8 +155,8 @@ class PermGroup:
                         if prod not in seen:
                             seen.add(prod)
                             nxt.append(prod)
-                if len(seen) * self.degree > cap:
-                    raise GroupTooLarge(f"closure exceeds cap {cap} entries")
+                if len(seen) * self.degree > CLOSURE_CAP:
+                    raise GroupTooLarge(f"closure exceeds cap {CLOSURE_CAP} entries")
                 frontier = nxt
             self._elements = sorted(seen)
             if self.expected_order is not None and len(seen) != self.expected_order:
@@ -166,17 +166,14 @@ class PermGroup:
                 )
         return self._elements
 
-    def order(self, cap: int = CLOSURE_CAP) -> int:
-        return len(self.elements(cap))
-
-    def __contains__(self, g: Permutation) -> bool:
-        return g.images in set(self.elements())
+    def order(self) -> int:
+        return len(self.elements())
 
 
-def ind_of_group(G: PermGroup, cap: int = CLOSURE_CAP) -> int:
+def ind_of_group(G: PermGroup) -> int:
     ident = tuple(range(G.degree))
     best = None
-    for e in G.elements(cap):
+    for e in G.elements():
         if e == ident:
             continue
         v = _ind_images(e)
@@ -187,10 +184,10 @@ def ind_of_group(G: PermGroup, cap: int = CLOSURE_CAP) -> int:
     return best
 
 
-def min_moved_points(G: PermGroup, cap: int = CLOSURE_CAP) -> int:
+def min_moved_points(G: PermGroup) -> int:
     ident = tuple(range(G.degree))
     best = None
-    for e in G.elements(cap):
+    for e in G.elements():
         if e == ident:
             continue
         v = sum(1 for i, j in enumerate(e) if i != j)

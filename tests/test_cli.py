@@ -246,8 +246,11 @@ def test_bad_values_and_paths_exit_1(tmp_path, capsys):
     ]:
         capsys.readouterr()
         assert cli.main(argv) == 1, argv
-        err = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+        # an unwritable output path fails before anything is counted or printed
+        assert captured.out == "", (argv, captured.out)
         if argv[-2] in ("--out", "--csv", "--checkpoint"):
             assert argv[-1] in err[0]
 

@@ -87,18 +87,53 @@ def test_quartic_known_groups():
         assert galois_name_sympy([1, *coeffs]) == name
 
 
+def lehmer_quintic(n):
+    """Lehmer's cyclic quintic x^5 + n^2 x^4 - ... + 1, whose group is C5 for every n."""
+    return (
+        n * n,
+        -(2 * n**3 + 6 * n * n + 10 * n + 10),
+        n**4 + 5 * n**3 + 11 * n * n + 15 * n + 5,
+        n**3 + 4 * n * n + 10 * n + 10,
+        1,
+    )
+
+
+# one representative of each transitive quintic group, oracle-confirmed,
+# with its resolvent sextic prod (y - theta_o), descending
+KNOWN_QUINTICS = {
+    (1, -4, -3, 3, 1): ("C5", [1, 30, 133, -2340, -12284, 29519, -3856]),
+    (0, 0, 0, -5, 12): ("D5", [1, -40, 1000, -20000, 250000, -66400000, 976000000]),  # x^5 - 5x + 12
+    (0, 0, 0, 0, -2): ("F20", [1, 0, 0, 0, 0, -50000, 0]),  # x^5 - 2
+    (0, 0, 0, 20, 16): ("A5", [1, 160, 16000, 1280000, 64000000, 1433600000, 4096000000]),  # x^5 + 20x + 16
+    (0, 0, 0, -1, -1): ("S5", [1, -8, 40, -160, 400, -3637, 9631]),  # x^5 - x - 1
+}
+
+
 def test_quintic_known_groups():
-    # one representative of each transitive quintic group, oracle-confirmed
-    cases = {
-        (1, -4, -3, 3, 1): "C5",
-        (0, 0, 0, -5, 12): "D5",  # x^5 - 5x + 12
-        (0, 0, 0, 0, -2): "F20",  # x^5 - 2
-        (0, 0, 0, 20, 16): "A5",  # x^5 + 20x + 16
-        (0, 0, 0, -1, -1): "S5",  # x^5 - x - 1
-    }
+    cases = {coeffs: name for coeffs, (name, _) in KNOWN_QUINTICS.items()}
+    cases.update({lehmer_quintic(n): "C5" for n in range(-3, 4)})
     for coeffs, name in cases.items():
-        assert ga._exact_group_name(poly(*coeffs)) == name
-        assert galois_name_sympy([1, *coeffs]) == name
+        assert ga._exact_group_name(poly(*coeffs)) == name, coeffs
+        assert galois_name_sympy([1, *coeffs]) == name, coeffs
+
+
+def split_primes(f, count):
+    """The first `count` primes at which f has deg f distinct roots."""
+    out = []
+    p = 2
+    while len(out) < count:
+        if sympy.isprime(p) and disc(f) % p and sum(f(r) % p == 0 for r in range(p)) == f.degree:
+            out.append(p)
+        p += 1
+    return out
+
+
+def test_quintic_resolvent_sextic_pinned_and_prime_independent():
+    for coeffs, (_, sextic) in KNOWN_QUINTICS.items():
+        f = poly(*coeffs)
+        p1, p2 = split_primes(f, 2)
+        assert ga.quintic_resolvent_sextic(*ga._split_roots(f, p1)) == sextic, (coeffs, p1)
+        assert ga.quintic_resolvent_sextic(*ga._split_roots(f, p2)) == sextic, (coeffs, p2)
 
 
 @given(st.lists(st.integers(min_value=-8, max_value=8), min_size=2, max_size=4))

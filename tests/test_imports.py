@@ -1,4 +1,5 @@
-"""Static hygiene: no module of the package keeps an unused module-level import."""
+"""Static hygiene: no module of the package keeps an unused module-level
+import, and the exact classifier never imports the floating-point mpmath."""
 
 import ast
 import pathlib
@@ -34,3 +35,14 @@ def test_guard_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_galois_never_imports_mpmath():
+    tree = ast.parse((PACKAGE / "galois.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert "mpmath" not in imported
