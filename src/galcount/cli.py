@@ -42,6 +42,20 @@ def _int_list(text: str) -> list[int]:
         raise UsageError(f"bad integer list {text!r}")
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Write `--opt -1,2` as `--opt=-1,2`, since argparse takes a value like
+    -1,2 or -1/110 for an option.  Every long option but --help takes a value."""
+    out: list[str] = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        takes_value = prev.startswith("--") and "=" not in prev and prev != "--help"
+        if takes_value and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="galcount", description=__doc__)
     common = _Parser(add_help=False)
@@ -214,7 +228,7 @@ def _write_outputs(objs, out_fh, csv_fh):
 def main(argv=None) -> int:
     try:
         parser = build_parser()
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
         # open the outputs first, so an unwritable path fails before any work
         with contextlib.ExitStack() as stack:
             out_fh = stack.enter_context(open(args.out, "w")) if args.out else None

@@ -8,6 +8,13 @@ per-slice checksums, hence also schedule-independent.  With a checkpoint
 directory each slice is stored as a file as soon as it is counted, and a
 stored slice is reused only if it re-seals (see `_load_slice`).
 
+The quartic counter decides a whole slice with integer arrays, one a2 row
+at a time: its temporaries hold O(Y S) entries, for S = 2H+1 and the
+candidate resolvent roots |y| <= Y = 2(H+1)^2, not O(Y S^2).  The
+discriminant terms are at most 1069 H^6 in size and the resolvent values
+at most Y^3 + H Y^2 + H^2 Y + H^2, so it runs in int64 while both stay
+below 2^62 (H <= 403, beyond the default budget) and on dtype=object above.
+
 E_n(H) counts monic degree-n integer polynomials in the box whose Galois
 group is not the full symmetric group; polynomials with vanishing
 discriminant are counted by the group of their squarefree kernel, which
@@ -130,8 +137,12 @@ def _slice_crc(a1: int, led: CountLedger) -> int:
 
 
 def _square_mask(d: np.ndarray) -> np.ndarray:
-    """Elementwise perfect-square test for a nonnegative int64 array."""
-    s = np.sqrt(d.astype(np.float64)).astype(np.int64)
+    """Elementwise perfect-square test for a nonnegative integer array.
+
+    The float sqrt only proposes a candidate root; t^2 == d is checked
+    exactly (in int64 below 2^62, or in Python ints for dtype=object).
+    """
+    s = np.sqrt(d.astype(np.float64)).astype(np.int64).astype(d.dtype, copy=False)
     ok = np.zeros(d.shape, dtype=bool)
     for off in (-1, 0, 1):
         t = s + off
@@ -204,43 +215,87 @@ def _quartic_reducible_mask(H, a1, S):
         ok = (val >= -H) & (val <= H)
         i2, i3 = np.nonzero(ok)
         mask[i2, i3, val[i2, i3] + H] = True
-    # quadratic pairs (x^2+bx+c)(x^2+dx+e) with both factors root-free
-    for b in range(-2 * (H + 1), 2 * (H + 1) + 1):
-        dd = a1 - b
-        for c in range(-H, H + 1):
-            if c == 0:
-                continue
-            emax = H // abs(c)
-            for e in range(-emax, emax + 1):
-                if e == 0:
-                    continue
-                A2 = c + e + b * dd
-                A3 = b * e + c * dd
-                A4 = c * e
-                if -H <= A2 <= H and -H <= A3 <= H and -H <= A4 <= H:
-                    mask[A2 + H, A3 + H, A4 + H] = True
+    # quadratic pairs (x^2+bx+c)(x^2+(a1-b)x+e) with ce != 0 and |ce| <= H
+    c, e = np.meshgrid(a2v, a2v, indexing="ij")
+    keep = (c * e != 0) & (np.abs(c * e) <= H)
+    c, e = c[keep], e[keep]
+    b = np.arange(-2 * (H + 1), 2 * (H + 1) + 1, dtype=np.int64)[:, None]
+    A2 = c + e + b * (a1 - b)
+    A3 = b * e + c * (a1 - b)
+    ok = (np.abs(A2) <= H) & (np.abs(A3) <= H)
+    mask[(A2 + H)[ok], (A3 + H)[ok], np.broadcast_to(c * e + H, ok.shape)[ok]] = True
     return mask
 
 
+def _quartic_dtype(H):
+    """int64 while every intermediate of `_slice_counts_n4` stays below 2^62.
+
+    The discriminant terms are at most 1069 H^6 in size; the resolvent value
+    N(y, b, c) is at most Y^3 + H Y^2 + H^2 Y + H^2 with Y = 2(H+1)^2.
+    """
+    Y = 2 * (H + 1) ** 2
+    bound = max(1069 * H**6, Y**3 + H * Y * Y + H * H * Y + H * H)
+    return np.int64 if bound < 2**62 else object
+
+
 def _slice_counts_n4(H, a1):
+    """Every quartic x^4 + a x^3 + b x^2 + c x + d of the slice a = a1.
+
+    The resolvent cubic g(y) = y^3 - b y^2 + (ac - 4d) y - (a^2 d - 4bd + c^2)
+    has the roots x1x2 + x3x4 etc., so |y| < Y = 2(H+1)^2.  It is linear in
+    d: g = N(y, b, c) - d D(y, b) with N = y^3 - b y^2 + acy - c^2 and
+    D = 4y + a^2 - 4b.  So for each (y, c) of one b row, D != 0 gives one
+    candidate d = N / D, kept if exact with |d| <= H, and D = 0 with N = 0
+    makes y a root for every d.  Scatter-counting these gives the integer
+    roots of g per (c, d); the group follows as in
+    `galois.quartic_group_irreducible`, whose Kappe-Warren test runs on the
+    one-root entries with Python ints, since beta^2 * delta can leave int64.
+    One b row at a time keeps the temporaries at O(Y S).
+    """
     S = 2 * H + 1
+    dt = _quartic_dtype(H)
+    a = a1
     red = _quartic_reducible_mask(H, a1, S)
+    coef = np.arange(-H, H + 1, dtype=np.int64).astype(dt)
+    cc, dd = coef[:, None], coef[None, :]
+    Y = 2 * (H + 1) ** 2
+    y = np.arange(-Y, Y + 1, dtype=np.int64).astype(dt)[:, None]
+    yy = y * y
+    N0 = (a * y - dd) * dd  # the b-free part acy - c^2 of N, c along the columns
     led = CountLedger(n=4, H=H, total=S**3)
     groups = dict.fromkeys(DEGREE_GROUPS[4], 0)
-    rng = range(-H, H + 1)
-    for i2, a2 in enumerate(rng):
-        for i3, a3 in enumerate(rng):
-            row = red[i2, i3]
-            for i4, a4 in enumerate(rng):
-                P, Q, R = galois.depressed_quartic(a1, a2, a3, a4)
-                delta = galois.quartic_disc_depressed(P, Q, R)
-                if delta == 0:
-                    led.disc_zero += 1
-                    continue
-                if row[i4]:
-                    led.reducible += 1
-                    continue
-                groups[galois.quartic_group_irreducible(a1, a2, a3, a4)] += 1
+    for ib, b in enumerate(range(-H, H + 1)):
+        delta = galois.quartic_disc(a, b, cc, dd)
+        zero = delta == 0
+        irr = ~zero & ~red[ib]
+        led.disc_zero += int(zero.sum())
+        led.reducible += int((red[ib] & ~zero).sum())
+        # integer roots of the resolvent per (c, d)
+        N = (y - b) * yy + N0
+        D = 4 * y + (a * a - 4 * b)
+        Dsafe = np.where(D == 0, 1, D)
+        d = N // Dsafe
+        yi, ci = np.nonzero((N % Dsafe == 0) & (D != 0) & (d >= -H) & (d <= H))
+        idx = ci * S + (d[yi, ci] + H).astype(np.int64)
+        roots = np.bincount(idx, minlength=S * S).reshape(S, S)
+        beta = np.zeros(S * S, dtype=dt)
+        beta[idx] = y[yi, 0]
+        beta = beta.reshape(S, S)
+        if a % 2 == 0:  # D = 0 at y = b - a^2/4
+            k = b - a * a // 4 + Y
+            hit = N[k] == 0
+            roots[hit] += 1
+            beta[hit] = y[k, 0]
+        none = irr & (roots == 0)
+        pos = none & (delta > 0)
+        square = _square_mask(np.where(pos, delta, 0)) & pos
+        groups["A4"] += int(square.sum())
+        groups["S4"] += int((none & ~square).sum())
+        groups["V4"] += int((irr & (roots == 3)).sum())
+        one = irr & (roots == 1)
+        ds = (np.nonzero(one)[1] - H).tolist()
+        for d4, bt, dl in zip(ds, beta[one].tolist(), delta[one].tolist()):
+            groups["C4" if galois._kappe_warren_c4(a, b, d4, bt, dl) else "D4"] += 1
     led.per_group = {k: v for k, v in groups.items() if v}
     led.square_disc = groups["A4"] + groups["V4"]
     return led

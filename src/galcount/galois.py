@@ -1,10 +1,17 @@
 """Factorization over Z and exact Galois groups for degree <= 5.
 
 factor_over_Z is classical Zassenhaus: factor mod a good prime, Hensel-lift
-past the Mignotte bound, recombine subsets.  Group identification uses the
-square-discriminant test (cubics) and the cubic resolvent of the depressed
-quartic.  Quintics are decided by one loop over the unramified primes p,
-with integer arithmetic only:
+past the Mignotte bound, recombine subsets.  Cubics are decided by the
+square-discriminant test.  An irreducible quartic x^4 + ax^3 + bx^2 + cx + d
+is decided by its discriminant and the integer roots of the ordinary
+resolvent cubic y^3 - by^2 + (ac - 4d)y - (a^2 d - 4bd + c^2), whose roots
+x1x2 + x3x4, x1x3 + x2x4, x1x4 + x2x3 are distinct when the discriminant
+is nonzero, so 0, 1 or 3 of them are integers.  None gives A4 or S4, by
+whether the discriminant is a square; three give V4; with exactly one,
+beta, Kappe and Warren (1989) give C4 iff beta^2 - 4d and a^2 - 4(b - beta)
+are both squares in Q(sqrt(disc)), and D4 otherwise.  `counting` runs the
+same test over whole slices.  Quintics are decided by one loop over the
+unramified primes p, with integer arithmetic only:
 
 - A Frobenius of type 2+1+1+1 or 3+2 gives a transposition (after cubing)
   and one of type 3+1+1 a 3-cycle.  The group G is transitive of prime
@@ -332,36 +339,16 @@ def _is_square(x: int) -> bool:
     return x >= 0 and math.isqrt(x) ** 2 == x
 
 
-def _is_square_fraction(num: int, den: int) -> bool:
-    """Is the rational num/den a square in Q?"""
-    if den < 0:
-        num, den = -num, -den
-    if num == 0:
-        return True
-    if num < 0:
-        return False
-    g = math.gcd(num, den)
-    num, den = num // g, den // g
-    return _is_square(num) and _is_square(den)
+def quartic_disc(a, b, c, d):
+    """Discriminant of x^4 + a x^3 + b x^2 + c x + d, for ints or integer arrays.
 
-
-def depressed_quartic(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
-    """(P,Q,R) with t^4+Pt^2+Qt+R = 256*f((t-a)/4); disc scales by 4^12."""
-    P = 16 * b - 6 * a * a
-    Q = 8 * a**3 - 32 * a * b + 64 * c
-    R = -3 * a**4 + 16 * a * a * b - 64 * a * c + 256 * d
-    return P, Q, R
-
-
-def quartic_disc_depressed(P: int, Q: int, R: int) -> int:
-    return (
-        16 * P**4 * R
-        - 4 * P**3 * Q * Q
-        - 128 * P * P * R * R
-        + 144 * P * Q * Q * R
-        - 27 * Q**4
-        + 256 * R**3
-    )
+    Its 16 terms, summed by Horner in d, keep every intermediate at most
+    1069 H^6 in size when |a|, |b|, |c|, |d| <= H.
+    """
+    e2 = 144 * a * a * b - 27 * a**4 - 128 * b * b - 192 * a * c
+    e1 = 16 * b**4 - 4 * a * a * b**3 + (18 * a**3 * b - 80 * a * b * b) * c + (144 * b - 6 * a * a) * c * c
+    e0 = (a * a * b * b - 4 * b**3) * c * c + (18 * a * b - 4 * a**3) * c**3 - 27 * c**4
+    return ((256 * d + e2) * d + e1) * d + e0
 
 
 def _integer_cubic_roots(b2: int, b1: int, b0: int) -> list[int]:
@@ -409,22 +396,25 @@ def _integer_cubic_roots(b2: int, b1: int, b0: int) -> list[int]:
     return sorted(set(out))
 
 
+def _kappe_warren_c4(a: int, b: int, d: int, beta: int, delta: int) -> bool:
+    """Is the group C4, given the only integer root beta of the resolvent?
+
+    Kappe-Warren: C4 iff beta^2 - 4d and a^2 - 4(b - beta) are both squares
+    in Q(sqrt(delta)), i.e. each is a square or a square times delta.
+    """
+    return all(_is_square(q) or _is_square(q * delta) for q in (beta * beta - 4 * d, a * a - 4 * (b - beta)))
+
+
 def quartic_group_irreducible(a: int, b: int, c: int, d: int) -> str:
     """Galois group name of the irreducible quartic x^4+ax^3+bx^2+cx+d."""
-    P, Q, R = depressed_quartic(a, b, c, d)
-    delta_dep = quartic_disc_depressed(P, Q, R)
-    # resolvent cubic of the depressed quartic; roots are the pair-sum products
-    roots = _integer_cubic_roots(-2 * P, P * P - 4 * R, Q * Q)
+    delta = quartic_disc(a, b, c, d)
+    # y^3 - b y^2 + (ac - 4d) y - (a^2 d - 4bd + c^2), roots x1x2 + x3x4 etc.
+    roots = _integer_cubic_roots(-b, a * c - 4 * d, 4 * b * d - a * a * d - c * c)
     if not roots:
-        return "A4" if _is_square_fraction(delta_dep, 4**12) else "S4"
-    if len(roots) >= 3:
+        return "A4" if _is_square(delta) else "S4"
+    if len(roots) == 3:
         return "V4"
-    beta = roots[0]
-    if beta == 0:
-        # biquadratic with R nonsquare (else three rational resolvent roots)
-        return "C4" if _is_square_fraction(R * (P * P - 4 * R), 4**8 * 4**4) else "D4"
-    j = -beta * (-3 * beta * beta + 4 * P * beta + 16 * R)
-    return "C4" if _is_square(j) else "D4"
+    return "C4" if _kappe_warren_c4(a, b, d, roots[0], delta) else "D4"
 
 
 # --- quintics, decided at one split prime ------------------------------------

@@ -52,8 +52,13 @@ def test_count_budget_exit_2(tmp_path):
     assert cli.main(["count", "--n", "9", "--H", "10"]) == 2
 
 
-def test_count_bad_ladder_exit_1(tmp_path):
+def test_count_bad_ladder_exit_1(tmp_path, capsys):
     assert cli.main(["count", "--n", "3", "--H", "abc"]) == 1
+    # a ladder that starts with a minus is a value, not an option
+    for ladder in (["--H", "-1,2"], ["--H=-1,2"]):
+        capsys.readouterr()
+        assert cli.main(["count", "--n", "3", *ladder]) == 1
+        assert capsys.readouterr().err == "error: need a nonempty ladder of H >= 0\n"
 
 
 def test_count_checkpoint_idempotent(tmp_path):

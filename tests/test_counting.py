@@ -6,6 +6,7 @@ import math
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -53,7 +54,7 @@ def naive_ledger(n, H):
 
 
 def test_ledger_counts_match_naive_small_boxes():
-    for n, H in [(2, 5), (3, 3), (4, 2)]:
+    for n, H in [(2, 5), (3, 3), (4, 2), (4, 3)]:
         led = ct.enumerate_box(n, H)[0]
         total, dz, red, per_group, sq = naive_ledger(n, H)
         assert led.total == total == (2 * H + 1) ** n
@@ -62,6 +63,41 @@ def test_ledger_counts_match_naive_small_boxes():
         assert led.per_group == per_group
         assert led.square_disc == sq
         assert led.unresolved == 0
+
+
+# the golden ledgers of the ROADMAP table, regression anchors
+GOLDEN = {
+    (3, 80): {
+        "n": 3, "H": 80, "total": 4173281, "discZero": 493, "reducible": 93334,
+        "perGroup": {"C3": 3474, "S3": 4075980}, "squareDisc": 3474, "unresolved": 0,
+        "caseHistogram": {}, "checksum": 2387957788,
+    },
+    (4, 16): {
+        "n": 4, "H": 16, "total": 1185921, "discZero": 1989, "reducible": 97385,
+        "perGroup": {"A4": 596, "C4": 272, "D4": 17752, "S4": 1067326, "V4": 601},
+        "squareDisc": 1197, "unresolved": 0, "caseHistogram": {}, "checksum": 1552539815,
+    },
+}
+
+
+@pytest.mark.parametrize("box", sorted(GOLDEN), ids=lambda b: f"n{b[0]}_H{b[1]}")
+def test_golden_ledgers_pinned(box):
+    assert ct.enumerate_box(*box)[0].to_json() == GOLDEN[box]
+
+
+def test_quartic_object_dtype_path_matches_int64(monkeypatch):
+    H = 4
+    want = [ct.slice_ledger(4, H, a1).canonical() for a1 in range(-H, H + 1)]
+    monkeypatch.setattr(ct, "_quartic_dtype", lambda H: object)
+    assert [ct.slice_ledger(4, H, a1).canonical() for a1 in range(-H, H + 1)] == want
+
+
+def test_quartic_int64_bounds_hold_at_the_largest_int64_H():
+    H = max(h for h in range(1000) if ct._quartic_dtype(h) is np.int64)
+    assert ct._quartic_dtype(H + 1) is object
+    assert (2 * H + 1) ** 4 > ct.DEFAULT_BUDGET  # dtype=object needs a raised budget
+    corners = np.array(list(itertools.product((-H, H), repeat=4)), dtype=np.int64)
+    assert ga.quartic_disc(*corners.T).tolist() == [ga.quartic_disc(*map(int, row)) for row in corners]
 
 
 def test_ledger_invariant_holds():

@@ -1,6 +1,9 @@
 """Integer factorization and exact Galois groups for degrees 2 through 5."""
 
+import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 import sympy
@@ -85,6 +88,51 @@ def test_quartic_known_groups():
     for coeffs, name in cases.items():
         assert ga._exact_group_name(poly(*coeffs)) == name
         assert galois_name_sympy([1, *coeffs]) == name
+
+
+def _is_square_fraction(num, den):
+    """Is the rational num/den a square in Q?"""
+    if den < 0:
+        num, den = -num, -den
+    if num <= 0:
+        return num == 0
+    g = math.gcd(num, den)
+    return ga._is_square(num // g) and ga._is_square(den // g)
+
+
+def depressed_quartic_group(a, b, c, d):
+    """Reference: the group from t^4 + Pt^2 + Qt + R = 256 f((t - a)/4).
+
+    Its resolvent t^3 - 2P t^2 + (P^2 - 4R) t + Q^2 has a root 0 for a
+    biquadratic; otherwise, with a single root beta, C4 iff
+    -beta(-3 beta^2 + 4P beta + 16R) is a square.
+    """
+    P = 16 * b - 6 * a * a
+    Q = 8 * a**3 - 32 * a * b + 64 * c
+    R = -3 * a**4 + 16 * a * a * b - 64 * a * c + 256 * d
+    delta = 16 * P**4 * R - 4 * P**3 * Q * Q - 128 * P * P * R * R + 144 * P * Q * Q * R - 27 * Q**4 + 256 * R**3
+    roots = ga._integer_cubic_roots(-2 * P, P * P - 4 * R, Q * Q)
+    if not roots:
+        return "A4" if _is_square_fraction(delta, 4**12) else "S4"
+    if len(roots) >= 3:
+        return "V4"
+    beta = roots[0]
+    if beta == 0:
+        return "C4" if _is_square_fraction(R * (P * P - 4 * R), 4**8 * 4**4) else "D4"
+    return "C4" if ga._is_square(-beta * (-3 * beta * beta + 4 * P * beta + 16 * R)) else "D4"
+
+
+def test_quartic_group_matches_depressed_quartic_reference():
+    seen = Counter()
+    for coeffs in itertools.product(range(-4, 5), repeat=4):
+        f = poly(*coeffs)
+        assert ga.quartic_disc(*coeffs) == disc(f)
+        if disc(f) == 0 or ga._has_integer_root(f) or ga._has_quadratic_factor(f):
+            continue
+        name = ga.quartic_group_irreducible(*coeffs)
+        assert name == depressed_quartic_group(*coeffs), coeffs
+        seen[name] += 1
+    assert set(seen) == {"C4", "V4", "D4", "A4", "S4"}, seen
 
 
 def lehmer_quintic(n):

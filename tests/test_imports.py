@@ -1,8 +1,10 @@
 """Static hygiene: no module of the package keeps an unused module-level
-import, and the exact classifier never imports the floating-point mpmath."""
+import or a module-level function or class that nothing reads, and the exact
+classifier never imports the floating-point mpmath."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -10,6 +12,7 @@ import galcount
 
 PACKAGE = pathlib.Path(galcount.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,6 +38,45 @@ def test_guard_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _read_names(tree: ast.AST) -> Counter:
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def unreferenced_definitions(modules: dict[str, str], others: list[str]) -> list[str]:
+    """Module-level functions and classes of `modules` (name -> source) that
+    no code in `modules` or `others` reads outside their own definition."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    read = Counter()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        read.update(_read_names(tree))
+    return [
+        f"{name}.{node.name} (line {node.lineno})"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and read[node.name] == _read_names(node)[node.name]
+    ]
+
+
+def test_guard_flags_an_unreferenced_definition():
+    module = "def used():\n    return 1\n\n\ndef dead(k):\n    return dead(k - 1)\n\n\nclass Kept:\n    pass\n"
+    caller = "import m\nfrom m import used\nused()\nm.Kept()\n"
+    assert unreferenced_definitions({"m": module}, [caller]) == ["m.dead (line 5)"]
+    assert unreferenced_definitions({"m": module}, []) == ["m.used (line 1)", "m.dead (line 5)", "m.Kept (line 9)"]
+
+
+def test_every_definition_is_referenced():
+    """Every module-level function and class of src/galcount is read somewhere
+    outside its own definition: in src/, tests/, scripts/ or perfbench/."""
+    modules = {path.stem: path.read_text() for path in sorted((ROOT / "src" / "galcount").glob("*.py"))}
+    others = [path.read_text() for d in ("tests", "scripts", "perfbench") for path in sorted((ROOT / d).rglob("*.py"))]
+    assert unreferenced_definitions(modules, others) == []
 
 
 def test_galois_never_imports_mpmath():
