@@ -1,12 +1,12 @@
 """Exhaustive coefficient-box enumeration and the derived experiments.
 
 The box {max |a_i| <= H} is cut into slices along a_1.  Each slice is
-counted independently (vectorized for degrees 2-4, scalar for 5-7) and the
-slice ledgers are merged in a fixed order, so the result is independent of
-the worker schedule.  The checksum of a merged ledger is the XOR of the
-per-slice checksums, hence also schedule-independent.  With a checkpoint
-directory each slice is stored as a file as soon as it is counted, and a
-stored slice is reused only if it re-seals (see `_load_slice`).
+counted independently and the slice ledgers are merged in a fixed order,
+so the result is independent of the worker schedule.  The checksum of a
+merged ledger is the XOR of the per-slice checksums, hence also
+schedule-independent.  With a checkpoint directory each slice is stored as
+a file as soon as it is counted, and a stored slice is reused only if it
+re-seals (see `_load_slice`).
 
 The quartic counter decides a whole slice with integer arrays, one a2 row
 at a time: its temporaries hold O(Y S) entries, for S = 2H+1 and the
@@ -14,6 +14,12 @@ candidate resolvent roots |y| <= Y = 2(H+1)^2, not O(Y S^2).  The
 discriminant terms are at most 1069 H^6 in size and the resolvent values
 at most Y^3 + H Y^2 + H^2 Y + H^2, so it runs in int64 while both stay
 below 2^62 (H <= 403, beyond the default budget) and on dtype=object above.
+
+Degrees 2-4 are decided entirely with integer arrays.  For degrees 5-7
+each polynomial gets its own discriminant and exact reducibility test; the
+irreducible ones are then decided together by the batched Frobenius
+deciders `galois.quintic_groups` and `galois.sn_certificates`, in chunks of
+DECIDE_CHUNK polynomials, so their arrays stay O(DECIDE_CHUNK n^2) at any H.
 
 E_n(H) counts monic degree-n integer polynomials in the box whose Galois
 group is not the full symmetric group; polynomials with vanishing
@@ -47,6 +53,7 @@ from .polyarith import MonicIntPoly, disc, factor_int, field_disc_valuation, pmu
 
 DEFAULT_BUDGET = 10**9
 FORMAT_VERSION = 1
+DECIDE_CHUNK = 1024  # polynomials per batched Frobenius decider call
 
 DEGREE_GROUPS = {
     1: (),
@@ -301,40 +308,52 @@ def _slice_counts_n4(H, a1):
     return led
 
 
-def _slice_counts_n5(H, a1):
-    S = 2 * H + 1
-    led = CountLedger(n=5, H=H, total=S**4)
-    groups = dict.fromkeys(DEGREE_GROUPS[5], 0)
-    for rest in itertools.product(range(-H, H + 1), repeat=4):
+def _irreducible(led, H, a1, reducible):
+    """(f, disc(f)) for every irreducible f of the slice a1, after the exact
+    per-polynomial tests; the others go to led.disc_zero or led.reducible."""
+    for rest in itertools.product(range(-H, H + 1), repeat=led.n - 1):
         f = MonicIntPoly((a1, *rest))
-        if disc(f) == 0:
+        delta = disc(f)
+        if delta == 0:
             led.disc_zero += 1
-            continue
-        name = galois._exact_group_name(f)
-        if name is None:
+        elif reducible(f):
             led.reducible += 1
         else:
-            groups[name] += 1
-            if name in ("C5", "D5", "A5"):
-                led.square_disc += 1
+            yield f, delta
+
+
+def _decided(pairs, decide):
+    """(f, delta, verdict) for each (f, delta) of `pairs`, with the batched
+    decide(polys, deltas) fed DECIDE_CHUNK pairs at a time."""
+    it = iter(pairs)
+    while batch := list(itertools.islice(it, DECIDE_CHUNK)):
+        polys, deltas = map(list, zip(*batch))
+        yield from zip(polys, deltas, decide(polys, deltas))
+
+
+def _slice_counts_n5(H, a1):
+    led = CountLedger(n=5, H=H, total=(2 * H + 1) ** 4)
+    groups = dict.fromkeys(DEGREE_GROUPS[5], 0)
+    for _, _, name in _decided(_irreducible(led, H, a1, galois._quintic_reducible), galois.quintic_groups):
+        groups[name] += 1
+        if name in ("C5", "D5", "A5"):
+            led.square_disc += 1
     led.per_group = {k: v for k, v in groups.items() if v}
     return led
 
 
 def _slice_counts_interval(n, H, a1):
     """Degrees 6-7: reducibility is exact, S_n only by certificate."""
-    S = 2 * H + 1
-    led = CountLedger(n=n, H=H, total=S ** (n - 1))
+    led = CountLedger(n=n, H=H, total=(2 * H + 1) ** (n - 1))
+
+    def reducible(f):
+        return not galois.is_irreducible(f)
+
+    def certify(polys, deltas):
+        return galois.sn_certificates(polys, deltas, prime_budget=25)
+
     certified = 0
-    for rest in itertools.product(range(-H, H + 1), repeat=n - 1):
-        f = MonicIntPoly((a1, *rest))
-        if disc(f) == 0:
-            led.disc_zero += 1
-            continue
-        if not galois.is_irreducible(f):
-            led.reducible += 1
-            continue
-        verdict = galois.sn_certificate(f, prime_budget=25)
+    for _, _, verdict in _decided(_irreducible(led, H, a1, reducible), certify):
         if verdict.status == "certifiedSn":
             certified += 1
         else:
@@ -541,12 +560,14 @@ def case_partition(n: int, H: int, params: SieveParams | None = None) -> dict:
     num, den = delta.numerator, delta.denominator
     targets = set(_PRIMITIVE_NON_SN[n])
     hist = {"I": 0, "II": 0, "III": 0, "unknownC": 0}
-    for tup in itertools.product(range(-H, H + 1), repeat=n):
-        f = MonicIntPoly(tup)
-        delta_f = disc(f)
-        if delta_f == 0:
-            continue
-        if galois._exact_group_name(f) not in targets:
+    pairs = ((f, disc(f)) for f in map(MonicIntPoly, itertools.product(range(-H, H + 1), repeat=n)))
+    pairs = ((f, delta_f) for f, delta_f in pairs if delta_f)
+    if n == 5:
+        named = _decided(((f, d) for f, d in pairs if not galois._quintic_reducible(f)), galois.quintic_groups)
+    else:
+        named = ((f, d, galois._exact_group_name(f)) for f, d in pairs)
+    for f, delta_f, name in named:
+        if name not in targets:
             continue
         C = 1
         D = 1

@@ -56,6 +56,10 @@ class SubsetSumZero(UsageError):
     pass
 
 
+class NotSquarefreeModP(UsageError):
+    pass
+
+
 class ToleranceUnreachable(InternalError):
     pass
 

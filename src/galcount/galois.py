@@ -1,4 +1,5 @@
-"""Factorization over Z and exact Galois groups for degree <= 5.
+"""Factorization over Z, exact Galois groups for degree <= 5 and S_n
+certificates beyond.
 
 factor_over_Z is classical Zassenhaus: factor mod a good prime, Hensel-lift
 past the Mignotte bound, recombine subsets.  Cubics are decided by the
@@ -10,14 +11,23 @@ is nonzero, so 0, 1 or 3 of them are integers.  None gives A4 or S4, by
 whether the discriminant is a square; three give V4; with exactly one,
 beta, Kappe and Warren (1989) give C4 iff beta^2 - 4d and a^2 - 4(b - beta)
 are both squares in Q(sqrt(disc)), and D4 otherwise.  `counting` runs the
-same test over whole slices.  Quintics are decided by one loop over the
-unramified primes p, with integer arithmetic only:
+same test over whole slices.
+
+Quintics and the S_n certificates of `sn_certificates` share one batched
+Frobenius walk (`_frobenius_walk`): the primes are taken in ascending
+order, each polynomial skips the primes dividing its own discriminant, all
+live polynomials get their cycle types at p from one
+`polyarith.frobenius_cycle_types` call (Berlekamp nullities, in int64 while
+n p^2 < 2^62 and in Python ints above), and a polynomial leaves the walk
+once it is decided.  `quintic_group_irreducible` and `sn_certificate` run
+the same walk on a batch of one.  A quintic is decided with integer
+arithmetic only:
 
 - A Frobenius of type 2+1+1+1 or 3+2 gives a transposition (after cubing)
   and one of type 3+1+1 a 3-cycle.  The group G is transitive of prime
   degree, hence primitive, so by Jordan's theorem it is S5, or A5 when the
   discriminant is a square.
-- Otherwise the loop stops at the first p where f has five distinct roots
+- Otherwise its walk stops at the first p where f has five distinct roots
   mod p; Chebotarev guarantees such primes (density 1/|G|).
 
 At that prime the roots r_0..r_4 of f in Z_p are Hensel-lifted mod
@@ -53,6 +63,7 @@ Vandermonde system in the distinct r_m force r_(m-1) = r_(m+1).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -72,13 +83,13 @@ from .polyarith import (
     _squarefree_decomposition_Q,
     disc,
     factor_mod_p,
+    frobenius_cycle_types,
     is_prime,
     pderiv,
     pdivmod,
     pgcd,
     pmul,
     ptrim,
-    splitting_type,
 )
 
 GROUPS = {
@@ -464,20 +475,49 @@ def quintic_resolvent_sextic(roots: list[int], q: int) -> list[int]:
     return [_sym(c, q) for c in reversed(sextic)]
 
 
-def quintic_group_irreducible(f: MonicIntPoly) -> str:
-    """Galois group name of the irreducible quintic f, decided as the module docstring says."""
-    delta = disc(f)
-    square = _is_square(delta)
+def _frobenius_walk(polys: list[MonicIntPoly], deltas: list[int], live: list[int], step) -> None:
+    """Walk the primes in ascending order with the polynomials polys[i],
+    i in `live`, of discriminants deltas[i].  At each prime p, every live
+    polynomial with p not dividing its discriminant gets its cycle type
+    from one batched `frobenius_cycle_types` call, and leaves the walk as
+    soon as step(i, p, cycle_type) returns True."""
     for p in _ascending_primes():
-        if delta % p == 0:
-            continue
-        degs = sorted((d for d, _ in splitting_type(f, p).parts), reverse=True)
-        if degs in ([2, 1, 1, 1], [3, 2]):
-            return "S5"
-        if degs == [3, 1, 1]:
-            return "A5" if square else "S5"
-        if degs == [1, 1, 1, 1, 1]:
-            break
+        if not live:
+            return
+        at = [i for i in live if deltas[i] % p]
+        if at:
+            types = frobenius_cycle_types([polys[i].coeffs for i in at], p)
+            done = {i for i, t in zip(at, types) if step(i, p, t)}
+            live = [i for i in live if i not in done]
+
+
+def quintic_groups(polys: list[MonicIntPoly], deltas: list[int]) -> list[str]:
+    """Galois group names of irreducible quintics with nonzero discriminants
+    `deltas`, decided together as the module docstring says."""
+    names: list[str | None] = [None] * len(polys)
+
+    def step(i, p, t):
+        square = _is_square(deltas[i])
+        if t in ((2, 1, 1, 1), (3, 2)):
+            names[i] = "S5"
+        elif t == (3, 1, 1):
+            names[i] = "A5" if square else "S5"
+        elif t == (1, 1, 1, 1, 1):
+            names[i] = _split_prime_group(polys[i], p, square)
+        return names[i] is not None
+
+    _frobenius_walk(polys, deltas, list(range(len(polys))), step)
+    return names
+
+
+def quintic_group_irreducible(f: MonicIntPoly) -> str:
+    """Galois group name of the irreducible quintic f."""
+    return quintic_groups([f], [disc(f)])[0]
+
+
+def _split_prime_group(f: MonicIntPoly, p: int, square: bool) -> str:
+    """The group of the irreducible quintic f, at a prime p where it has
+    five distinct roots, from the resolvent sextic and the C5/D5 invariant."""
     roots, q = _split_roots(f, p)
     sextic = quintic_resolvent_sextic(roots, q)
     resolvent = MonicIntPoly.from_full(sextic)
@@ -527,8 +567,7 @@ def _exact_group_name(f: MonicIntPoly) -> str | None:
             return None
         return quartic_group_irreducible(*f.coeffs)
     if n == 5:
-        # a reducible quintic has a factor of degree 1 or 2
-        if _has_integer_root(f) or _has_quintic_quadratic_factor(f):
+        if _quintic_reducible(f):
             return None
         return quintic_group_irreducible(f)
     raise DegreeOutOfRange(str(n))
@@ -559,47 +598,65 @@ def _ascending_primes():
         p += 1
 
 
-def sn_certificate(f: MonicIntPoly, prime_budget: int = 100) -> GaloisVerdict:
-    """Try to certify Gal(f) = S_n from unramified splitting types.
+@functools.lru_cache(maxsize=None)
+def _sn_witnesses(t: tuple[int, ...]) -> int:
+    """Bit mask of the S_n witnesses in the cycle type t: 1 an n-cycle, 2 a
+    cycle of prime length ell with n/2 < ell < n, 4 a type whose only even
+    part is a single 2."""
+    n = sum(t)
+    return (
+        (t == (n,))
+        | 2 * any(n / 2 < d < n and is_prime(d) for d in t)
+        | 4 * ([d for d in t if d % 2 == 0] == [2])
+    )
 
-    Witnesses collected: an n-cycle (an irreducible type), a cycle of prime
-    length ell with n/2 < ell < n (a suitable power of that Frobenius is an
-    ell-cycle, forcing a primitive group containing one, hence A_n or S_n),
-    and a type whose only even part is a single 2 (an odd power is a
-    transposition).  All three together force S_n.  A square discriminant
-    instead certifies containment in A_n.
+
+def sn_certificates(polys: list[MonicIntPoly], deltas: list[int], prime_budget: int = 100) -> list[GaloisVerdict]:
+    """Try to certify Gal(f) = S_n for each f of `polys`, with discriminants
+    `deltas`, from its cycle types at its first `prime_budget` unramified
+    primes.
+
+    Three witnesses together force S_n.  An n-cycle (an irreducible type)
+    makes G transitive.  A cycle of prime length ell with n/2 < ell < n (a
+    suitable power of that Frobenius is an ell-cycle) then makes G
+    primitive: with blocks of size b and m = n/b blocks, 1 < b, m < ell,
+    the ell-cycle cannot move the m blocks, so it would have to stay inside
+    one block of b < ell points.  A type whose only even part is a single 2
+    has an odd power that is a transposition, and a primitive group with a
+    transposition is S_n (Jordan).  The ell-cycle alone does not suffice:
+    for n = 6, ell = 5, PGL(2, 5) is primitive and contains 5-cycles.  A
+    square discriminant instead certifies containment in A_n.
     """
-    n = f.degree
-    delta = disc(f)
-    if delta == 0:
-        raise UsageError("discriminant is zero; certificate needs squarefree input")
-    if _is_square(delta):
-        return GaloisVerdict("certifiedSubsetAn")
-    evidence = []
-    have_ncycle = have_ell = have_transposition = False
-    sampled = 0
-    for p in _ascending_primes():
-        if sampled >= prime_budget:
-            break
-        if delta % p == 0:
-            continue
-        parts = splitting_type(f, p).parts
-        sampled += 1
-        evidence.append((p, tuple(sorted((d for d, e in parts), reverse=True))))
-        degs = [d for d, e in parts]
-        if degs == [n]:
-            have_ncycle = True
-        for d in degs:
-            if n / 2 < d < n and is_prime(d):
-                have_ell = True
-        evens = [d for d in degs if d % 2 == 0]
-        if evens == [2]:
-            have_transposition = True
-        if have_ncycle and have_ell and have_transposition:
-            return GaloisVerdict("certifiedSn", evidence=tuple(evidence))
-    if sampled == 0:
+    verdicts: list[GaloisVerdict | None] = [None] * len(polys)
+    live = []
+    for i, delta in enumerate(deltas):
+        if delta == 0:
+            raise UsageError("discriminant is zero; certificate needs squarefree input")
+        if _is_square(delta):
+            verdicts[i] = GaloisVerdict("certifiedSubsetAn")
+        else:
+            live.append(i)
+    if live and prime_budget < 1:
         raise RamifiedOnly(f"no unramified prime among the first {prime_budget} candidates")
-    return GaloisVerdict("unresolved", evidence=tuple(evidence))
+    evidence: list[list] = [[] for _ in polys]
+    seen = [0] * len(polys)
+
+    def step(i, p, t):
+        evidence[i].append((p, t))
+        seen[i] |= _sn_witnesses(t)
+        if seen[i] == 7:
+            verdicts[i] = GaloisVerdict("certifiedSn", evidence=tuple(evidence[i]))
+        elif len(evidence[i]) == prime_budget:
+            verdicts[i] = GaloisVerdict("unresolved", evidence=tuple(evidence[i]))
+        return verdicts[i] is not None
+
+    _frobenius_walk(polys, deltas, live, step)
+    return verdicts
+
+
+def sn_certificate(f: MonicIntPoly, prime_budget: int = 100) -> GaloisVerdict:
+    """`sn_certificates` for the one polynomial f."""
+    return sn_certificates([f], [disc(f)], prime_budget)[0]
 
 
 def _int_divisors(m: int) -> list[int]:
@@ -618,6 +675,11 @@ def _has_integer_root(f: MonicIntPoly) -> bool:
     if an == 0:
         return True
     return any(f(r) == 0 for r in _int_divisors(an))
+
+
+def _quintic_reducible(f: MonicIntPoly) -> bool:
+    """Is the quintic f reducible?  It then has a factor of degree 1 or 2."""
+    return _has_integer_root(f) or _has_quintic_quadratic_factor(f)
 
 
 def _has_quintic_quadratic_factor(f: MonicIntPoly) -> bool:

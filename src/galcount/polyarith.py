@@ -16,8 +16,10 @@ One helper per operation, shared by every module:
 - derivative: `_deriv` (descending, over Z or Q), `pderiv` (ascending, mod p);
 - division and gcd over F_p: `pdivmod` (also over Z/m by a monic divisor),
   `pgcd`, `pmonic`, `ppow_mod`;
-- squarefree decomposition: `_squarefree_decomposition_Q` (Yun, over Q) and
-  `_squarefree_decomposition` (over F_p);
+- squarefree decomposition: `_squarefree_decomposition_Q` (Yun, over Q,
+  behind a mod-p gate) and `_squarefree_decomposition` (over F_p);
+- Frobenius cycle types of many polynomials at once:
+  `frobenius_cycle_types` (Berlekamp nullities over numpy arrays);
 - interpolation: `interpolate`, exact Newton interpolation from integer
   points to descending integer coefficients;
 - integer factorization: `factor_int`, by trial division;
@@ -29,16 +31,20 @@ Res(x-a, x-b) = b-a, and disc(f) = (-1)^(d(d-1)/2) Res(f, f') / lc(f).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     CharacteristicTooSmall,
     DegreeTooSmall,
     NotPrime,
+    NotSquarefreeModP,
     SubsetSumZero,
     ToleranceUnreachable,
     UsageError,
@@ -565,12 +571,141 @@ class SplittingType:
 
 
 def splitting_type(f: MonicIntPoly, p: int) -> SplittingType:
-    fac = factor_mod_p(PolyModP.of(p, list(reversed(f.full()))))
-    return SplittingType.of((g.degree, e) for g, e in fac)
+    """The splitting type of f mod p, from the squarefree and distinct-degree
+    stages alone: a component of degree D found at stage d holds D/d
+    irreducible factors of degree d."""
+    c = PolyModP.of(p, list(reversed(f.full()))).coeffs
+    return SplittingType.of(
+        (d, e)
+        for g, e in _squarefree_decomposition(list(c), p)
+        for h, d in _distinct_degree(g, p)
+        for _ in range((len(h) - 1) // d)
+    )
 
 
 def index_mod_p(f: MonicIntPoly, p: int) -> int:
     return splitting_type(f, p).ind
+
+
+# ---------------------------------------------------------------------------
+# The batched Frobenius layer: Berlekamp nullities over whole arrays
+
+
+def _partitions(n: int, top: int | None = None):
+    """The partitions of n (into parts at most `top`) as descending tuples,
+    in reverse lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, top or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first, *rest)
+
+
+@functools.lru_cache(maxsize=None)
+def _nullity_table(n: int) -> tuple[int, dict[int, tuple[int, ...]]]:
+    """(k, table): the least k such that the nullities sum_i gcd(d, d_i),
+    d = 1..k, tell the partitions (d_1, ..., d_r) of n apart, and the table
+    from the nullities, packed in base n + 1, to the partition."""
+    parts = list(_partitions(n))
+    for k in range(1, n + 1):
+        table = {
+            sum(sum(math.gcd(d, m) for m in lam) * (n + 1) ** (d - 1) for d in range(1, k + 1)): lam
+            for lam in parts
+        }
+        if len(table) == len(parts):  # at the latest for k = n
+            return k, table
+
+
+def _mulmod_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: int) -> np.ndarray:
+    """Row by row, a * b mod (x^n + c_(n-1) x^(n-1) + ... + c_0) over F_p;
+    every array holds n ascending coefficients per row."""
+    n = c.shape[1]
+    prod = np.zeros((c.shape[0], 2 * n - 1), dtype=c.dtype)
+    for i in range(n):  # each entry sums at most n products below p^2
+        prod[:, i : i + n] += a[:, i : i + 1] * b
+    prod %= p
+    for k in range(2 * n - 2, n - 1, -1):  # x^k = -x^(k-n) (c_0 + ... + c_(n-1) x^(n-1))
+        prod[:, k - n : k] = (prod[:, k - n : k] - prod[:, k : k + 1] * c) % p
+    return prod[:, :n]
+
+
+def _ranks_mod_p(A: np.ndarray, p: int) -> np.ndarray:
+    """Ranks over F_p of a stack of square matrices with reduced entries, by
+    one fraction-free Gaussian elimination run on all of them at once.
+    Scaling a row by its pivot (a unit) keeps the rank and every entry
+    below p^2 before reduction.  A is overwritten."""
+    M, n, _ = A.shape
+    free = np.ones((M, n), dtype=bool)  # rows not yet used as a pivot
+    at = np.arange(M)
+    for j in range(n):
+        col = A[:, :, j]
+        cand = free & (col != 0)
+        has = cand.any(axis=1)
+        piv = cand.argmax(axis=1)
+        free[at[has], piv[has]] = False
+        lead = np.where(has, A[at, piv, j], 1)[:, None, None]
+        kill = np.where(free & has[:, None], col, 0)[:, :, None] * A[at, piv, j:][:, None, :]
+        rest = A[:, :, j:]  # a view: the row operations run in place
+        rest *= lead
+        rest -= kill
+        rest %= p
+    return n - free.sum(axis=1)
+
+
+def frobenius_cycle_types(rows, p: int) -> list[tuple[int, ...]]:
+    """The Frobenius cycle types at p, as descending tuples, of the monic
+    x^n + a_1 x^(n-1) + ... + a_n given by the rows (a_1, ..., a_n) of an
+    (N, n) integer array, all at once.
+
+    Berlekamp: the Frobenius g -> g^p of A = F_p[x]/(f) is F_p-linear, with
+    the matrix Q whose row i holds x^(ip) mod f, built from x^p mod f by
+    square-and-multiply.  If f is squarefree mod p with irreducible factors
+    of degrees d_1..d_r, then A is the product of the fields F_(p^d_i), so
+    dim ker(Q^d - I) = sum_i gcd(d, d_i), and these nullities for
+    d = 1..k tell the partitions of n apart (`_nullity_table`).  f is
+    squarefree mod p iff Q is invertible: a nonreduced A has some m != 0
+    with m^2 = 0, which the Frobenius kills.  Every rank comes from one
+    batched elimination.  The arithmetic is int64 while n p^2 < 2^62, which
+    bounds every sum of products, and dtype=object above.  A row that is
+    not squarefree mod p raises NotSquarefreeModP.
+    """
+    _require_prime(p)
+    if len(rows) == 0:
+        return []
+    rows = np.asarray(rows)
+    N, n = rows.shape
+    dt = np.int64 if n * p * p < 2**62 else object
+    c = (rows[:, ::-1] % p).astype(dt)  # ascending c_0..c_(n-1)
+    x = np.zeros((N, n), dtype=dt)
+    if n > 1:
+        x[:, 1] = 1
+    else:
+        x[:, 0] = -c[:, 0] % p
+    xp = x
+    for bit in bin(p)[3:]:
+        xp = _mulmod_rows(xp, xp, c, p)
+        if bit == "1":
+            xp = _mulmod_rows(xp, x, c, p)
+    Q = np.zeros((N, n, n), dtype=dt)
+    Q[:, 0, 0] = 1
+    for i in range(1, n):
+        Q[:, i] = xp if i == 1 else _mulmod_rows(Q[:, i - 1], xp, c, p)
+    k, table = _nullity_table(n)
+    mats = np.empty((N, k + 1, n, n), dtype=dt)  # Q, then Q^d - I for d = 1..k
+    mats[:, 0] = Qd = Q
+    for d in range(1, k + 1):
+        if d > 1:
+            Qd = Qd @ Q % p
+        mats[:, d] = Qd
+        mats[:, d, range(n), range(n)] -= 1
+    mats %= p
+    ranks = _ranks_mod_p(mats.reshape(-1, n, n), p).reshape(N, k + 1)
+    bad = np.nonzero(ranks[:, 0] < n)[0]
+    if bad.size:
+        raise NotSquarefreeModP(f"row {rows[bad[0]].tolist()} is not squarefree mod {p}")
+    keys = (n - ranks[:, 1:]) @ np.array([(n + 1) ** d for d in range(k)])
+    return [table[key] for key in keys.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -705,10 +840,14 @@ def power_sum_solution_count(p: int, weights: tuple[int, ...], targets: tuple[in
 # Mahler measure
 
 
+_SQUAREFREE_GATE_PRIMES = (2**31 - 1, 2**61 - 1)
+
+
 def _squarefree_decomposition_Q(f: MonicIntPoly) -> list[tuple[MonicIntPoly, int]]:
     """Yun's algorithm in characteristic 0: monic squarefree parts with
     their multiplicities, in increasing multiplicity; a constant f is its
-    own single part.  Gauss's lemma keeps every part integer-coefficient."""
+    own single part.  Gauss's lemma keeps every part integer-coefficient.
+    Yun runs only when gcd(f, f') is nontrivial at both gate primes."""
 
     def fdivmod(a, b):
         a = list(a)
@@ -737,6 +876,12 @@ def _squarefree_decomposition_Q(f: MonicIntPoly) -> list[tuple[MonicIntPoly, int
             b = [Fraction(0)] * pad + list(b)
         return _trim([x - y for x, y in zip(a, b)])
 
+    # gcd(f, f') = 1 mod p makes the monic f squarefree mod p, so disc(f) != 0
+    fasc = list(reversed(f.full()))
+    for p in _SQUAREFREE_GATE_PRIMES:
+        fp = [c % p for c in fasc]
+        if len(pgcd(fp, pderiv(fp, p), p)) == 1:
+            return [(f, 1)]
     fq = [Fraction(c) for c in f.full()]
     a = fgcd(fq, _deriv(fq))
     if len(a) == 1:
@@ -761,8 +906,6 @@ def mahler_measure(f: MonicIntPoly, tol: float = 1e-9) -> float:
     """prod max(1,|root|) with certified absolute error <= tol."""
     if tol < 1e-12:
         raise UsageError("tol too small to certify in double precision")
-    import numpy as np
-
     parts = _squarefree_decomposition_Q(f)
     if len(parts) > 1 or parts[0][1] > 1:
         # repeated roots break both the residual certificate and the

@@ -21,6 +21,7 @@ from . import fourier, permgroup
 from .polyarith import (
     DoubleDiscInput,
     SplittingType,
+    _partitions,
     disc_poly_in_last,
     double_disc,
     index_table,
@@ -98,16 +99,6 @@ def verify_prop34(seed: int = 0, samples: int = 200) -> dict:
         "violations": len(violations),
         "details": {"failures": violations, "skippedCells": skipped},
     }
-
-
-def _partitions(m: int):
-    if m == 0:
-        yield ()
-        return
-    for first in range(m, 0, -1):
-        for rest in _partitions(m - first):
-            if not rest or rest[0] <= first:
-                yield (first, *rest)
 
 
 def verify_fmky(mmax: int = 10) -> dict:

@@ -77,6 +77,11 @@ GOLDEN = {
         "perGroup": {"A4": 596, "C4": 272, "D4": 17752, "S4": 1067326, "V4": 601},
         "squareDisc": 1197, "unresolved": 0, "caseHistogram": {}, "checksum": 1552539815,
     },
+    (5, 3): {
+        "n": 5, "H": 3, "total": 16807, "discZero": 487, "reducible": 4872,
+        "perGroup": {"A5": 32, "D5": 78, "F20": 14, "S5": 11324}, "squareDisc": 110,
+        "unresolved": 0, "caseHistogram": {}, "checksum": 3521256537,
+    },
 }
 
 

@@ -10,8 +10,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from galcount import galois as ga
-from galcount.errors import DegreeOutOfRange, Reducible, UsageError
-from galcount.polyarith import MonicIntPoly, disc
+from galcount.errors import DegreeOutOfRange, RamifiedOnly, Reducible, UsageError
+from galcount.polyarith import MonicIntPoly, PolyModP, disc, factor_mod_p
 
 x = sympy.Symbol("x")
 
@@ -261,6 +261,56 @@ def test_sn_certificate_degree_7():
 def test_sn_certificate_rejects_zero_disc():
     with pytest.raises(UsageError):
         ga.sn_certificate(poly(-2, 1))
+
+
+def _scalar_sn_certificate(f, prime_budget):
+    """The per-polynomial certificate rule, prime by prime with a complete
+    factorization mod p."""
+    n = f.degree
+    delta = disc(f)
+    if ga._is_square(delta):
+        return ga.GaloisVerdict("certifiedSubsetAn")
+    evidence = []
+    have_ncycle = have_ell = have_transposition = False
+    for p in ga._ascending_primes():
+        if len(evidence) >= prime_budget:
+            break
+        if delta % p == 0:
+            continue
+        fac = factor_mod_p(PolyModP.of(p, list(reversed(f.full()))))
+        degs = sorted((g.degree for g, _ in fac), reverse=True)
+        evidence.append((p, tuple(degs)))
+        have_ncycle |= degs == [n]
+        have_ell |= any(n / 2 < d < n and ga.is_prime(d) for d in degs)
+        have_transposition |= [d for d in degs if d % 2 == 0] == [2]
+        if have_ncycle and have_ell and have_transposition:
+            return ga.GaloisVerdict("certifiedSn", evidence=tuple(evidence))
+    return ga.GaloisVerdict("unresolved", evidence=tuple(evidence))
+
+
+def test_sn_certificates_match_the_scalar_rule_on_every_sextic_of_height_1():
+    polys = [MonicIntPoly(c) for c in itertools.product((-1, 0, 1), repeat=6)]
+    polys = [f for f in polys if disc(f) != 0 and ga.is_irreducible(f)]
+    want = [_scalar_sn_certificate(f, 25) for f in polys]
+    assert Counter(v.status for v in want) == {"certifiedSn": 236, "unresolved": 36, "certifiedSubsetAn": 20}
+    assert ga.sn_certificates(polys, [disc(f) for f in polys], prime_budget=25) == want
+    assert [ga.sn_certificate(f, prime_budget=25) for f in polys[::7]] == want[::7]
+
+
+def test_sn_certificates_batch_errors():
+    with pytest.raises(UsageError):
+        ga.sn_certificates([poly(0, -1, 0)], [0])
+    with pytest.raises(RamifiedOnly):
+        ga.sn_certificates([poly(0, 0, -1, -1)], [disc(poly(0, 0, -1, -1))], prime_budget=0)
+    assert ga.sn_certificates([], [], prime_budget=0) == []
+
+
+def test_quintic_groups_batch_matches_one_at_a_time():
+    polys = [MonicIntPoly((0, *c)) for c in itertools.product(range(-2, 3), repeat=4)]
+    polys = [f for f in polys if disc(f) != 0 and not ga._quintic_reducible(f)]
+    names = ga.quintic_groups(polys, [disc(f) for f in polys])
+    assert names == [ga.quintic_group_irreducible(f) for f in polys]
+    assert {"S5", "A5", "D5", "F20"} <= set(names)
 
 
 def test_certificate_cycle_types_realized_by_exact_group():

@@ -1,8 +1,11 @@
 """Static hygiene: no module of the package keeps an unused module-level
-import or a module-level function or class that nothing reads, and the exact
-classifier never imports the floating-point mpmath."""
+import or a module-level function or class that nothing reads, the exact
+classifier never imports the floating-point mpmath, and every name the
+benchmark's tracer wraps exists."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 from collections import Counter
 
@@ -88,3 +91,17 @@ def test_galois_never_imports_mpmath():
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported.add(node.module.split(".")[0])
     assert "mpmath" not in imported
+
+
+def test_every_traced_name_resolves():
+    """perfbench/tracing.py wraps (module, attribute) pairs of galcount by
+    name; a renamed or removed one would crash every traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.WRAPPED
+    for home, attr in tracing.WRAPPED:
+        obj = importlib.import_module(f"galcount.{home}")
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), f"{home}.{attr}"

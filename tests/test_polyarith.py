@@ -14,6 +14,7 @@ from galcount.errors import (
     CharacteristicTooSmall,
     DegreeTooSmall,
     NotPrime,
+    NotSquarefreeModP,
     SubsetSumZero,
     UsageError,
 )
@@ -273,6 +274,53 @@ def test_splitting_type_identities():
             assert t.aut_count == expect
 
 
+def test_splitting_type_matches_full_factorization():
+    """The squarefree and distinct-degree stages alone give the type of the
+    complete factorization, ramified primes included."""
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randrange(1, 8)
+        p = rng.choice([2, 3, 5, 7, 13, 97])
+        f = pa.MonicIntPoly(tuple(rng.randrange(-4, 5) for _ in range(n)))
+        fac = pa.factor_mod_p(pa.PolyModP.of(p, list(reversed(f.full()))))
+        assert pa.splitting_type(f, p) == pa.SplittingType.of((g.degree, e) for g, e in fac)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 97])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_frobenius_cycle_types_match_splitting_type(n, p):
+    rng = random.Random(100 * n + p)
+    rows, want = [], []
+    while len(rows) < 60:
+        coeffs = tuple(rng.randrange(-6, 7) for _ in range(n))
+        t = pa.splitting_type(pa.MonicIntPoly(coeffs), p)
+        if all(e == 1 for _, e in t.parts):
+            rows.append(coeffs)
+            want.append(tuple(sorted((d for d, _ in t.parts), reverse=True)))
+    assert pa.frobenius_cycle_types(rows, p) == want
+    assert pa.frobenius_cycle_types(rows[:1], p) == want[:1]
+
+
+def test_frobenius_cycle_types_object_path():
+    # n p^2 >= 2^62 switches to Python ints
+    p = 2**31 - 1
+    f = pa.MonicIntPoly((0, 0, 0, -1, -1))
+    want = tuple(sorted((d for d, _ in pa.splitting_type(f, p).parts), reverse=True))
+    assert pa.frobenius_cycle_types([f.coeffs], p) == [want]
+
+
+def test_frobenius_cycle_types_rejects_a_ramified_row():
+    # x^2 - 4 = (x - 2)(x + 2) has the double root 0 mod 2, and x^3 - x^2
+    # the double root 0 at every p
+    with pytest.raises(NotSquarefreeModP, match="not squarefree mod 2"):
+        pa.frobenius_cycle_types([(1, 1), (0, -4)], 2)
+    for p in (2, 3, 97):
+        with pytest.raises(NotSquarefreeModP):
+            pa.frobenius_cycle_types([(0, -1, 1), (-1, 0, 0)], p)
+    with pytest.raises(NotPrime):
+        pa.frobenius_cycle_types([(0, 1)], 9)
+
+
 def test_index_mod_p_examples():
     assert pa.index_mod_p(pa.MonicIntPoly((0, 0, 1)), 3) == 2
     assert pa.index_mod_p(pa.MonicIntPoly((1, -2, 3)), 5) == 0  # squarefree mod 5
@@ -436,6 +484,17 @@ def _sqf_cases():
 def _sympy_sqf(full):
     _, parts = sympy.sqf_list(to_sympy(full))
     return sorted((tuple(int(c) for c in g.all_coeffs()), k) for g, k in parts)
+
+
+def test_squarefree_gate_falls_back_to_yun():
+    # x (x - m) is squarefree, but has a double root mod both gate primes
+    m = 1
+    for q in pa._SQUAREFREE_GATE_PRIMES:
+        m *= q
+    f = pa.MonicIntPoly((-m, 0))
+    assert pa._squarefree_decomposition_Q(f) == [(f, 1)]
+    g = pa.MonicIntPoly((-2 * m, m * m))  # (x - m)^2
+    assert pa._squarefree_decomposition_Q(g) == [(pa.MonicIntPoly((-m,)), 2)]
 
 
 def test_squarefree_decomposition_matches_sympy():
