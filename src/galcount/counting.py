@@ -18,8 +18,8 @@ below 2^62 (H <= 403, beyond the default budget) and on dtype=object above.
 Degrees 2-4 are decided entirely with integer arrays.  For degrees 5-7
 each polynomial gets its own discriminant and exact reducibility test; the
 irreducible ones are then decided together by the batched Frobenius
-deciders `galois.quintic_groups` and `galois.sn_certificates`, in chunks of
-DECIDE_CHUNK polynomials, so their arrays stay O(DECIDE_CHUNK n^2) at any H.
+deciders `galois.quintic_groups` and `galois.sn_certificates`, fed in
+`polyarith.chunks`, so their arrays stay O(DECIDE_CHUNK n^2) at any H.
 
 E_n(H) counts monic degree-n integer polynomials in the box whose Galois
 group is not the full symmetric group; polynomials with vanishing
@@ -49,11 +49,10 @@ from .errors import (
     ZeroCount,
 )
 from . import galois
-from .polyarith import MonicIntPoly, disc, factor_int, field_disc_valuation, pmul
+from .polyarith import MonicIntPoly, chunks, disc, factor_int, field_disc_valuation, pmul
 
 DEFAULT_BUDGET = 10**9
 FORMAT_VERSION = 1
-DECIDE_CHUNK = 1024  # polynomials per batched Frobenius decider call
 
 DEGREE_GROUPS = {
     1: (),
@@ -324,9 +323,8 @@ def _irreducible(led, H, a1, reducible):
 
 def _decided(pairs, decide):
     """(f, delta, verdict) for each (f, delta) of `pairs`, with the batched
-    decide(polys, deltas) fed DECIDE_CHUNK pairs at a time."""
-    it = iter(pairs)
-    while batch := list(itertools.islice(it, DECIDE_CHUNK)):
+    decide(polys, deltas) fed `chunks` of pairs."""
+    for batch in chunks(pairs):
         polys, deltas = map(list, zip(*batch))
         yield from zip(polys, deltas, decide(polys, deltas))
 

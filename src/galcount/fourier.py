@@ -14,6 +14,9 @@ running an axis-by-axis DFT.
 The binary-form space is the full space of degree-n forms c_0 x^n + ... +
 c_n y^n, and its irreducibles are y together with the monic-in-x forms, so
 every nonzero form is a unit times a product of pool members.
+
+Irreducible pools and the index masks of box counts come from the batched
+Frobenius layer of `polyarith`, at every prime, p <= n included.
 """
 from __future__ import annotations
 
@@ -26,15 +29,15 @@ import numpy as np
 
 from .errors import TooLarge, UsageError
 from .polyarith import (
-    MonicIntPoly,
     PolyModP,
     SplittingType,
+    chunks,
     factor_int,
     factor_mod_p,
-    index_mod_p,
+    frobenius_cycle_types,
+    frobenius_index,
     index_table,
     is_prime,
-    pdivmod,
     pmul,
 )
 
@@ -67,25 +70,22 @@ class WeightSpace:
 
 @lru_cache(maxsize=None)
 def enumerate_irreducibles(p: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """All monic irreducibles of degree d over F_p, ascending coefficients.
+    """All monic irreducibles of degree d over F_p, ascending coefficients,
+    in product order of their bodies (c_0, ..., c_(d-1)).
 
-    Built degree by degree: a monic polynomial is irreducible iff no
-    irreducible of degree <= d/2 divides it.
+    f is irreducible mod p iff it has index 0 and Frobenius cycle type (d,),
+    both read from the batched Frobenius layer.
     """
     if not is_prime(p):
         raise UsageError(f"{p} is not prime")
     if p**d > IRRED_CAP:
         raise TooLarge(f"p^d = {p**d} exceeds cap")
-    if d == 1:
-        return tuple((a, 1) for a in range(p))
-    lower = [enumerate_irreducibles(p, e) for e in range(1, d // 2 + 1)]
     out = []
-    for body in itertools.product(range(p), repeat=d):
-        f = list(body) + [1]
-        if all(
-            pdivmod(f, list(q), p)[1] != [0] for pool in lower for q in pool
-        ):
-            out.append(tuple(f))
+    for block in chunks(itertools.product(range(p), repeat=d)):
+        rows = np.array(block)[:, ::-1]  # (a_1, ..., a_d) = (c_(d-1), ..., c_0)
+        squarefree = np.nonzero(frobenius_index(rows, p) == 0)[0].tolist()
+        types = frobenius_cycle_types(rows[squarefree], p)
+        out += [(*block[i], 1) for i, t in zip(squarefree, types) if t == (d,)]
     return tuple(out)
 
 
@@ -313,13 +313,7 @@ def _residue_counts(p: int, H: int) -> np.ndarray:
 
 def _index_mask(p: int, n: int, k: int) -> np.ndarray:
     """Boolean (p,)*n array: residue tuples with index >= k mod p."""
-    if p > n:
-        tab = np.array(index_table(p, n), dtype=np.int64).reshape((p,) * n)
-    else:
-        tab = np.zeros((p,) * n, dtype=np.int64)
-        for tup in itertools.product(range(p), repeat=n):
-            tab[tup] = index_mod_p(MonicIntPoly(tup), p)
-    return tab >= k
+    return np.array(index_table(p, n)).reshape((p,) * n) >= k
 
 
 def box_count_index(p: int, n: int, k: int, H: int) -> int:

@@ -101,7 +101,7 @@ def cycle_type(g: Permutation) -> list[int]:
 
 def ind_of_element(g: Permutation) -> int:
     """ind(g) = n - #orbits = sum of (cycle length - 1)."""
-    return g.degree - len(g.cycles())
+    return _ind_images(g.images)
 
 
 def _ind_images(images: tuple[int, ...]) -> int:
@@ -301,9 +301,8 @@ def product_action_perm(spec: ProductActionSpec, gs, h) -> Permutation:
     return Permutation(tuple(images))
 
 
-def imprimitive_perm(spec: ProductActionSpec, gs, h) -> Permutation:
+def imprimitive_perm(m: int, r: int, gs, h) -> Permutation:
     """The same element acting on r blocks of m letters (h permutes blocks)."""
-    m, r = spec.m, spec.r
     him = h.images
     images = [0] * (r * m)
     for i in range(r):
@@ -313,24 +312,26 @@ def imprimitive_perm(spec: ProductActionSpec, gs, h) -> Permutation:
     return Permutation(tuple(images))
 
 
-def wreath_product_action(spec: ProductActionSpec) -> PermGroup:
-    """Generators of S_m wr S_r on r-tuples of k-subsets."""
-    m, r = spec.m, spec.r
+def _wreath_generators(m: int, r: int) -> list[tuple[list[Permutation], Permutation]]:
+    """Generators (g_1..g_r; h) of S_m wr S_r: the m-cycle and (1 2) on the
+    first block, then the block r-cycle, and the block swap (1 2) when r > 2."""
     ident_m = Permutation.identity(m)
     ident_r = Permutation.identity(r)
     sm_gens = [Permutation.from_cycles(m, [tuple(range(1, m + 1))])]
     if m >= 2:
         sm_gens.append(Permutation.from_cycles(m, [(1, 2)]))
-    gens = []
-    for g in sm_gens:
-        gs = [g] + [ident_m] * (r - 1)
-        gens.append(product_action_perm(spec, gs, ident_r))
+    gens = [([g] + [ident_m] * (r - 1), ident_r) for g in sm_gens]
     if r >= 2:
-        top = [Permutation.from_cycles(r, [tuple(range(1, r + 1))])]
-        if r > 2:
-            top.append(Permutation.from_cycles(r, [(1, 2)]))
-        for h in top:
-            gens.append(product_action_perm(spec, [ident_m] * r, h))
+        gens.append(([ident_m] * r, Permutation.from_cycles(r, [tuple(range(1, r + 1))])))
+    if r > 2:
+        gens.append(([ident_m] * r, Permutation.from_cycles(r, [(1, 2)])))
+    return gens
+
+
+def wreath_product_action(spec: ProductActionSpec) -> PermGroup:
+    """Generators of S_m wr S_r on r-tuples of k-subsets."""
+    m, r = spec.m, spec.r
+    gens = [product_action_perm(spec, gs, h) for gs, h in _wreath_generators(m, r)]
     name = f"S{m}wrS{r}_product_k{spec.k}"
     order = (factorial(m) ** r) * factorial(r)
     return PermGroup(spec.n, gens, name=name, expected_order=order)
@@ -338,26 +339,7 @@ def wreath_product_action(spec: ProductActionSpec) -> PermGroup:
 
 def imprimitive_wreath_action(m: int, r: int) -> PermGroup:
     """S_m wr S_r on r*m letters (r blocks of size m)."""
-    gens = []
-    ident = list(range(r * m))
-    # S_m on the first block
-    for cyc in ([tuple(range(1, m + 1))], [(1, 2)]) if m >= 2 else ():
-        g = Permutation.from_cycles(m, cyc)
-        im = list(ident)
-        for j in range(m):
-            im[j] = g.images[j]
-        gens.append(Permutation(tuple(im)))
-    if r >= 2:
-        # block rotation and block swap
-        tops = [Permutation.from_cycles(r, [tuple(range(1, r + 1))])]
-        if r > 2:
-            tops.append(Permutation.from_cycles(r, [(1, 2)]))
-        for h in tops:
-            im = list(ident)
-            for i in range(r):
-                for j in range(m):
-                    im[i * m + j] = h.images[i] * m + j
-            gens.append(Permutation(tuple(im)))
+    gens = [imprimitive_perm(m, r, gs, h) for gs, h in _wreath_generators(m, r)]
     order = (factorial(m) ** r) * factorial(r)
     return PermGroup(r * m, gens, name=f"S{m}wrS{r}_imprimitive", expected_order=order)
 
@@ -367,7 +349,7 @@ def blow_down_index_ratio(spec: ProductActionSpec, gs, h) -> tuple[int, int]:
     if all(g.is_identity() for g in gs) and h.is_identity():
         raise IdentityElement("the identity has no index ratio")
     g_big = product_action_perm(spec, gs, h)
-    g_small = imprimitive_perm(spec, gs, h)
+    g_small = imprimitive_perm(spec.m, spec.r, gs, h)
     return ind_of_element(g_big), ind_of_element(g_small)
 
 

@@ -18,8 +18,10 @@ One helper per operation, shared by every module:
   `pgcd`, `pmonic`, `ppow_mod`;
 - squarefree decomposition: `_squarefree_decomposition_Q` (Yun, over Q,
   behind a mod-p gate) and `_squarefree_decomposition` (over F_p);
-- Frobenius cycle types of many polynomials at once:
-  `frobenius_cycle_types` (Berlekamp nullities over numpy arrays);
+- the Frobenius layer, on arrays of many polynomials at once: Berlekamp
+  matrices from `_frobenius_matrix`, read as cycle types by
+  `frobenius_cycle_types` and as indices at any prime by `frobenius_index`,
+  fed `chunks` of DECIDE_CHUNK rows by every caller over a space or slice;
 - interpolation: `interpolate`, exact Newton interpolation from integer
   points to descending integer coefficients;
 - integer factorization: `factor_int`, by trial division;
@@ -617,6 +619,17 @@ def _nullity_table(n: int) -> tuple[int, dict[int, tuple[int, ...]]]:
             return k, table
 
 
+DECIDE_CHUNK = 1024  # rows per batched Frobenius call over a whole space or slice
+
+
+def chunks(items):
+    """The items as lists of DECIDE_CHUNK, the last one possibly shorter, so
+    that a batched call over many rows keeps its arrays O(DECIDE_CHUNK n^2)."""
+    it = iter(items)
+    while chunk := list(itertools.islice(it, DECIDE_CHUNK)):
+        yield chunk
+
+
 def _mulmod_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: int) -> np.ndarray:
     """Row by row, a * b mod (x^n + c_(n-1) x^(n-1) + ... + c_0) over F_p;
     every array holds n ascending coefficients per row."""
@@ -653,27 +666,12 @@ def _ranks_mod_p(A: np.ndarray, p: int) -> np.ndarray:
     return n - free.sum(axis=1)
 
 
-def frobenius_cycle_types(rows, p: int) -> list[tuple[int, ...]]:
-    """The Frobenius cycle types at p, as descending tuples, of the monic
-    x^n + a_1 x^(n-1) + ... + a_n given by the rows (a_1, ..., a_n) of an
-    (N, n) integer array, all at once.
-
-    Berlekamp: the Frobenius g -> g^p of A = F_p[x]/(f) is F_p-linear, with
-    the matrix Q whose row i holds x^(ip) mod f, built from x^p mod f by
-    square-and-multiply.  If f is squarefree mod p with irreducible factors
-    of degrees d_1..d_r, then A is the product of the fields F_(p^d_i), so
-    dim ker(Q^d - I) = sum_i gcd(d, d_i), and these nullities for
-    d = 1..k tell the partitions of n apart (`_nullity_table`).  f is
-    squarefree mod p iff Q is invertible: a nonreduced A has some m != 0
-    with m^2 = 0, which the Frobenius kills.  Every rank comes from one
-    batched elimination.  The arithmetic is int64 while n p^2 < 2^62, which
-    bounds every sum of products, and dtype=object above.  A row that is
-    not squarefree mod p raises NotSquarefreeModP.
-    """
-    _require_prime(p)
-    if len(rows) == 0:
-        return []
-    rows = np.asarray(rows)
+def _frobenius_matrix(rows: np.ndarray, p: int) -> np.ndarray:
+    """The (N, n, n) Berlekamp matrices Q of the monic x^n + a_1 x^(n-1) +
+    ... + a_n given by the rows (a_1, ..., a_n): the Frobenius g -> g^p of
+    A = F_p[x]/(f) is F_p-linear, and row i of Q holds x^(ip) mod f, built
+    from x^p mod f by square-and-multiply.  The arithmetic is int64 while
+    n p^2 < 2^62, which bounds every sum of products, and dtype=object above."""
     N, n = rows.shape
     dt = np.int64 if n * p * p < 2**62 else object
     c = (rows[:, ::-1] % p).astype(dt)  # ascending c_0..c_(n-1)
@@ -691,8 +689,31 @@ def frobenius_cycle_types(rows, p: int) -> list[tuple[int, ...]]:
     Q[:, 0, 0] = 1
     for i in range(1, n):
         Q[:, i] = xp if i == 1 else _mulmod_rows(Q[:, i - 1], xp, c, p)
+    return Q
+
+
+def frobenius_cycle_types(rows, p: int) -> list[tuple[int, ...]]:
+    """The Frobenius cycle types at p, as descending tuples, of the monic
+    polynomials given by the rows (a_1, ..., a_n) of an (N, n) integer
+    array, all at once.
+
+    If f is squarefree mod p with irreducible factors of degrees d_1..d_r,
+    then A = F_p[x]/(f) is the product of the fields F_(p^d_i), so
+    dim ker(Q^d - I) = sum_i gcd(d, d_i), and these nullities for
+    d = 1..k tell the partitions of n apart (`_nullity_table`).  f is
+    squarefree mod p iff Q is invertible: a nonreduced A has some m != 0
+    with m^2 = 0, which the Frobenius kills.  Every rank comes from one
+    batched elimination.  A row that is not squarefree mod p raises
+    NotSquarefreeModP.
+    """
+    _require_prime(p)
+    if len(rows) == 0:
+        return []
+    rows = np.asarray(rows)
+    N, n = rows.shape
+    Q = _frobenius_matrix(rows, p)
     k, table = _nullity_table(n)
-    mats = np.empty((N, k + 1, n, n), dtype=dt)  # Q, then Q^d - I for d = 1..k
+    mats = np.empty((N, k + 1, n, n), dtype=Q.dtype)  # Q, then Q^d - I for d = 1..k
     mats[:, 0] = Qd = Q
     for d in range(1, k + 1):
         if d > 1:
@@ -706,6 +727,33 @@ def frobenius_cycle_types(rows, p: int) -> list[tuple[int, ...]]:
         raise NotSquarefreeModP(f"row {rows[bad[0]].tolist()} is not squarefree mod {p}")
     keys = (n - ranks[:, 1:]) @ np.array([(n + 1) ** d for d in range(k)])
     return [table[key] for key in keys.tolist()]
+
+
+def frobenius_index(rows, p: int) -> np.ndarray:
+    """ind(f mod p) = sum_i deg g_i (e_i - 1), for f = prod g_i^e_i mod p,
+    of the monic polynomials given by the rows (a_1, ..., a_n), all at once
+    and at every prime p; no row need be squarefree mod p.
+
+    ker Q^j = {a : a^(p^j) = 0} lies in the nilradical of A = F_p[x]/(f),
+    of dimension ind(f mod p), and is all of it once p^j >= n >= every e_i:
+    a nilpotent a lies in every (g_i).  So ind = n - rank Q^j.
+    """
+    _require_prime(p)
+    rows = np.asarray(rows)
+    n = rows.shape[1]
+    Qj = Q = _frobenius_matrix(rows, p)
+    j = 1
+    while p**j < n:
+        Qj = Qj @ Q % p
+        j += 1
+    return n - _ranks_mod_p(Qj, p)
+
+
+def index_table(p: int, n: int) -> list[int]:
+    """ind(f mod p) for every coefficient tuple (a_1..a_n), row-major, at any
+    prime p."""
+    tuples = itertools.product(range(p), repeat=n)
+    return [i for block in chunks(tuples) for i in frobenius_index(block, p).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -752,18 +800,8 @@ def field_disc_valuation(f: MonicIntPoly, p: int) -> int | None:
 # Completion-counting verifiers (section 3)
 
 
-def _index_via_gcd(full_desc: list[int], deriv_desc: list[int], p: int) -> int:
-    """ind(f mod p) = deg gcd(f, f') when p > deg f (multiplicities < p)."""
-    a = ptrim([c % p for c in reversed(full_desc)])
-    b = ptrim([c % p for c in reversed(deriv_desc)])
-    if b == [0]:
-        return len(a) - 1  # cannot happen for p > n
-    g = pgcd(a, b, p)
-    return len(g) - 1
-
-
 def count_index_completions(p: int, n: int, k: int, prefix: tuple[int, ...]) -> int:
-    """Exact number of suffixes giving index exactly k over F_p (p > n)."""
+    """Exact number of suffixes giving index exactly k over F_p (p > n, as in Prop. 3.3)."""
     _require_prime(p)
     if p <= n:
         raise CharacteristicTooSmall("need p > n so that char is prime to n!")
@@ -771,26 +809,8 @@ def count_index_completions(p: int, n: int, k: int, prefix: tuple[int, ...]) -> 
         raise UsageError("need 1 <= k <= n-1")
     if len(prefix) != n - k:
         raise UsageError("prefix must have length n-k")
-    count = 0
-    for suffix in itertools.product(range(p), repeat=k):
-        full = [1, *prefix, *suffix]
-        if _index_via_gcd(full, _deriv(full), p) == k:
-            count += 1
-    return count
-
-
-def index_table(p: int, n: int) -> list[int]:
-    """ind(f mod p) for every coefficient tuple (a_1..a_n), row-major (p > n)."""
-    if p <= n:
-        raise CharacteristicTooSmall("need p > n")
-    out = []
-    for body in itertools.product(range(p), repeat=n - 1):
-        dasc = ptrim([c % p for c in reversed(_deriv([1, *body, 0]))])
-        for an in range(p):
-            fasc = [an, *reversed(body), 1]
-            g = pgcd(fasc, dasc, p)
-            out.append(len(g) - 1)
-    return out
+    rows = ((*prefix, *suffix) for suffix in itertools.product(range(p), repeat=k))
+    return sum(int((frobenius_index(block, p) == k).sum()) for block in chunks(rows))
 
 
 def partition_count(k: int, r: int) -> int:

@@ -36,8 +36,8 @@ from .errors import SubsetSumZero
 def verify_prop33(ps=(5, 7, 11, 13), ns=(3, 4, 5)) -> dict:
     """Completions of a prefix to index >= k number at most q(k,n-k)(n-k)!.
 
-    Exhaustive over all prefixes; cells with p <= n are skipped because the
-    gcd index computation needs the characteristic prime to n!.
+    Exhaustive over all prefixes; cells with p <= n are skipped, since the
+    proposition assumes p > n (as `count_index_completions` enforces).
     """
     checked = 0
     violations = []

@@ -7,7 +7,7 @@ import pytest
 
 from galcount import fourier as fr
 from galcount.errors import TooLarge
-from galcount.polyarith import SplittingType
+from galcount.polyarith import PolyModP, SplittingType, factor_mod_p
 
 S = SplittingType.parse
 
@@ -50,6 +50,17 @@ def test_enumerate_irreducibles_small():
     # ascending coefficient tuples: x and x+1 over F_2
     assert set(fr.enumerate_irreducibles(2, 1)) == {(0, 1), (1, 1)}
     assert fr.enumerate_irreducibles(2, 2) == ((1, 1, 1),)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_enumerate_irreducibles_in_product_order(p, d):
+    want = []
+    for body in itertools.product(range(p), repeat=d):
+        fac = factor_mod_p(PolyModP(p, (*body, 1)))
+        if [(g.degree, e) for g, e in fac] == [(d, 1)]:
+            want.append((*body, 1))
+    assert fr.enumerate_irreducibles(p, d) == tuple(want)
 
 
 def test_irreducible_counts_match_necklace_formula():

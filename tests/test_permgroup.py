@@ -185,6 +185,15 @@ def test_wreath_orders_and_primitivity():
     assert pg.ind_of_group(G) == 5
 
 
+def test_imprimitive_wreath_action_preserves_its_blocks():
+    G = pg.imprimitive_wreath_action(3, 3)
+    assert (G.degree, G.order()) == (9, 6**3 * 6)
+    assert pg.is_transitive(G) and not pg.is_primitive(G)
+    for e in G.elements():
+        assert all(len({e[i] // 3 for i in range(3 * b, 3 * b + 3)}) == 1 for b in range(3))
+    assert pg.ind_of_group(G) == 1
+
+
 def test_blow_down_examples():
     spec = pg.ProductActionSpec(5, 2, 1)
     big, small = pg.blow_down_index_ratio(spec, [P(5, [(1, 2)])], pg.Permutation.identity(1))

@@ -321,6 +321,40 @@ def test_frobenius_cycle_types_rejects_a_ramified_row():
         pa.frobenius_cycle_types([(0, 1)], 9)
 
 
+def _nonsquarefree_rows(n, rng, count):
+    """Rows (a_1..a_n) of g^e h with g, h monic and e >= 2: not squarefree
+    at any prime."""
+    rows = []
+    for _ in range(count):
+        d = rng.randrange(1, n // 2 + 1)
+        e = rng.randrange(2, n // d + 1)
+        g = [1, *(rng.randrange(-4, 5) for _ in range(d))]
+        f = [1, *(rng.randrange(-4, 5) for _ in range(n - d * e))]
+        for _ in range(e):
+            f = pa.pmul(f, g)
+        rows.append(tuple(f[1:]))
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_frobenius_index_matches_splitting_type(n, p):
+    rng = random.Random(1000 * n + p)
+    rows = [tuple(rng.randrange(-6, 7) for _ in range(n)) for _ in range(40)]
+    if n >= 2:
+        rows += [(0,) * n] + _nonsquarefree_rows(n, rng, 20)
+    want = [pa.splitting_type(pa.MonicIntPoly(r), p).ind for r in rows]
+    assert pa.frobenius_index(rows, p).tolist() == want
+    assert pa.frobenius_index(rows[-1:], p).tolist() == want[-1:]
+
+
+def test_frobenius_index_object_path():
+    # n p^2 >= 2^62 switches to Python ints; (x - 1)^2 (x^3 - x - 1) has index 1
+    p = 2**31 - 1
+    f = pa.MonicIntPoly(tuple(pa.pmul(pa.pmul([1, -1], [1, -1]), [1, 0, -1, -1])[1:]))
+    assert pa.frobenius_index([f.coeffs], p).tolist() == [pa.splitting_type(f, p).ind] == [1]
+
+
 def test_index_mod_p_examples():
     assert pa.index_mod_p(pa.MonicIntPoly((0, 0, 1)), 3) == 2
     assert pa.index_mod_p(pa.MonicIntPoly((1, -2, 3)), 5) == 0  # squarefree mod 5
@@ -394,10 +428,15 @@ def test_count_index_completions_examples():
         pa.count_index_completions(5, 3, 0, (0, 1))
     with pytest.raises(CharacteristicTooSmall):
         pa.count_index_completions(3, 3, 1, (0, 1))
+    prefix = (1, 3)
+    scan = sum(
+        pa.index_mod_p(pa.MonicIntPoly((*prefix, a, b)), 7) == 2 for a in range(7) for b in range(7)
+    )
+    assert pa.count_index_completions(7, 4, 2, prefix) == scan
 
 
-def test_index_table_matches_pointwise():
-    p, n = 5, 3
+@pytest.mark.parametrize("p,n", [(5, 3), (2, 4), (3, 3), (5, 5)])
+def test_index_table_matches_pointwise(p, n):
     tab = pa.index_table(p, n)
     assert len(tab) == p**n
     import itertools
