@@ -15,11 +15,18 @@ discriminant terms are at most 1069 H^6 in size and the resolvent values
 at most Y^3 + H Y^2 + H^2 Y + H^2, so it runs in int64 while both stay
 below 2^62 (H <= 403, beyond the default budget) and on dtype=object above.
 
-Degrees 2-4 are decided entirely with integer arrays.  For degrees 5-7
-each polynomial gets its own discriminant and exact reducibility test; the
-irreducible ones are then decided together by the batched Frobenius
-deciders `galois.quintic_groups` and `galois.sn_certificates`, fed in
-`polyarith.chunks`, so their arrays stay O(DECIDE_CHUNK n^2) at any H.
+Degrees 2-4 are decided entirely with integer arrays.  From degree 3 up,
+`_factor_mask` marks the polynomials of a slice with a monic integer factor
+of degree 1 or 2 by one array scatter per factor degree; for n <= 5 that is
+exactly the reducible ones.  For degrees 5-7 each polynomial still gets its
+own discriminant (`polyarith.disc`, a Hankel determinant of power sums).
+The unmasked quintics are irreducible and are decided together by
+`galois.quintic_groups`; the unmasked sextics and septics go to
+`galois.sn_certificates`.  Both batched Frobenius deciders are fed in
+`polyarith.chunks`, so their arrays stay O(DECIDE_CHUNK n^2) at any H.  A
+certified S_n has an n-cycle and so is irreducible; only the sextics and
+septics left uncertified get the exact test `galois.is_irreducible`
+(Zassenhaus), which books each as reducible or unresolved.
 
 E_n(H) counts monic degree-n integer polynomials in the box whose Galois
 group is not the full symmetric group; polynomials with vanishing
@@ -176,15 +183,74 @@ def _slice_counts_n2(H, a1):
     return led
 
 
-def _cubic_root_mask(H, a1, S):
-    """Mask over (a2, a3) of cubics x^3+a1x^2+a2x+a3 with an integer root."""
-    mask = np.zeros((S, S), dtype=bool)
-    a2v = np.arange(-H, H + 1, dtype=np.int64)
-    for r in range(-(H + 1), H + 2):
-        a3 = -(r**3 + a1 * r * r + a2v * r)
-        ok = (a3 >= -H) & (a3 <= H)
-        idx = np.nonzero(ok)[0]
-        mask[idx, a3[idx] + H] = True
+def _factor_dtype(n, H):
+    """int64 while every intermediate of `_factor_mask` stays below 2^62."""
+    R = H + 1
+    return np.int64 if max(2 * R**n, (3 * R) ** (n - 1)) < 2**62 else object
+
+
+def _factor_tail(a1, head, q):
+    """The last m coefficients of f = (x^m + q_1 x^(m-1) + ... + q_m) g for
+    the monic g of degree n - m that makes f start x^n + a1 x^(n-1) + head,
+    head = (a_2, ..., a_(n-m)); for ints or broadcasting integer arrays.
+
+    The cofactor g = x^(n-m) + d_1 x^(n-m-1) + ... + d_(n-m) follows from
+    d_0 = 1 and d_k = a_k - sum_j q_j d_(k-j), and a_k for k > n - m is the
+    sum of q_j d_(k-j) over the j with k - j <= n - m.
+    """
+    m = len(q)
+    d = [1]
+    for k, a in enumerate((a1, *head), start=1):
+        for j in range(1, min(m, k) + 1):
+            a = a - q[j - 1] * d[k - j]
+        d.append(a)
+    top = len(d) - 1  # n - m
+    tail = []
+    for k in range(top + 1, top + m + 1):
+        t = q[m - 1] * d[k - m]
+        for j in range(k - top, m):
+            t = t + q[j - 1] * d[k - j]
+        tail.append(t)
+    return tail
+
+
+def _factor_mask(n, H, a1):
+    """Mask over (a_2, ..., a_n) of the monic polynomials of the slice a1
+    with a monic integer factor of degree 1 or 2 (for n <= 5: reducible).
+
+    Every root has |r| <= H + 1, so a linear factor x + b has |b| <= H + 1
+    and a quadratic x^2 + bx + c has |b| <= 2(H + 1) and 0 < |c| <= H
+    (c = 0 is the root 0); a quartic's two quadratic factors have c e = a_4,
+    so one of them has c^2 <= H.  Such a factor and the head (a_2, ..., a_(n-m))
+    fix the last m coefficients (`_factor_tail`), which are scattered into
+    the mask where they lie in the box.  Factors are taken in blocks of
+    (2H + 3)^m, so the temporaries hold about as many entries as the mask.
+    With R = H + 1, every intermediate is below 2 R^n for the roots and
+    (3R)^(n-1) for the quadratics (|d_k| < (3R)^k by induction), so the
+    mask runs in int64 while both stay below 2^62 and on dtype=object above.
+    """
+    S = 2 * H + 1
+    dt = _factor_dtype(n, H)
+    R = H + 1
+    coef = np.arange(-H, H + 1, dtype=np.int64)
+    mask = np.zeros((S,) * (n - 1), dtype=bool)
+    for m in (1, 2) if n >= 4 else (1,):  # a cubic with a quadratic factor has a root
+        if m == 1:
+            factors = np.arange(-R, R + 1)[None]
+        else:
+            c = coef[(coef != 0) & (coef * coef <= (H if n == 4 else H * H))]
+            factors = np.stack([np.repeat(np.arange(-2 * R, 2 * R + 1), c.size), np.tile(c, 4 * R + 1)])
+        axes = n - m - 1  # head coefficients a_2 .. a_(n-m)
+        head = [coef.astype(dt).reshape((1,) * (k + 1) + (-1,) + (1,) * (axes - k - 1)) for k in range(axes)]
+        block = (S + 2) ** m
+        for i in range(0, factors.shape[1], block):
+            q = factors[:, i : i + block].astype(dt).reshape((m, -1) + (1,) * axes)
+            tail = np.broadcast_arrays(*_factor_tail(a1, head, list(q)))
+            ok = abs(tail[0]) <= H
+            for t in tail[1:]:
+                ok &= abs(t) <= H
+            hit = np.nonzero(ok)[1:]
+            mask[(*hit, *((t[ok] + H).astype(np.int64) for t in tail))] = True
     return mask
 
 
@@ -201,36 +267,13 @@ def _slice_counts_n3(H, a1):
         - 27 * cc * cc
     )
     zero = d == 0
-    red = _cubic_root_mask(H, a1, S) & ~zero
+    red = _factor_mask(3, H, a1) & ~zero
     sq = _square_mask(np.where(d > 0, d, 0)) & (d > 0) & ~zero & ~red
     led = CountLedger(n=3, H=H, total=S * S, disc_zero=int(zero.sum()), reducible=int(red.sum()))
     groups = {"C3": int(sq.sum()), "S3": int((~zero & ~red & ~sq).sum())}
     led.per_group = {k: v for k, v in groups.items() if v}
     led.square_disc = groups["C3"]
     return led
-
-
-def _quartic_reducible_mask(H, a1, S):
-    """Mask over (a2,a3,a4) of quartics with a rational linear or quadratic factor."""
-    mask = np.zeros((S, S, S), dtype=bool)
-    a2v = np.arange(-H, H + 1, dtype=np.int64)
-    # linear factors: a4 determined by the root r and (a2, a3)
-    for r in range(-(H + 1), H + 2):
-        base = r**4 + a1 * r**3
-        val = -(base + a2v[:, None] * (r * r) + a2v[None, :] * r)
-        ok = (val >= -H) & (val <= H)
-        i2, i3 = np.nonzero(ok)
-        mask[i2, i3, val[i2, i3] + H] = True
-    # quadratic pairs (x^2+bx+c)(x^2+(a1-b)x+e) with ce != 0 and |ce| <= H
-    c, e = np.meshgrid(a2v, a2v, indexing="ij")
-    keep = (c * e != 0) & (np.abs(c * e) <= H)
-    c, e = c[keep], e[keep]
-    b = np.arange(-2 * (H + 1), 2 * (H + 1) + 1, dtype=np.int64)[:, None]
-    A2 = c + e + b * (a1 - b)
-    A3 = b * e + c * (a1 - b)
-    ok = (np.abs(A2) <= H) & (np.abs(A3) <= H)
-    mask[(A2 + H)[ok], (A3 + H)[ok], np.broadcast_to(c * e + H, ok.shape)[ok]] = True
-    return mask
 
 
 def _quartic_dtype(H):
@@ -261,7 +304,7 @@ def _slice_counts_n4(H, a1):
     S = 2 * H + 1
     dt = _quartic_dtype(H)
     a = a1
-    red = _quartic_reducible_mask(H, a1, S)
+    red = _factor_mask(4, H, a1)
     coef = np.arange(-H, H + 1, dtype=np.int64).astype(dt)
     cc, dd = coef[:, None], coef[None, :]
     Y = 2 * (H + 1) ** 2
@@ -307,15 +350,17 @@ def _slice_counts_n4(H, a1):
     return led
 
 
-def _irreducible(led, H, a1, reducible):
-    """(f, disc(f)) for every irreducible f of the slice a1, after the exact
-    per-polynomial tests; the others go to led.disc_zero or led.reducible."""
-    for rest in itertools.product(range(-H, H + 1), repeat=led.n - 1):
+def _unmasked(led, H, a1):
+    """(f, disc(f)) for every f of the slice a1 with a nonzero discriminant
+    and no factor in `_factor_mask`; the others go to led.disc_zero or
+    led.reducible."""
+    mask = _factor_mask(led.n, H, a1).ravel().tolist()
+    for rest, masked in zip(itertools.product(range(-H, H + 1), repeat=led.n - 1), mask):
         f = MonicIntPoly((a1, *rest))
         delta = disc(f)
         if delta == 0:
             led.disc_zero += 1
-        elif reducible(f):
+        elif masked:
             led.reducible += 1
         else:
             yield f, delta
@@ -330,9 +375,10 @@ def _decided(pairs, decide):
 
 
 def _slice_counts_n5(H, a1):
+    """A quintic without a factor of degree 1 or 2 is irreducible."""
     led = CountLedger(n=5, H=H, total=(2 * H + 1) ** 4)
     groups = dict.fromkeys(DEGREE_GROUPS[5], 0)
-    for _, _, name in _decided(_irreducible(led, H, a1, galois._quintic_reducible), galois.quintic_groups):
+    for _, _, name in _decided(_unmasked(led, H, a1), galois.quintic_groups):
         groups[name] += 1
         if name in ("C5", "D5", "A5"):
             led.square_disc += 1
@@ -341,19 +387,19 @@ def _slice_counts_n5(H, a1):
 
 
 def _slice_counts_interval(n, H, a1):
-    """Degrees 6-7: reducibility is exact, S_n only by certificate."""
+    """Degrees 6-7: S_n only by certificate.  An n-cycle proves irreducibility,
+    so only the polynomials left uncertified get the exact reducibility test."""
     led = CountLedger(n=n, H=H, total=(2 * H + 1) ** (n - 1))
-
-    def reducible(f):
-        return not galois.is_irreducible(f)
 
     def certify(polys, deltas):
         return galois.sn_certificates(polys, deltas, prime_budget=25)
 
     certified = 0
-    for _, _, verdict in _decided(_irreducible(led, H, a1, reducible), certify):
+    for f, _, verdict in _decided(_unmasked(led, H, a1), certify):
         if verdict.status == "certifiedSn":
             certified += 1
+        elif not galois.is_irreducible(f):
+            led.reducible += 1
         else:
             if verdict.status == "certifiedSubsetAn":
                 led.square_disc += 1

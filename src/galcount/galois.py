@@ -626,6 +626,11 @@ def sn_certificates(polys: list[MonicIntPoly], deltas: list[int], prime_budget: 
     transposition is S_n (Jordan).  The ell-cycle alone does not suffice:
     for n = 6, ell = 5, PGL(2, 5) is primitive and contains 5-cycles.  A
     square discriminant instead certifies containment in A_n.
+
+    The input may be reducible (squarefree, as the nonzero discriminant
+    says): a reducible f has no n-cycle at any unramified prime, so it never
+    gets "certifiedSn", and "certifiedSn" implies f irreducible.  Each
+    verdict depends only on f's own cycle types and discriminant.
     """
     verdicts: list[GaloisVerdict | None] = [None] * len(polys)
     live = []

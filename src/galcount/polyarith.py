@@ -25,11 +25,15 @@ One helper per operation, shared by every module:
 - interpolation: `interpolate`, exact Newton interpolation from integer
   points to descending integer coefficients;
 - integer factorization: `factor_int`, by trial division;
-- resultant and discriminant: `resultant`, `disc_general`, `disc`.
+- resultant and discriminant: `resultant` and `disc_general` (Sylvester
+  determinants), and `disc` for monic f (the n x n Hankel determinant of
+  the Newton power sums), all by `_det_bareiss`.
 
 Sign convention, fixed for reproducibility: Res(f,g) is (-1)^(deg f deg g)
 times the determinant of the Sylvester matrix with the f-rows first, so that
-Res(x-a, x-b) = b-a, and disc(f) = (-1)^(d(d-1)/2) Res(f, f') / lc(f).
+Res(x-a, x-b) = b-a, and disc_general(f) = (-1)^(d(d-1)/2) Res(f, f') / lc(f).
+For monic f both equal prod_(i<j) (alpha_i - alpha_j)^2, which `disc`
+computes as det[s_(i+j)], 0 <= i, j < n.
 """
 from __future__ import annotations
 
@@ -251,7 +255,24 @@ def disc_general(f: list[int]) -> int:
 
 
 def disc(f: MonicIntPoly) -> int:
-    return disc_general(f.full())
+    """disc of the monic f, as the Hankel determinant det[s_(i+j)], 0 <= i, j < n.
+
+    The Newton power sums s_k = sum_i alpha_i^k come from the coefficients,
+    and [s_(i+j)] = V V^T for the Vandermonde matrix V of the roots, so the
+    determinant is prod_(i<j) (alpha_i - alpha_j)^2: the value of
+    `disc_general`, from an n x n instead of a (2n-1) x (2n-1) matrix.
+    """
+    a = f.coeffs
+    n = len(a)
+    if n == 0:
+        raise UsageError("disc needs degree >= 1")
+    s = [n]
+    for k in range(1, 2 * n - 1):
+        t = k * a[k - 1] if k <= n else 0
+        for i in range(1, min(k, n + 1)):
+            t += a[i - 1] * s[k - i]
+        s.append(-t)
+    return _det_bareiss([s[i : i + n] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------

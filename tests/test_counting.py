@@ -82,6 +82,16 @@ GOLDEN = {
         "perGroup": {"A5": 32, "D5": 78, "F20": 14, "S5": 11324}, "squareDisc": 110,
         "unresolved": 0, "caseHistogram": {}, "checksum": 3521256537,
     },
+    (6, 1): {  # E in [457, 493]
+        "n": 6, "H": 1, "total": 729, "discZero": 97, "reducible": 340,
+        "perGroup": {"S6": 236}, "squareDisc": 20, "unresolved": 56,
+        "caseHistogram": {}, "checksum": 141975921,
+    },
+    (7, 1): {  # E in [1271, 1283]
+        "n": 7, "H": 1, "total": 2187, "discZero": 279, "reducible": 992,
+        "perGroup": {"S7": 904}, "squareDisc": 0, "unresolved": 12,
+        "caseHistogram": {}, "checksum": 672081037,
+    },
 }
 
 
@@ -103,6 +113,54 @@ def test_quartic_int64_bounds_hold_at_the_largest_int64_H():
     assert (2 * H + 1) ** 4 > ct.DEFAULT_BUDGET  # dtype=object needs a raised budget
     corners = np.array(list(itertools.product((-H, H), repeat=4)), dtype=np.int64)
     assert ga.quartic_disc(*corners.T).tolist() == [ga.quartic_disc(*map(int, row)) for row in corners]
+
+
+def test_factor_mask_matches_factor_over_Z():
+    """The mask is "factor_over_Z has a factor of degree 1 or 2" on every
+    polynomial of every slice, a_n = 0 and repeated factors included."""
+    for n, H in [(3, 3), (4, 3), (5, 2), (6, 1), (7, 1)]:
+        for a1 in range(-H, H + 1):
+            rows = itertools.product(range(-H, H + 1), repeat=n - 1)
+            want = [any(g.degree <= 2 for g, _ in ga.factor_over_Z(MonicIntPoly((a1, *r)))) for r in rows]
+            assert ct._factor_mask(n, H, a1).ravel().tolist() == want, (n, H, a1)
+
+
+def test_factor_mask_object_dtype_path_matches_int64(monkeypatch):
+    boxes = [(3, 5), (4, 3), (5, 2), (6, 1)]
+    want = [ct._factor_mask(n, H, a1) for n, H in boxes for a1 in range(-H, H + 1)]
+    monkeypatch.setattr(ct, "_factor_dtype", lambda n, H: object)
+    got = [ct._factor_mask(n, H, a1) for n, H in boxes for a1 in range(-H, H + 1)]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_factor_mask_int64_bounds_hold_at_the_largest_int64_H(n):
+    """At the largest H run in int64, `_factor_tail` on int64 arrays equals
+    the Python-int evaluation at every corner of the box and factor ranges."""
+    lo, hi = 0, 2**22  # int64 at lo, object at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if ct._factor_dtype(n, mid) is np.int64 else (lo, mid)
+    H, R = lo, lo + 1
+    for m, q_corners in ((1, [(-R,), (R,)]), (2, list(itertools.product((-2 * R, 2 * R), (-H, H))))):
+        corners = [(*a, *q) for a in itertools.product((-H, H), repeat=n - m) for q in q_corners]
+        cols = np.array(corners, dtype=np.int64).T
+        got = ct._factor_tail(cols[0], list(cols[1 : n - m]), list(cols[n - m :]))
+        want = [ct._factor_tail(c[0], c[1 : n - m], c[n - m :]) for c in corners]
+        assert [t.tolist() for t in got] == [list(w) for w in zip(*want)]
+
+
+def test_zassenhaus_runs_only_where_mask_and_certificate_leave_a_polynomial(monkeypatch):
+    calls = {"is_irreducible": 0, "factor_over_Z": 0}
+    for name in calls:
+        def counted(f, _name=name, _fn=getattr(ga, name)):
+            calls[_name] += 1
+            return _fn(f)
+        monkeypatch.setattr(ga, name, counted)
+    for (n, H), want in [((5, 2), 0), ((6, 1), 72), ((7, 1), 52)]:
+        calls.update(dict.fromkeys(calls, 0))
+        ct.compute_E(n, H)
+        assert calls == {"is_irreducible": want, "factor_over_Z": want}, (n, H)
 
 
 def test_ledger_invariant_holds():

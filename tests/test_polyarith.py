@@ -196,6 +196,29 @@ def test_disc_zero_iff_repeated_root():
     assert pa.disc(pa.MonicIntPoly((0, -1))) != 0
 
 
+def test_hankel_disc_matches_sylvester_disc():
+    """`disc` (power-sum Hankel determinant) equals `disc_general` (Sylvester)
+    on random rows and on g^2 h rows, whose discriminant is 0, for n = 1..7."""
+    rng = random.Random(8)
+    for n in range(1, 8):
+        for H in (1, 3, 50, 10**6):
+            for _ in range(60):
+                f = pa.MonicIntPoly(tuple(rng.randint(-H, H) for _ in range(n)))
+                assert pa.disc(f) == pa.disc_general(f.full())
+        for _ in range(60):
+            k = rng.randint(1, n // 2) if n >= 2 else 0
+            g = [1, *(rng.randint(-4, 4) for _ in range(k))]
+            h = [1, *(rng.randint(-4, 4) for _ in range(n - 2 * k))]
+            f = pa.MonicIntPoly.from_full(pa.pmul(pa.pmul(g, g), h))
+            assert pa.disc(f) == pa.disc_general(f.full())
+            assert k == 0 or pa.disc(f) == 0
+
+
+def test_disc_of_a_constant_is_a_usage_error():
+    with pytest.raises(UsageError):
+        pa.disc(pa.MonicIntPoly(()))
+
+
 # ---------------------------------------------------------------------------
 # factor_mod_p
 
