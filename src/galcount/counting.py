@@ -604,12 +604,13 @@ def case_partition(n: int, H: int, params: SieveParams | None = None) -> dict:
     num, den = delta.numerator, delta.denominator
     targets = set(_PRIMITIVE_NON_SN[n])
     hist = {"I": 0, "II": 0, "III": 0, "unknownC": 0}
-    pairs = ((f, disc(f)) for f in map(MonicIntPoly, itertools.product(range(-H, H + 1), repeat=n)))
-    pairs = ((f, delta_f) for f, delta_f in pairs if delta_f)
     if n == 5:
-        named = _decided(((f, d) for f, d in pairs if not galois._quintic_reducible(f)), galois.quintic_groups)
+        scratch = CountLedger(n=5, H=H, total=0)  # takes the discZero and reducible counts
+        pairs = (pair for a1 in range(-H, H + 1) for pair in _unmasked(scratch, H, a1))
+        named = _decided(pairs, galois.quintic_groups)
     else:
-        named = ((f, d, galois._exact_group_name(f)) for f, d in pairs)
+        pairs = ((f, disc(f)) for f in map(MonicIntPoly, itertools.product(range(-H, H + 1), repeat=n)))
+        named = ((f, d, galois._exact_group_name(f)) for f, d in pairs if d)
     for f, delta_f, name in named:
         if name not in targets:
             continue

@@ -19,9 +19,11 @@ One helper per operation, shared by every module:
 - squarefree decomposition: `_squarefree_decomposition_Q` (Yun, over Q,
   behind a mod-p gate) and `_squarefree_decomposition` (over F_p);
 - the Frobenius layer, on arrays of many polynomials at once: Berlekamp
-  matrices from `_frobenius_matrix`, read as cycle types by
-  `frobenius_cycle_types` and as indices at any prime by `frobenius_index`,
-  fed `chunks` of DECIDE_CHUNK rows by every caller over a space or slice;
+  matrices from `_frobenius_matrix` (batched companion-matrix powers, all
+  by `_matpow`), read as cycle types from the nullities at the few
+  exponents of `_nullity_table` by `frobenius_cycle_types` and as indices
+  at any prime by `frobenius_index`, fed `chunks` of DECIDE_CHUNK rows by
+  every caller over a space or slice;
 - interpolation: `interpolate`, exact Newton interpolation from integer
   points to descending integer coefficients;
 - integer factorization: `factor_int`, by trial division;
@@ -626,18 +628,21 @@ def _partitions(n: int, top: int | None = None):
 
 
 @functools.lru_cache(maxsize=None)
-def _nullity_table(n: int) -> tuple[int, dict[int, tuple[int, ...]]]:
-    """(k, table): the least k such that the nullities sum_i gcd(d, d_i),
-    d = 1..k, tell the partitions (d_1, ..., d_r) of n apart, and the table
-    from the nullities, packed in base n + 1, to the partition."""
+def _nullity_table(n: int) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+    """(ds, table): a smallest set ds of exponents, first in lexicographic
+    order, whose nullities sum_i gcd(d, d_i), d in ds, tell the partitions
+    (d_1, ..., d_r) of n apart, and the table from the nullities, packed in
+    base n + 1, to the partition.  The search runs over d = 1..n, which
+    separate together; for n <= 7 no exponent above n gives a smaller set."""
     parts = list(_partitions(n))
-    for k in range(1, n + 1):
-        table = {
-            sum(sum(math.gcd(d, m) for m in lam) * (n + 1) ** (d - 1) for d in range(1, k + 1)): lam
-            for lam in parts
-        }
-        if len(table) == len(parts):  # at the latest for k = n
-            return k, table
+    for r in range(n + 1):
+        for ds in itertools.combinations(range(1, n + 1), r):
+            table = {
+                sum(sum(math.gcd(d, m) for m in lam) * (n + 1) ** i for i, d in enumerate(ds)): lam
+                for lam in parts
+            }
+            if len(table) == len(parts):
+                return ds, table
 
 
 DECIDE_CHUNK = 1024  # rows per batched Frobenius call over a whole space or slice
@@ -651,17 +656,16 @@ def chunks(items):
         yield chunk
 
 
-def _mulmod_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray, p: int) -> np.ndarray:
-    """Row by row, a * b mod (x^n + c_(n-1) x^(n-1) + ... + c_0) over F_p;
-    every array holds n ascending coefficients per row."""
-    n = c.shape[1]
-    prod = np.zeros((c.shape[0], 2 * n - 1), dtype=c.dtype)
-    for i in range(n):  # each entry sums at most n products below p^2
-        prod[:, i : i + n] += a[:, i : i + 1] * b
-    prod %= p
-    for k in range(2 * n - 2, n - 1, -1):  # x^k = -x^(k-n) (c_0 + ... + c_(n-1) x^(n-1))
-        prod[:, k - n : k] = (prod[:, k - n : k] - prod[:, k : k + 1] * c) % p
-    return prod[:, :n]
+def _matpow(A: np.ndarray, e: int, p: int) -> np.ndarray:
+    """A^e mod p, e >= 1, for a stack of square matrices with reduced
+    entries, by square-and-multiply: every entry of each product is a sum of
+    n products below p^2, which the caller's dtype holds."""
+    R = A
+    for bit in bin(e)[3:]:
+        R = R @ R % p
+        if bit == "1":
+            R = R @ A % p
+    return R
 
 
 def _ranks_mod_p(A: np.ndarray, p: int) -> np.ndarray:
@@ -690,26 +694,21 @@ def _ranks_mod_p(A: np.ndarray, p: int) -> np.ndarray:
 def _frobenius_matrix(rows: np.ndarray, p: int) -> np.ndarray:
     """The (N, n, n) Berlekamp matrices Q of the monic x^n + a_1 x^(n-1) +
     ... + a_n given by the rows (a_1, ..., a_n): the Frobenius g -> g^p of
-    A = F_p[x]/(f) is F_p-linear, and row i of Q holds x^(ip) mod f, built
-    from x^p mod f by square-and-multiply.  The arithmetic is int64 while
-    n p^2 < 2^62, which bounds every sum of products, and dtype=object above."""
+    A = F_p[x]/(f) is F_p-linear, and row i of Q holds x^(ip) mod f.  With C
+    the companion matrix (row j holds x^(j+1) mod f, so that g C = x g on
+    ascending coefficient rows), C^p multiplies by x^p and row i of Q is
+    e_0 (C^p)^i.  The arithmetic is int64 while n p^2 < 2^62, which bounds
+    every sum of products, and dtype=object above."""
     N, n = rows.shape
     dt = np.int64 if n * p * p < 2**62 else object
-    c = (rows[:, ::-1] % p).astype(dt)  # ascending c_0..c_(n-1)
-    x = np.zeros((N, n), dtype=dt)
-    if n > 1:
-        x[:, 1] = 1
-    else:
-        x[:, 0] = -c[:, 0] % p
-    xp = x
-    for bit in bin(p)[3:]:
-        xp = _mulmod_rows(xp, xp, c, p)
-        if bit == "1":
-            xp = _mulmod_rows(xp, x, c, p)
+    C = np.zeros((N, n, n), dtype=dt)
+    C[:, range(n - 1), range(1, n)] = 1
+    C[:, n - 1] = (-rows[:, ::-1] % p).astype(dt)  # x^n = -(a_n + a_(n-1) x + ...)
+    Cp = _matpow(C, p, p)
     Q = np.zeros((N, n, n), dtype=dt)
     Q[:, 0, 0] = 1
     for i in range(1, n):
-        Q[:, i] = xp if i == 1 else _mulmod_rows(Q[:, i - 1], xp, c, p)
+        Q[:, i] = (Q[:, i - 1, None] @ Cp)[:, 0] % p
     return Q
 
 
@@ -720,11 +719,12 @@ def frobenius_cycle_types(rows, p: int) -> list[tuple[int, ...]]:
 
     If f is squarefree mod p with irreducible factors of degrees d_1..d_r,
     then A = F_p[x]/(f) is the product of the fields F_(p^d_i), so
-    dim ker(Q^d - I) = sum_i gcd(d, d_i), and these nullities for
-    d = 1..k tell the partitions of n apart (`_nullity_table`).  f is
-    squarefree mod p iff Q is invertible: a nonreduced A has some m != 0
-    with m^2 = 0, which the Frobenius kills.  Every rank comes from one
-    batched elimination.  A row that is not squarefree mod p raises
+    dim ker(Q^d - I) = sum_i gcd(d, d_i), and the nullities for the few d
+    in `_nullity_table`'s set tell the partitions of n apart: d = 1, 3 for
+    n = 5, d = 2, 3 for n = 6 and d = 1, 2, 6 for n = 7.  f is squarefree
+    mod p iff Q is invertible: a nonreduced A has some m != 0 with m^2 = 0,
+    which the Frobenius kills.  Every rank comes from one batched
+    elimination.  A row that is not squarefree mod p raises
     NotSquarefreeModP.
     """
     _require_prime(p)
@@ -733,20 +733,18 @@ def frobenius_cycle_types(rows, p: int) -> list[tuple[int, ...]]:
     rows = np.asarray(rows)
     N, n = rows.shape
     Q = _frobenius_matrix(rows, p)
-    k, table = _nullity_table(n)
-    mats = np.empty((N, k + 1, n, n), dtype=Q.dtype)  # Q, then Q^d - I for d = 1..k
-    mats[:, 0] = Qd = Q
-    for d in range(1, k + 1):
-        if d > 1:
-            Qd = Qd @ Q % p
-        mats[:, d] = Qd
-        mats[:, d, range(n), range(n)] -= 1
+    ds, table = _nullity_table(n)
+    mats = np.empty((N, len(ds) + 1, n, n), dtype=Q.dtype)  # Q, then Q^d - I for d in ds
+    mats[:, 0] = Q
+    for i, d in enumerate(ds, start=1):
+        mats[:, i] = _matpow(Q, d, p)
+        mats[:, i, range(n), range(n)] -= 1
     mats %= p
-    ranks = _ranks_mod_p(mats.reshape(-1, n, n), p).reshape(N, k + 1)
+    ranks = _ranks_mod_p(mats.reshape(-1, n, n), p).reshape(N, len(ds) + 1)
     bad = np.nonzero(ranks[:, 0] < n)[0]
     if bad.size:
         raise NotSquarefreeModP(f"row {rows[bad[0]].tolist()} is not squarefree mod {p}")
-    keys = (n - ranks[:, 1:]) @ np.array([(n + 1) ** d for d in range(k)])
+    keys = (n - ranks[:, 1:]) @ np.array([(n + 1) ** i for i in range(len(ds))], dtype=np.int64)
     return [table[key] for key in keys.tolist()]
 
 
@@ -762,12 +760,8 @@ def frobenius_index(rows, p: int) -> np.ndarray:
     _require_prime(p)
     rows = np.asarray(rows)
     n = rows.shape[1]
-    Qj = Q = _frobenius_matrix(rows, p)
-    j = 1
-    while p**j < n:
-        Qj = Qj @ Q % p
-        j += 1
-    return n - _ranks_mod_p(Qj, p)
+    j = next(j for j in itertools.count(1) if p**j >= n)
+    return n - _ranks_mod_p(_matpow(_frobenius_matrix(rows, p), j, p), p)
 
 
 def index_table(p: int, n: int) -> list[int]:

@@ -382,6 +382,18 @@ def test_case_partition_structure():
     assert sum(hist.values()) == brute
 
 
+@pytest.mark.parametrize(
+    "n, H, want",
+    [
+        (5, 2, {"I": 0, "II": 0, "III": 20, "unknownC": 2}),
+        (4, 3, {"I": 0, "II": 0, "III": 8, "unknownC": 0}),
+    ],
+)
+def test_case_partition_histograms_pinned(n, H, want):
+    # the quintics are screened by the slice factor mask, the quartics one by one
+    assert ct.case_partition(n, H) == want
+
+
 def test_case_partition_delta_validation():
     with pytest.raises(UsageError):
         ct.case_partition(3, 2, ct.SieveParams(3, delta=Fraction(1, 2)))

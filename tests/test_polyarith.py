@@ -1,9 +1,12 @@
 """Exact integer/F_p polynomial arithmetic: discriminants, factoring, indices."""
 
 import functools
+import itertools
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -332,18 +335,6 @@ def test_frobenius_cycle_types_object_path():
     assert pa.frobenius_cycle_types([f.coeffs], p) == [want]
 
 
-def test_frobenius_cycle_types_rejects_a_ramified_row():
-    # x^2 - 4 = (x - 2)(x + 2) has the double root 0 mod 2, and x^3 - x^2
-    # the double root 0 at every p
-    with pytest.raises(NotSquarefreeModP, match="not squarefree mod 2"):
-        pa.frobenius_cycle_types([(1, 1), (0, -4)], 2)
-    for p in (2, 3, 97):
-        with pytest.raises(NotSquarefreeModP):
-            pa.frobenius_cycle_types([(0, -1, 1), (-1, 0, 0)], p)
-    with pytest.raises(NotPrime):
-        pa.frobenius_cycle_types([(0, 1)], 9)
-
-
 def _nonsquarefree_rows(n, rng, count):
     """Rows (a_1..a_n) of g^e h with g, h monic and e >= 2: not squarefree
     at any prime."""
@@ -357,6 +348,68 @@ def _nonsquarefree_rows(n, rng, count):
             f = pa.pmul(f, g)
         rows.append(tuple(f[1:]))
     return rows
+
+
+def test_frobenius_cycle_types_rejects_a_ramified_row():
+    # x^2 - 4 = (x - 2)(x + 2) has the double root 0 mod 2, and x^3 - x^2
+    # the double root 0 at every p
+    with pytest.raises(NotSquarefreeModP, match="not squarefree mod 2"):
+        pa.frobenius_cycle_types([(1, 1), (0, -4)], 2)
+    for p in (2, 3, 97):
+        with pytest.raises(NotSquarefreeModP):
+            pa.frobenius_cycle_types([(0, -1, 1), (-1, 0, 0)], p)
+    with pytest.raises(NotPrime):
+        pa.frobenius_cycle_types([(0, 1)], 9)
+    rng = random.Random(7)
+    for p in (2, 3, 5, 7, 13):
+        for n in range(2, 8):
+            squarefree = []
+            while len(squarefree) < 10:
+                row = tuple(rng.randrange(-6, 7) for _ in range(n))
+                if pa.disc(pa.MonicIntPoly(row)) % p:
+                    squarefree.append(row)
+            for row in _nonsquarefree_rows(n, rng, 10):
+                with pytest.raises(NotSquarefreeModP, match=f"not squarefree mod {p}"):
+                    pa.frobenius_cycle_types([row], p)
+                at = rng.randrange(len(squarefree) + 1)
+                with pytest.raises(NotSquarefreeModP, match=re.escape(f"row {list(row)} is")):
+                    pa.frobenius_cycle_types(squarefree[:at] + [row] + squarefree[at:], p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 97, 223, 2**31 - 1])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_frobenius_matrix_rows_are_powers_of_x(n, p):
+    """Row i of Q is x^(ip) mod f; p = 2^31 - 1 takes the dtype=object path."""
+    rng = random.Random(10 * n + p)
+    rows = [tuple(rng.randrange(-6, 7) for _ in range(n)) for _ in range(4 if p > 2**30 else 20)]
+    Q = pa._frobenius_matrix(np.array(rows), p)
+    assert Q.dtype == (object if n * p * p >= 2**62 else np.int64)
+    for row, q in zip(rows, Q):
+        mod = [c % p for c in (*reversed(row), 1)]
+        for i in range(n):
+            r = pa.ppow_mod([0, 1], i * p, mod, p)
+            assert q[i].tolist() == [c % p for c in r] + [0] * (n - len(r))
+    assert pa._frobenius_matrix(np.array(rows[:1]), p).tolist() == Q[:1].tolist()
+
+
+@pytest.mark.parametrize(
+    "n, want", [(1, ()), (2, (1,)), (3, (1,)), (4, (1, 2)), (5, (1, 3)), (6, (2, 3)), (7, (1, 2, 6))]
+)
+def test_nullity_table_is_a_smallest_separating_set(n, want):
+    """The nullities sum_i gcd(d, d_i) for d in ds tell the partitions of n
+    apart, and no fewer exponents do, even above n: a nullity depends on d
+    only through gcd(d, m) for m <= n, so d = 1..lcm(1..n) covers all."""
+    parts = list(pa._partitions(n))
+    ds, table = pa._nullity_table(n)
+    assert ds == want
+    for lam in parts:
+        key = sum(sum(math.gcd(d, m) for m in lam) * (n + 1) ** i for i, d in enumerate(ds))
+        assert table[key] == lam
+    assert len(table) == len(parts)
+    columns = {tuple(sum(math.gcd(d, m) for m in lam) for lam in parts) for d in range(1, math.lcm(*range(1, n + 1)) + 1)}
+    for r in range(len(ds)):
+        for cols in itertools.combinations(columns, r):
+            assert len({tuple(col[j] for col in cols) for j in range(len(parts))}) < len(parts)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
