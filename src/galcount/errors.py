@@ -70,10 +70,6 @@ class TooLarge(ResourceError):
 
 
 # galois
-class Reducible(UsageError):
-    pass
-
-
 class DegreeOutOfRange(UsageError):
     pass
 

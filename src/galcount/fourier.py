@@ -7,9 +7,12 @@ its transform over the coefficient space mod p is
     what(g) = p^-N * sum_f w(f) e(2 pi i [f,g] / p),
 
 with [f,g] the coordinatewise dot product of coefficient vectors and N the
-dimension of the space (n for monic, n+1 for binary forms).  The table is
-built by adding each sigma-selection's multiples into the weight array and
-running an axis-by-axis DFT.
+dimension of the space (n for monic, n+1 for binary forms).  The weights
+are scattered from one integer matrix product per block of sigma-selections:
+the rows of the cofactor matrix C times the shifted copies T of each
+selection's product q give every multiple q*g mod p, and one bincount of
+their base-p indices adds them into the weight array.  An axis-by-axis DFT
+of that array is the table.
 
 The binary-form space is the full space of degree-n forms c_0 x^n + ... +
 c_n y^n, and its irreducibles are y together with the monic-in-x forms, so
@@ -110,16 +113,21 @@ def _pools(space: WeightSpace, d: int) -> list:
     return pool
 
 
-def _member_form(member, p: int) -> list[int]:
+def _member_form(member) -> list[int]:
     """Descending coefficients of a pool member as a binary form."""
     if member == _Y:
         return [0, 1]
     return list(reversed(member[1]))  # homogenize the monic univariate
 
 
-def _member_poly(member) -> list[int]:
-    """Ascending univariate coefficients of a monic-space pool member."""
-    return list(member[1])
+def _form_product(sel, p: int) -> list[int]:
+    """Descending coefficients mod p of the product of a selection's
+    members, each to its multiplicity."""
+    q = [1]
+    for m, e in sel:
+        for _ in range(e):
+            q = pmul(q, _member_form(m), p)
+    return q
 
 
 def _selections(space: WeightSpace, sigma: SplittingType):
@@ -153,56 +161,47 @@ class FourierTable:
     values: np.ndarray  # complex, shape (p,)*dim
     weights: np.ndarray  # the underlying integer weight array
 
-    @property
-    def k(self) -> int:
-        return self.sigma.ind
-
-    @property
-    def d(self) -> int:
-        return self.sigma.deg
-
-    @property
-    def aut_count(self) -> int:
-        return self.sigma.aut_count
-
 
 def _weight_array(space: WeightSpace, sigma: SplittingType) -> np.ndarray:
-    p, n = space.p, space.n
-    shape = (p,) * space.dim
-    w = np.zeros(shape, dtype=np.int64)
-    d = sigma.deg
+    """w_{p,sigma} at every point of the space, int64 of shape (p,)*dim.
+
+    Every selection's product q has degree d = deg sigma, so its multiples
+    q*g are the rows of C @ T % p: the rows of C are the cofactors g, the
+    descending coefficients of every degree n - d form (led by 1 in the
+    monic space, free in the binary one), and row i of T is q shifted right
+    by i.  The base-p index of each product, without the leading 1 in the
+    monic space, adds 1 to w.
+
+    Selections come in `chunks`, and C in row blocks of at most
+    space.points // (n+1) products, each block counted into w by one
+    bincount.  Besides w, no temporary holds more than space.points +
+    DECIDE_CHUNK (n+1)^2 int64 entries.
+    """
+    p, n, d = space.p, space.n, sigma.deg
+    w = np.zeros((p,) * space.dim, dtype=np.int64)
     if d > n:
         return w
     flat = w.reshape(-1)
-    if space.kind == "monic":
-        for sel in _selections(space, sigma):
-            q = [1]
-            for m, e in sel:
-                poly = _member_poly(m)
-                for _ in range(e):
-                    q = pmul(q, poly, p)
-            qd = len(q) - 1
-            for mon in itertools.product(range(p), repeat=n - qd):
-                prod = pmul(q, [*reversed(mon), 1], p)
-                # descending (a_1..a_n) after the leading 1
-                idx = 0
-                for c in reversed(prod[:-1]):
-                    idx = idx * p + c
-                flat[idx] += 1
-    else:
-        for sel in _selections(space, sigma):
-            q = [1]  # descending form coefficients
-            for m, e in sel:
-                form = _member_form(m, p)
-                for _ in range(e):
-                    q = pmul(q, form, p)
-            qd = len(q) - 1
-            for rest in itertools.product(range(p), repeat=n - qd + 1):
-                prod = pmul(q, list(rest), p)
-                idx = 0
-                for c in prod:
-                    idx = idx * p + c
-                flat[idx] += 1
+    width = n - d + 1  # coefficients of a cofactor
+    free = space.dim - d  # of them not fixed to the monic leading 1
+    digits = p ** np.arange(free - 1, -1, -1)
+    place = p ** np.arange(n, -1, -1)
+    place[: n + 1 - space.dim] = 0
+    budget = max(1, space.points // (n + 1))
+    for batch in chunks(_selections(space, sigma)):
+        q = np.array([_form_product(sel, p) for sel in batch])
+        T = np.zeros((width, len(batch), n + 1), dtype=np.int64)
+        for i in range(width):
+            T[i, :, i : i + d + 1] = q
+        T = T.reshape(width, -1)
+        rows = max(1, budget // len(batch))
+        for start in range(0, p**free, rows):
+            C = np.ones((min(rows, p**free - start), width), dtype=np.int64)
+            C[:, width - free :] = np.arange(start, start + len(C))[:, None] // digits % p
+            prods = C @ T
+            prods %= p
+            idx = prods.reshape(len(C), len(batch), n + 1) @ place
+            flat += np.bincount(idx.reshape(-1), minlength=space.points)
     return w
 
 
@@ -276,12 +275,12 @@ def accelerating(xs, tol: float = 1e-9) -> bool:
 def verify_decay(table: FourierTable) -> dict:
     """Main-term and scaled-maximum report for the decay propositions."""
     p = table.space.p
-    k = table.k
+    k, d = table.sigma.ind, table.sigma.deg
     vals = table.values
     main = vals.reshape(-1)[0]
-    main_term = 0.0 if table.d > table.space.n else p ** (-k) / table.aut_count
+    main_term = 0.0 if d > table.space.n else p ** (-k) / table.sigma.aut_count
     main_err = abs(main - main_term) * p ** (k + 1)
-    monic_full_degree = table.space.kind == "monic" and table.d == table.space.n
+    monic_full_degree = table.space.kind == "monic" and d == table.space.n
     exponent = k + 0.5 if monic_full_degree else k + 1
     flat = np.abs(vals.reshape(-1)).copy()
     flat[0] = 0.0
@@ -292,7 +291,7 @@ def verify_decay(table: FourierTable) -> dict:
         "space": table.space.kind,
         "sigma": str(table.sigma),
         "k": k,
-        "d": table.d,
+        "d": d,
         "mainTermError": float(main_err),
         "maxNonzeroScaled": max_scaled,
         "regime": "p^(k+1/2)" if monic_full_degree else "p^(k+1)",

@@ -72,7 +72,6 @@ from .errors import (
     DegreeOutOfRange,
     InternalError,
     RamifiedOnly,
-    Reducible,
     UsageError,
 )
 from . import permgroup as pg
@@ -541,18 +540,6 @@ def _split_prime_group(f: MonicIntPoly, p: int, square: bool) -> str:
     raise InternalError(f"psi_s = psi'_s for s = 2..5 although the roots of {f.coeffs} are distinct")
 
 
-def galois_group_exact(f: MonicIntPoly) -> GaloisVerdict:
-    n = f.degree
-    if not 2 <= n <= 5:
-        raise DegreeOutOfRange("exact groups only for 2 <= n <= 5")
-    name = _exact_group_name(f)
-    if name is None:
-        fac = factor_over_Z(f)
-        degs = tuple(sorted(g.degree for g, e in fac for _ in range(e)))
-        raise Reducible(f"factor degrees {degs}")
-    return GaloisVerdict("exactGroup", group=name)
-
-
 def _exact_group_name(f: MonicIntPoly) -> str | None:
     """Group name for irreducible f of degree 2..5, None if reducible."""
     n = f.degree
@@ -578,11 +565,7 @@ def classify(f: MonicIntPoly) -> GaloisVerdict:
     n = f.degree
     if not 2 <= n <= 5:
         raise DegreeOutOfRange("classification implemented for 2 <= n <= 5")
-    if disc(f) == 0:
-        fac = factor_over_Z(f)
-        degs = tuple(sorted(g.degree for g, e in fac for _ in range(e)))
-        return GaloisVerdict("reducible", factor_degrees=degs)
-    name = _exact_group_name(f)
+    name = None if disc(f) == 0 else _exact_group_name(f)
     if name is not None:
         return GaloisVerdict("exactGroup", group=name)
     fac = factor_over_Z(f)

@@ -157,20 +157,15 @@ def verify_thm25() -> dict:
                 deg = math.comb(m, k) ** r
                 if deg <= 100:
                     combos.append((m, k, r))
-    sym_cache = {}
-
-    def sym(m):
-        if m not in sym_cache:
-            sym_cache[m] = list(itertools.permutations(range(m)))
-        return sym_cache[m]
-
+    sizes = {m for m, _, _ in combos} | {r for _, _, r in combos}
+    sym = {m: list(itertools.permutations(range(m))) for m in sizes}
     for m, k, r in combos:
         spec = permgroup.ProductActionSpec(m, k, r)
         n = math.comb(m, k) ** r
         threshold = Fraction(n, 3 * r * m)
-        for hs in sym(r):
+        for hs in sym[r]:
             h = permgroup.Permutation(hs)
-            for gtup in itertools.product(sym(m), repeat=r):
+            for gtup in itertools.product(sym[m], repeat=r):
                 gs = [permgroup.Permutation(g) for g in gtup]
                 if h.is_identity() and all(g.is_identity() for g in gs):
                     continue

@@ -8,6 +8,7 @@ import pytest
 from galcount import fourier as fr
 from galcount.errors import TooLarge
 from galcount.polyarith import PolyModP, SplittingType, factor_mod_p
+from galcount.verification import _sigmas_up_to
 
 S = SplittingType.parse
 
@@ -94,6 +95,19 @@ def test_weight_zero_beyond_degree():
     sigma = S("1^2 1")  # degree 3 > n = 2
     arr = fr._weight_array(space, sigma)
     assert not arr.any()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("kind", ["monic", "binary"])
+def test_weight_array_matches_pointwise_weight(kind, p, n):
+    # every sigma up to degree n + 1, so deg sigma > n is covered too
+    space = fr.WeightSpace(kind, p, n)
+    for sigma in _sigmas_up_to(n + 1):
+        arr = fr._weight_array(space, sigma)
+        assert arr.shape == (p,) * space.dim
+        for point in itertools.product(range(p), repeat=space.dim):
+            assert arr[point] == fr.weight(space, point, sigma), (point, str(sigma))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from galcount import galois as ga
-from galcount.errors import DegreeOutOfRange, RamifiedOnly, Reducible, UsageError
+from galcount.errors import DegreeOutOfRange, RamifiedOnly, UsageError
 from galcount.polyarith import MonicIntPoly, PolyModP, disc, factor_mod_p
 
 x = sympy.Symbol("x")
@@ -225,9 +225,9 @@ def test_classify_verdicts():
         ga.classify(poly(0, 0, 0, 0, 0, -1))
 
 
-def test_galois_group_exact_rejects_reducible():
-    with pytest.raises(Reducible):
-        ga.galois_group_exact(poly(0, -1))  # x^2 - 1
+def test_classify_reducible_with_nonzero_disc():
+    v = ga.classify(poly(0, -1))  # x^2 - 1 = (x-1)(x+1), disc 4
+    assert v.status == "reducible" and v.factor_degrees == (1, 1)
 
 
 # ---------------------------------------------------------------------------
