@@ -27,6 +27,8 @@ The unmasked quintics are irreducible and are decided together by
 certified S_n has an n-cycle and so is irreducible; only the sextics and
 septics left uncertified get the exact test `galois.is_irreducible`
 (Zassenhaus), which books each as reducible or unresolved.
+`case_partition` screens cubics, quartics and quintics with the same
+`_unmasked` slices and names the groups with `galois.irreducible_groups`.
 
 E_n(H) counts monic degree-n integer polynomials in the box whose Galois
 group is not the full symmetric group; polynomials with vanishing
@@ -502,6 +504,8 @@ def enumerate_box(
     """
     if not 1 <= n <= 7 or H < 0:
         raise UsageError("need 1 <= n <= 7 and H >= 0")
+    if parallelism < 1:
+        raise UsageError(f"need parallelism >= 1, got {parallelism}")
     check_budget(n, H, budget)
     a1s = range(-H, H + 1)
     results = {}
@@ -590,6 +594,9 @@ _PRIMITIVE_NON_SN = {3: ("C3",), 4: ("A4",), 5: ("C5", "D5", "F20", "A5")}
 def case_partition(n: int, H: int, params: SieveParams | None = None) -> dict:
     """Sieve cases for irreducible f with primitive non-S_n group.
 
+    The slices are screened by `_unmasked`, which for n <= 5 leaves exactly
+    the irreducible f, and `galois.irreducible_groups` names them in batches.
+
     C = product of primes with certified positive field-disc valuation,
     D = product p^{v_p} over those primes.  Case I: C <= H^{1+d} < ... and
     D > H^{2+2d}; Case II: C <= H^{1+d} and D <= H^{2+2d}; Case III:
@@ -604,14 +611,9 @@ def case_partition(n: int, H: int, params: SieveParams | None = None) -> dict:
     num, den = delta.numerator, delta.denominator
     targets = set(_PRIMITIVE_NON_SN[n])
     hist = {"I": 0, "II": 0, "III": 0, "unknownC": 0}
-    if n == 5:
-        scratch = CountLedger(n=5, H=H, total=0)  # takes the discZero and reducible counts
-        pairs = (pair for a1 in range(-H, H + 1) for pair in _unmasked(scratch, H, a1))
-        named = _decided(pairs, galois.quintic_groups)
-    else:
-        pairs = ((f, disc(f)) for f in map(MonicIntPoly, itertools.product(range(-H, H + 1), repeat=n)))
-        named = ((f, d, galois._exact_group_name(f)) for f, d in pairs if d)
-    for f, delta_f, name in named:
+    scratch = CountLedger(n=n, H=H, total=0)  # takes the discZero and reducible counts
+    pairs = (pair for a1 in range(-H, H + 1) for pair in _unmasked(scratch, H, a1))
+    for f, delta_f, name in _decided(pairs, galois.irreducible_groups):
         if name not in targets:
             continue
         C = 1

@@ -2,16 +2,18 @@
 certificates beyond.
 
 factor_over_Z is classical Zassenhaus: factor mod a good prime, Hensel-lift
-past the Mignotte bound, recombine subsets.  Cubics are decided by the
-square-discriminant test.  An irreducible quartic x^4 + ax^3 + bx^2 + cx + d
-is decided by its discriminant and the integer roots of the ordinary
-resolvent cubic y^3 - by^2 + (ac - 4d)y - (a^2 d - 4bd + c^2), whose roots
-x1x2 + x3x4, x1x3 + x2x4, x1x4 + x2x3 are distinct when the discriminant
-is nonzero, so 0, 1 or 3 of them are integers.  None gives A4 or S4, by
-whether the discriminant is a square; three give V4; with exactly one,
-beta, Kappe and Warren (1989) give C4 iff beta^2 - 4d and a^2 - 4(b - beta)
-are both squares in Q(sqrt(disc)), and D4 otherwise.  `counting` runs the
-same test over whole slices.
+past the Mignotte bound, recombine subsets.  `classify` factors every input
+with it first and hands an irreducible one to `irreducible_groups`, so no
+group test sees a reducible polynomial (disc(f) = 0 makes f reducible).
+Cubics are decided by the square-discriminant test.  An irreducible quartic
+x^4 + ax^3 + bx^2 + cx + d is decided by its discriminant and the integer
+roots of the ordinary resolvent cubic y^3 - by^2 + (ac - 4d)y -
+(a^2 d - 4bd + c^2), whose roots x1x2 + x3x4, x1x3 + x2x4, x1x4 + x2x3 are
+distinct when the discriminant is nonzero, so 0, 1 or 3 of them are
+integers.  None gives A4 or S4, by whether the discriminant is a square;
+three give V4; with exactly one, beta, Kappe and Warren (1989) give C4 iff
+beta^2 - 4d and a^2 - 4(b - beta) are both squares in Q(sqrt(disc)), and
+D4 otherwise.  `counting` runs the same test over whole slices.
 
 Quintics and the S_n certificates of `sn_certificates` share one batched
 Frobenius walk (`_frobenius_walk`): the primes are taken in ascending
@@ -139,37 +141,17 @@ class GaloisVerdict:
 
 def transitive_group(name: str) -> pg.PermGroup:
     """The named transitive group of degree <= 5 as an explicit PermGroup."""
-    P = pg.Permutation.from_cycles
-    builders = {
-        "C2": lambda: pg.PermGroup(2, [P(2, [(1, 2)])], name="C2"),
-        "C3": lambda: pg.PermGroup(3, [P(3, [(1, 2, 3)])], name="C3"),
-        "S3": lambda: pg.PermGroup(3, [P(3, [(1, 2, 3)]), P(3, [(1, 2)])], name="S3"),
-        "C4": lambda: pg.PermGroup(4, [P(4, [(1, 2, 3, 4)])], name="C4"),
-        "V4": lambda: pg.PermGroup(
-            4, [P(4, [(1, 2), (3, 4)]), P(4, [(1, 3), (2, 4)])], name="V4"
-        ),
-        "D4": lambda: pg.PermGroup(
-            4, [P(4, [(1, 2, 3, 4)]), P(4, [(1, 3)])], name="D4"
-        ),
-        "A4": lambda: pg.PermGroup(
-            4, [P(4, [(1, 2, 3)]), P(4, [(1, 2), (3, 4)])], name="A4"
-        ),
-        "S4": lambda: pg.PermGroup(4, [P(4, [(1, 2, 3, 4)]), P(4, [(1, 2)])], name="S4"),
-        "C5": lambda: pg.PermGroup(5, [P(5, [(1, 2, 3, 4, 5)])], name="C5"),
-        "D5": lambda: pg.PermGroup(
-            5, [P(5, [(1, 2, 3, 4, 5)]), P(5, [(2, 5), (3, 4)])], name="D5"
-        ),
-        "F20": lambda: pg.PermGroup(
-            5, [P(5, [(1, 2, 3, 4, 5)]), P(5, [(2, 3, 5, 4)])], name="F20"
-        ),
-        "A5": lambda: pg.PermGroup(
-            5, [P(5, [(1, 2, 3)]), P(5, [(1, 2, 3, 4, 5)])], name="A5"
-        ),
-        "S5": lambda: pg.PermGroup(5, [P(5, [(1, 2, 3, 4, 5)]), P(5, [(1, 2)])], name="S5"),
-    }
-    if name not in builders:
+    if name not in GROUPS:
         raise UsageError(f"unknown group {name}")
-    return builders[name]()
+    order, label = GROUPS[name]
+    n = int(label.split("T")[0])
+    if name == "V4":
+        P = pg.Permutation.from_cycles
+        gens = [P(4, [(1, 2), (3, 4)]), P(4, [(1, 3), (2, 4)])]
+    else:  # F20 is AGL(1, 5)
+        family = {"C": pg._cyclic, "D": pg._dihedral, "A": pg._alternating, "S": pg._symmetric, "F": pg._agl1}
+        gens = family[name[0]](n).generators
+    return pg.PermGroup(n, gens, name=name, expected_order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -277,16 +259,12 @@ def _zassenhaus(f: MonicIntPoly) -> list[MonicIntPoly]:
         return [f]
     fasc = list(reversed(f.full()))
     # pick a prime keeping f squarefree mod p
-    p = 2
-    while True:
-        while not is_prime(p):
-            p += 1
+    for p in _ascending_primes():
         fp = ptrim([c % p for c in fasc])
         if len(fp) - 1 == n:
             dp = pderiv(fp, p)
             if dp != [0] and len(pgcd(fp, dp, p)) == 1:
                 break
-        p += 1
     modular = [list(g.coeffs) for g, _ in factor_mod_p(PolyModP.of(p, fasc))]
     if len(modular) == 1:
         return [f]
@@ -540,35 +518,32 @@ def _split_prime_group(f: MonicIntPoly, p: int, square: bool) -> str:
     raise InternalError(f"psi_s = psi'_s for s = 2..5 although the roots of {f.coeffs} are distinct")
 
 
-def _exact_group_name(f: MonicIntPoly) -> str | None:
-    """Group name for irreducible f of degree 2..5, None if reducible."""
-    n = f.degree
+def irreducible_groups(polys: list[MonicIntPoly], deltas: list[int]) -> list[str]:
+    """Galois group names of irreducible polynomials of one degree 2..5, with
+    discriminants `deltas`: a quadratic is C2, a cubic C3 or S3 by whether
+    its discriminant is a square, quartics go to `quartic_group_irreducible`
+    and quintics to `quintic_groups`."""
+    n = polys[0].degree
     if n == 2:
-        return None if _is_square(disc(f)) else "C2"
+        return ["C2"] * len(polys)
     if n == 3:
-        if _has_integer_root(f):
-            return None
-        return "C3" if _is_square(disc(f)) else "S3"
+        return ["C3" if _is_square(d) else "S3" for d in deltas]
     if n == 4:
-        if _has_integer_root(f) or _has_quadratic_factor(f):
-            return None
-        return quartic_group_irreducible(*f.coeffs)
+        return [quartic_group_irreducible(*f.coeffs) for f in polys]
     if n == 5:
-        if _quintic_reducible(f):
-            return None
-        return quintic_group_irreducible(f)
+        return quintic_groups(polys, deltas)
     raise DegreeOutOfRange(str(n))
 
 
 def classify(f: MonicIntPoly) -> GaloisVerdict:
-    """Full verdict: exact group for irreducible degree 2..5, else factor shape."""
+    """Full verdict from `factor_over_Z`: the exact group of an irreducible f
+    of degree 2..5, else the degrees of its factors."""
     n = f.degree
     if not 2 <= n <= 5:
         raise DegreeOutOfRange("classification implemented for 2 <= n <= 5")
-    name = None if disc(f) == 0 else _exact_group_name(f)
-    if name is not None:
-        return GaloisVerdict("exactGroup", group=name)
     fac = factor_over_Z(f)
+    if len(fac) == 1 and fac[0][1] == 1:
+        return GaloisVerdict("exactGroup", group=irreducible_groups([f], [disc(f)])[0])
     degs = tuple(sorted(g.degree for g, e in fac for _ in range(e)))
     return GaloisVerdict("reducible", factor_degrees=degs)
 
@@ -645,77 +620,3 @@ def sn_certificates(polys: list[MonicIntPoly], deltas: list[int], prime_budget: 
 def sn_certificate(f: MonicIntPoly, prime_budget: int = 100) -> GaloisVerdict:
     """`sn_certificates` for the one polynomial f."""
     return sn_certificates([f], [disc(f)], prime_budget)[0]
-
-
-def _int_divisors(m: int) -> list[int]:
-    m = abs(m)
-    out = []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            out += [d, -d, m // d, -(m // d)]
-        d += 1
-    return sorted(set(out))
-
-
-def _has_integer_root(f: MonicIntPoly) -> bool:
-    an = f.coeffs[-1]
-    if an == 0:
-        return True
-    return any(f(r) == 0 for r in _int_divisors(an))
-
-
-def _quintic_reducible(f: MonicIntPoly) -> bool:
-    """Is the quintic f reducible?  It then has a factor of degree 1 or 2."""
-    return _has_integer_root(f) or _has_quintic_quadratic_factor(f)
-
-
-def _has_quintic_quadratic_factor(f: MonicIntPoly) -> bool:
-    """Does the monic quintic f have a monic integer quadratic factor?
-
-    The constant term of the factor divides a5, and its linear coefficient
-    is minus a sum of two roots of f, so it is bounded by twice the Cauchy
-    root bound 1 + height(f).
-    """
-    a5 = f.coeffs[-1]
-    if a5 == 0:
-        return True
-    bmax = 2 * (1 + f.height())
-    full = f.full()
-    for c in _int_divisors(a5):
-        for b in range(-bmax, bmax + 1):
-            # exact division of f by x^2 + bx + c
-            rem = full[:]
-            for i in range(4):
-                q = rem[i]
-                rem[i + 1] -= q * b
-                rem[i + 2] -= q * c
-            if rem[4] == 0 and rem[5] == 0:
-                return True
-    return False
-
-
-def _has_quadratic_factor(f: MonicIntPoly) -> bool:
-    """Does the monic quartic f factor into two monic integer quadratics?
-
-    Writes f = (x^2+bx+c)(x^2+dx+e): then ce = a4, b+d = a1, bd = a2-c-e,
-    be+cd = a3.  For each divisor pair (c, e) the pair (b, d) is determined
-    up to the quadratic with sum a1 and product a2-c-e.
-    """
-    a1, a2, a3, a4 = f.coeffs
-    if a4 == 0:
-        return True  # x divides f; the root test also catches this
-    for c in _int_divisors(a4):
-        e = a4 // c
-        prod = a2 - c - e
-        dsc = a1 * a1 - 4 * prod
-        if dsc < 0 or not _is_square(dsc):
-            continue
-        r = math.isqrt(dsc)
-        if (a1 + r) % 2 != 0:
-            continue
-        for b in {(a1 + r) // 2, (a1 - r) // 2}:
-            d = a1 - b
-            if b * e + d * c == a3:
-                return True
-    return False

@@ -58,12 +58,6 @@ class Permutation:
                 images[a - 1] = b - 1
         return cls(tuple(images))
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """(self * other)(x) = self(other(x))."""
-        o = other.images
-        s = self.images
-        return Permutation(tuple(s[o[i]] for i in range(len(s))))
-
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):

@@ -244,6 +244,8 @@ def test_bad_values_and_paths_exit_1(tmp_path, capsys):
         ["group", "--wreath", "m=5,k=x,r=2"],
         ["count", "--n", "2", "--H", "1", "--out", "/nonexistent/x"],
         ["count", "--n", "2", "--H", "1", "--csv", "/nonexistent/x"],
+        ["count", "--n", "3", "--H", "2", "--parallelism", "0"],
+        ["count", "--n", "3", "--H", "2", "--parallelism", "-2"],
         # a checkpoint directory is made with its parents, so one that
         # cannot be made lies under a regular file
         ["count", "--n", "2", "--H", "1", "--checkpoint", str(blocker / "ck")],

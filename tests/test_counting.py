@@ -38,7 +38,7 @@ def naive_ledger(n, H):
         if d == 0:
             disc_zero += 1
             continue
-        name = ga._exact_group_name(f)
+        name = ga.classify(f).group
         if name is None:
             reducible += 1
         else:
@@ -337,7 +337,7 @@ def test_N_v4_brute_force():
     count = 0
     for tup in itertools.product(range(-2, 3), repeat=4):
         f = MonicIntPoly(tup)
-        if disc(f) != 0 and ga._exact_group_name(f) == "V4":
+        if disc(f) != 0 and ga.classify(f).group == "V4":
             count += 1
     assert ct.compute_N(4, 2, "V4") == count
 
@@ -377,7 +377,8 @@ def test_case_partition_structure():
     brute = 0
     for tup in itertools.product(range(-8, 9), repeat=3):
         f = MonicIntPoly(tup)
-        if disc(f) != 0 and ga._exact_group_name(f) == "C3":
+        d = disc(f)
+        if d and ga._is_square(d) and ga.classify(f).group == "C3":
             brute += 1
     assert sum(hist.values()) == brute
 
@@ -390,8 +391,26 @@ def test_case_partition_structure():
     ],
 )
 def test_case_partition_histograms_pinned(n, H, want):
-    # the quintics are screened by the slice factor mask, the quartics one by one
+    # both degrees are screened by the slice factor mask and named in batches
     assert ct.case_partition(n, H) == want
+
+
+@pytest.mark.parametrize("n, H", [(2, 6), (3, 4), (4, 3), (5, 1)])
+def test_irreducible_groups_on_a_box_match_classify(n, H):
+    # the slice factor mask leaves exactly the irreducibles that classify
+    # names, and the batched decider names them as classify does one by one
+    batched, single = [], []
+    for a1 in range(-H, H + 1):
+        pairs = list(ct._unmasked(ct.CountLedger(n=n, H=H), H, a1))
+        if pairs:
+            polys, deltas = map(list, zip(*pairs))
+            batched += zip(polys, ga.irreducible_groups(polys, deltas))
+        for rest in itertools.product(range(-H, H + 1), repeat=n - 1):
+            f = MonicIntPoly((a1, *rest))
+            name = ga.classify(f).group
+            if name is not None:
+                single.append((f, name))
+    assert batched == single
 
 
 def test_case_partition_delta_validation():

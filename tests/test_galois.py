@@ -9,6 +9,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from galcount import counting as ct
 from galcount import galois as ga
 from galcount.errors import DegreeOutOfRange, RamifiedOnly, UsageError
 from galcount.polyarith import MonicIntPoly, PolyModP, disc, factor_mod_p
@@ -86,7 +87,7 @@ def test_quartic_known_groups():
         (0, 0, -1, -1): "S4",  # x^4 - x - 1
     }
     for coeffs, name in cases.items():
-        assert ga._exact_group_name(poly(*coeffs)) == name
+        assert ga.classify(poly(*coeffs)).group == name
         assert galois_name_sympy([1, *coeffs]) == name
 
 
@@ -124,14 +125,17 @@ def depressed_quartic_group(a, b, c, d):
 
 def test_quartic_group_matches_depressed_quartic_reference():
     seen = Counter()
-    for coeffs in itertools.product(range(-4, 5), repeat=4):
-        f = poly(*coeffs)
-        assert ga.quartic_disc(*coeffs) == disc(f)
-        if disc(f) == 0 or ga._has_integer_root(f) or ga._has_quadratic_factor(f):
-            continue
-        name = ga.quartic_group_irreducible(*coeffs)
-        assert name == depressed_quartic_group(*coeffs), coeffs
-        seen[name] += 1
+    for a1 in range(-4, 5):
+        reducible = ct._factor_mask(4, 4, a1).ravel().tolist()
+        for rest, masked in zip(itertools.product(range(-4, 5), repeat=3), reducible):
+            coeffs = (a1, *rest)
+            delta = ga.quartic_disc(*coeffs)
+            assert delta == disc(poly(*coeffs))
+            if delta == 0 or masked:
+                continue
+            name = ga.quartic_group_irreducible(*coeffs)
+            assert name == depressed_quartic_group(*coeffs), coeffs
+            seen[name] += 1
     assert set(seen) == {"C4", "V4", "D4", "A4", "S4"}, seen
 
 
@@ -161,7 +165,7 @@ def test_quintic_known_groups():
     cases = {coeffs: name for coeffs, (name, _) in KNOWN_QUINTICS.items()}
     cases.update({lehmer_quintic(n): "C5" for n in range(-3, 4)})
     for coeffs, name in cases.items():
-        assert ga._exact_group_name(poly(*coeffs)) == name, coeffs
+        assert ga.classify(poly(*coeffs)).group == name, coeffs
         assert galois_name_sympy([1, *coeffs]) == name, coeffs
 
 
@@ -190,7 +194,7 @@ def test_exact_group_matches_sympy_low_degree(coeffs):
     f = MonicIntPoly(tuple(coeffs))
     if disc(f) == 0:
         return
-    name = ga._exact_group_name(f)
+    name = ga.classify(f).group
     full = [1, *coeffs]
     if not sympy.Poly(full, x).is_irreducible:
         assert name is None
@@ -207,7 +211,7 @@ def test_exact_group_matches_sympy_quintics():
         if disc(f) == 0:
             continue
         checked += 1
-        name = ga._exact_group_name(f)
+        name = ga.classify(f).group
         full = [1, *coeffs]
         if not sympy.Poly(full, x).is_irreducible:
             assert name is None
@@ -306,9 +310,8 @@ def test_sn_certificates_batch_errors():
 
 
 def test_quintic_groups_batch_matches_one_at_a_time():
-    polys = [MonicIntPoly((0, *c)) for c in itertools.product(range(-2, 3), repeat=4)]
-    polys = [f for f in polys if disc(f) != 0 and not ga._quintic_reducible(f)]
-    names = ga.quintic_groups(polys, [disc(f) for f in polys])
+    polys, deltas = map(list, zip(*ct._unmasked(ct.CountLedger(n=5, H=2), 2, 0)))
+    names = ga.quintic_groups(polys, deltas)
     assert names == [ga.quintic_group_irreducible(f) for f in polys]
     assert {"S5", "A5", "D5", "F20"} <= set(names)
 
@@ -322,10 +325,10 @@ def test_certificate_cycle_types_realized_by_exact_group():
     while checked < 10:
         coeffs = tuple(rng.randrange(-5, 6) for _ in range(4))
         f = MonicIntPoly(coeffs)
-        if disc(f) == 0 or ga._exact_group_name(f) is None:
+        name = ga.classify(f).group
+        if name is None:
             continue
         checked += 1
-        name = ga._exact_group_name(f)
         G = ga.transitive_group(name)
         types = {
             tuple(sorted(pg.cycle_type(pg.Permutation(e)), reverse=True))
@@ -340,9 +343,33 @@ def test_certificate_cycle_types_realized_by_exact_group():
 # catalogue consistency
 
 
+# (primitive, ind, min_moved) of each named group
+GROUP_INVARIANTS = {
+    "C2": (True, 1, 2),
+    "C3": (True, 2, 3),
+    "S3": (True, 1, 2),
+    "C4": (False, 2, 4),
+    "V4": (False, 2, 4),
+    "D4": (False, 1, 2),
+    "A4": (True, 2, 3),
+    "S4": (True, 1, 2),
+    "C5": (True, 4, 5),
+    "D5": (True, 2, 4),
+    "F20": (True, 2, 4),
+    "A5": (True, 2, 3),
+    "S5": (True, 1, 2),
+}
+
+
 def test_transitive_group_orders_match_table():
+    from galcount import permgroup as pg
+
+    assert set(GROUP_INVARIANTS) == set(ga.GROUPS)
     for name, (order, label) in ga.GROUPS.items():
         G = ga.transitive_group(name)
-        assert G.order() == order, name
-        deg = int(label.split("T")[0])
-        assert G.degree == deg
+        entry = pg.catalogue_entry(G)
+        assert entry["name"] == name and entry["order"] == order and entry["transitive"], name
+        assert G.degree == int(label.split("T")[0])
+        assert (entry["primitive"], entry["ind"], entry["min_moved"]) == GROUP_INVARIANTS[name], name
+    with pytest.raises(UsageError):
+        ga.transitive_group("C7")
