@@ -176,9 +176,12 @@ def cmd_group(args) -> list[dict]:
     else:
         params = {}
         for item in args.wreath.split(","):
+            key, _, v = item.partition("=")
+            key = key.strip()
+            if key not in ("m", "k", "r") or key in params:
+                raise UsageError(f"wreath spec takes each of m, k, r once, got {item!r}")
             try:
-                k, v = item.split("=", 1)
-                params[k.strip()] = int(v)
+                params[key] = int(v)
             except ValueError:
                 raise UsageError(f"bad wreath component {item!r}")
         missing = {"m", "k", "r"} - set(params)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial
 
+import numpy as np
+
 from .errors import (
     DegreeTooLarge,
     GroupTooLarge,
@@ -58,15 +60,6 @@ class Permutation:
                 images[a - 1] = b - 1
         return cls(tuple(images))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition on 0-based letters, fixed points included."""
         seen = [False] * len(self.images)
@@ -93,25 +86,22 @@ def cycle_type(g: Permutation) -> list[int]:
     return sorted(len(c) for c in g.cycles())
 
 
+def cycle_counts(P: np.ndarray) -> np.ndarray:
+    """The number of cycles of each row of an (N, d) image array, by pointer
+    doubling (Wyllie): after t rounds letter x carries the least of x, P(x),
+    ..., P^(2^t - 1)(x), so once 2^t >= d the letters that carry themselves
+    are the least letters of the cycles."""
+    d = P.shape[1]
+    label = np.tile(np.arange(d, dtype=P.dtype), (len(P), 1))
+    for _ in range(d.bit_length()):
+        np.minimum(label, np.take_along_axis(label, P, axis=1), out=label)
+        P = np.take_along_axis(P, P, axis=1)
+    return (label == np.arange(d)).sum(axis=1)
+
+
 def ind_of_element(g: Permutation) -> int:
     """ind(g) = n - #orbits = sum of (cycle length - 1)."""
-    return _ind_images(g.images)
-
-
-def _ind_images(images: tuple[int, ...]) -> int:
-    # closure loops work on raw image tuples to skip dataclass overhead
-    n = len(images)
-    seen = [False] * n
-    orbits = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbits += 1
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = images[j]
-    return n - orbits
+    return g.degree - int(cycle_counts(np.array(g.images, dtype=_index_dtype(g.degree)).reshape(1, -1))[0])
 
 
 @dataclass
@@ -164,32 +154,23 @@ class PermGroup:
         return len(self.elements())
 
 
+def _nonidentity_elements(G: PermGroup, what: str) -> np.ndarray:
+    """The closure minus the identity as an (order - 1, degree) image array."""
+    E = np.array(G.elements(), dtype=_index_dtype(G.degree)).reshape(-1, G.degree)
+    E = E[(E != np.arange(G.degree)).any(axis=1)]
+    if not len(E):
+        raise TrivialGroup(f"{what} undefined for the trivial group")
+    return E
+
+
 def ind_of_group(G: PermGroup) -> int:
-    ident = tuple(range(G.degree))
-    best = None
-    for e in G.elements():
-        if e == ident:
-            continue
-        v = _ind_images(e)
-        if best is None or v < best:
-            best = v
-    if best is None:
-        raise TrivialGroup("ind undefined for the trivial group")
-    return best
+    E = _nonidentity_elements(G, "ind")
+    return G.degree - int(cycle_counts(E).max())
 
 
 def min_moved_points(G: PermGroup) -> int:
-    ident = tuple(range(G.degree))
-    best = None
-    for e in G.elements():
-        if e == ident:
-            continue
-        v = sum(1 for i, j in enumerate(e) if i != j)
-        if best is None or v < best:
-            best = v
-    if best is None:
-        raise TrivialGroup("minimal degree undefined for the trivial group")
-    return best
+    E = _nonidentity_elements(G, "minimal degree")
+    return int((E != np.arange(G.degree)).sum(axis=1).min())
 
 
 def is_transitive(G: PermGroup) -> bool:
@@ -265,67 +246,61 @@ class ProductActionSpec:
         return comb(self.m, self.k) ** self.r
 
 
-def _ksubsets(m: int, k: int) -> list[tuple[int, ...]]:
-    """All k-subsets of {0..m-1} in lexicographic order (= their rank order)."""
-    return list(itertools.combinations(range(m), k))
+def _index_dtype(n: int):
+    """The narrowest integer dtype holding the letters 0..n."""
+    return next(t for t in (np.int16, np.int32, np.int64) if n <= np.iinfo(t).max)
 
 
-def product_action_perm(spec: ProductActionSpec, gs, h) -> Permutation:
-    """The permutation of C(m,k)^r letters induced by (g_1..g_r; h).
+def wreath_images(m: int, k: int, r: int, G, h) -> tuple[np.ndarray, np.ndarray]:
+    """The elements (g_1..g_r; h), for g_i = G[:, i] of an (N, r, m) array of
+    images and one block permutation h, in both actions of S_m wr S_r.
 
-    gs are Permutations of degree m, h a Permutation of degree r; the tuple
-    (S_1..S_r) maps to (g_1 S_{h^-1(1)}, ..., g_r S_{h^-1(r)}).  Letters are
-    indexed row-major over subset ranks.
+    Product action, (N, C(m,k)^r): the tuple (S_1..S_r) of k-subsets maps to
+    (g_1 S_{h^-1(1)}, ..., g_r S_{h^-1(r)}), letters indexed row-major over
+    the lexicographic subset ranks.  Imprimitive action, (N, r, m): letter
+    b*m + j goes to h(b)*m + g_{h(b)}(j).  Both in the narrowest dtype that
+    holds their degree.
     """
-    subsets = _ksubsets(spec.m, spec.k)
-    rank = {s: i for i, s in enumerate(subsets)}
-    nsub = len(subsets)
-    hinv = h.inverse().images
-    # image of each subset rank under each g_i
-    sub_im = []
-    for g in gs:
-        im = g.images
-        sub_im.append([rank[tuple(sorted(im[x] for x in s))] for s in subsets])
-    images = []
-    for tup in itertools.product(range(nsub), repeat=spec.r):
-        out = 0
-        for i in range(spec.r):
-            out = out * nsub + sub_im[i][tup[hinv[i]]]
-        images.append(out)
-    return Permutation(tuple(images))
+    nsub = comb(m, k)
+    dtype = _index_dtype(max(nsub**r, r * m))
+    G = np.asarray(G, dtype=dtype)
+    h = np.asarray(h)
+    subsets = np.array(list(itertools.combinations(range(m), k)), dtype=dtype)
+    # combinatorial number system: x_0 < .. < x_{k-1} has lexicographic rank
+    # C(m,k) - 1 - sum_j C(m-1-x_j, k-j)
+    tail = np.array([[comb(m - 1 - x, k - j) for j in range(k)] for x in range(m)], dtype=dtype)
+    moved = np.sort(G[:, :, subsets], axis=-1)
+    ranks = nsub - 1 - tail[moved, np.arange(k)].sum(axis=-1, dtype=dtype)
+    # slot i of the image of the letter with tuple t is g_i S_{t[h^-1(i)]}
+    t = np.indices((nsub,) * r, dtype=dtype).reshape(r, -1)
+    big = sum(ranks[:, i, t[j]] * nsub ** (r - 1 - i) for i, j in enumerate(np.argsort(h)))
+    small = G[:, h] + (h * m).astype(dtype)[:, None]
+    return big, small
 
 
-def imprimitive_perm(m: int, r: int, gs, h) -> Permutation:
-    """The same element acting on r blocks of m letters (h permutes blocks)."""
-    him = h.images
-    images = [0] * (r * m)
-    for i in range(r):
-        gi = gs[him[i]].images
-        for j in range(m):
-            images[i * m + j] = him[i] * m + gi[j]
-    return Permutation(tuple(images))
+def _wreath_generators(m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Generators (g_1..g_r; h) of S_m wr S_r as image arrays (ngens, r, m)
+    and (ngens, r): the m-cycle and (1 2) on the first block, then the block
+    r-cycle, and the block swap (1 2) when r > 2."""
+    ident_m, ident_r = tuple(range(m)), tuple(range(r))
+    gens = [((g.images,) + (ident_m,) * (r - 1), ident_r) for g in _symmetric(m).generators]
+    # S_2 needs only its 2-cycle and S_1 no generator
+    gens += [((ident_m,) * r, h.images) for h in _symmetric(r).generators[: min(r - 1, 2)]]
+    return np.array([gs for gs, _ in gens]), np.array([h for _, h in gens])
 
 
-def _wreath_generators(m: int, r: int) -> list[tuple[list[Permutation], Permutation]]:
-    """Generators (g_1..g_r; h) of S_m wr S_r: the m-cycle and (1 2) on the
-    first block, then the block r-cycle, and the block swap (1 2) when r > 2."""
-    ident_m = Permutation.identity(m)
-    ident_r = Permutation.identity(r)
-    sm_gens = [Permutation.from_cycles(m, [tuple(range(1, m + 1))])]
-    if m >= 2:
-        sm_gens.append(Permutation.from_cycles(m, [(1, 2)]))
-    gens = [([g] + [ident_m] * (r - 1), ident_r) for g in sm_gens]
-    if r >= 2:
-        gens.append(([ident_m] * r, Permutation.from_cycles(r, [tuple(range(1, r + 1))])))
-    if r > 2:
-        gens.append(([ident_m] * r, Permutation.from_cycles(r, [(1, 2)])))
-    return gens
+def _wreath_generator_perms(m: int, k: int, r: int, action: int) -> list[Permutation]:
+    """The generators in the product (action 0) or imprimitive (action 1) action."""
+    return [
+        Permutation(tuple(wreath_images(m, k, r, gs[None], h)[action].ravel().tolist()))
+        for gs, h in zip(*_wreath_generators(m, r))
+    ]
 
 
 def wreath_product_action(spec: ProductActionSpec) -> PermGroup:
     """Generators of S_m wr S_r on r-tuples of k-subsets."""
     m, r = spec.m, spec.r
-    gens = [product_action_perm(spec, gs, h) for gs, h in _wreath_generators(m, r)]
+    gens = _wreath_generator_perms(m, spec.k, r, 0)
     name = f"S{m}wrS{r}_product_k{spec.k}"
     order = (factorial(m) ** r) * factorial(r)
     return PermGroup(spec.n, gens, name=name, expected_order=order)
@@ -333,18 +308,19 @@ def wreath_product_action(spec: ProductActionSpec) -> PermGroup:
 
 def imprimitive_wreath_action(m: int, r: int) -> PermGroup:
     """S_m wr S_r on r*m letters (r blocks of size m)."""
-    gens = [imprimitive_perm(m, r, gs, h) for gs, h in _wreath_generators(m, r)]
+    gens = _wreath_generator_perms(m, 0, r, 1)  # the action on 0-subsets is trivial
     order = (factorial(m) ** r) * factorial(r)
     return PermGroup(r * m, gens, name=f"S{m}wrS{r}_imprimitive", expected_order=order)
 
 
 def blow_down_index_ratio(spec: ProductActionSpec, gs, h) -> tuple[int, int]:
     """(ind in the product action, ind in the imprimitive action on rm letters)."""
-    if all(g.is_identity() for g in gs) and h.is_identity():
+    big, small = wreath_images(spec.m, spec.k, spec.r, [[g.images for g in gs]], h.images)
+    big_ind, small_ind = (P.shape[1] - int(cycle_counts(P)[0]) for P in (big, small.reshape(1, -1)))
+    # the imprimitive action is faithful, so only the identity has index 0
+    if small_ind == 0:
         raise IdentityElement("the identity has no index ratio")
-    g_big = product_action_perm(spec, gs, h)
-    g_small = imprimitive_perm(spec.m, spec.r, gs, h)
-    return ind_of_element(g_big), ind_of_element(g_small)
+    return big_ind, small_ind
 
 
 def count_moved_ksubsets(sigma: Permutation, k: int) -> int:
@@ -353,12 +329,8 @@ def count_moved_ksubsets(sigma: Permutation, k: int) -> int:
     if not 1 <= k <= m / 2:
         # the count is symmetric in k <-> m-k, so the small-k half suffices
         raise UsageError("need 1 <= k <= m/2")
-    im = sigma.images
-    moved = 0
-    for s in itertools.combinations(range(m), k):
-        if tuple(sorted(im[x] for x in s)) != s:
-            moved += 1
-    return moved
+    big, _ = wreath_images(m, k, 1, [[sigma.images]], [0])
+    return int((big[0] != np.arange(comb(m, k))).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -832,14 +832,8 @@ def partition_count(k: int, r: int) -> int:
     """q(k,r): partitions of k into at most r parts."""
     if k < 0 or r < 1:
         raise UsageError("need k >= 0, r >= 1")
-    # dp over largest part
-    table = [[0] * (k + 1) for _ in range(r + 1)]
-    for j in range(r + 1):
-        table[j][0] = 1
-    for j in range(1, r + 1):
-        for s in range(1, k + 1):
-            table[j][s] = table[j - 1][s] + (table[j][s - j] if s >= j else 0)
-    return table[r][k]
+    # by conjugation, as many as the partitions of k into parts at most r
+    return sum(1 for _ in _partitions(k, r))
 
 
 def partition_bound(k: int, r: int) -> int:

@@ -171,8 +171,9 @@ def test_group_usage_errors(tmp_path):
 
 
 def test_group_wreath_too_large_refused_before_closure():
-    # 933,120 elements of degree 243 and 50,803,200 of degree 49
-    for spec in ("m=3,k=1,r=5", "m=7,k=1,r=2"):
+    # 933,120 elements of degree 243, 50,803,200 of degree 49, and 17! of
+    # degree C(17, 8) = 24,310, whose generators need no table of 17^8 entries
+    for spec in ("m=3,k=1,r=5", "m=7,k=1,r=2", "m=17,k=8,r=1"):
         start = time.perf_counter()
         assert cli.main(["group", "--wreath", spec]) == 2
         assert time.perf_counter() - start < 5
@@ -242,6 +243,9 @@ def test_bad_values_and_paths_exit_1(tmp_path, capsys):
     for argv in [
         ["bound", "--n", "4", "--ind", "2", "--a", "1", "--precision", "-1"],
         ["group", "--wreath", "m=5,k=x,r=2"],
+        # an unknown or a repeated key is refused, not ignored or overwritten
+        ["group", "--wreath", "m=5,k=1,r=2,x=9"],
+        ["group", "--wreath", "m=5,k=1,r=2,m=4"],
         ["count", "--n", "2", "--H", "1", "--out", "/nonexistent/x"],
         ["count", "--n", "2", "--H", "1", "--csv", "/nonexistent/x"],
         ["count", "--n", "3", "--H", "2", "--parallelism", "0"],

@@ -1,9 +1,12 @@
 """Permutation group machinery: indices, primitivity, product actions."""
 
+import itertools
 import math
 import random
+from collections import defaultdict
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -212,6 +215,59 @@ def test_blow_down_identity_rejected():
         pg.blow_down_index_ratio(spec, gs, pg.Permutation.identity(2))
 
 
+def _wreath_reference(m, k, r, gs, h):
+    """Both actions of (g_1..g_r; h) letter by letter from the definitions:
+    each g_i maps sorted tuples of letters, and list.index ranks them."""
+    subsets = list(itertools.combinations(range(m), k))
+    letters = list(itertools.product(range(len(subsets)), repeat=r))
+    hinv = [h.index(i) for i in range(r)]
+    big = [
+        letters.index(tuple(subsets.index(tuple(sorted(gs[i][x] for x in subsets[t[hinv[i]]]))) for i in range(r)))
+        for t in letters
+    ]
+    small = [h[b] * m + gs[h[b]][j] for b in range(r) for j in range(m)]
+    return big, small
+
+
+def _wreath_elements(m, r, sample):
+    """Every element (gs, h) of S_m wr S_r, or a seeded sample of them."""
+    sym_m = list(itertools.permutations(range(m)))
+    sym_r = list(itertools.permutations(range(r)))
+    if sample is None:
+        return [(gs, h) for h in sym_r for gs in itertools.product(sym_m, repeat=r)]
+    rng = random.Random(f"wreath-{m}-{r}")
+    return [(tuple(rng.choice(sym_m) for _ in range(r)), rng.choice(sym_r)) for _ in range(sample)]
+
+
+@pytest.mark.parametrize(
+    "m,k,r,sample",
+    [(3, 1, 1, None), (4, 1, 1, None), (5, 1, 1, None), (5, 2, 1, None),
+     (3, 1, 2, None), (4, 1, 2, None), (5, 1, 2, 2000), (5, 2, 2, 2000)],
+)
+def test_wreath_images_match_the_definition(m, k, r, sample):
+    by_h = defaultdict(list)
+    for gs, h in _wreath_elements(m, r, sample):
+        by_h[h].append(gs)
+    for h, elems in by_h.items():
+        big, small = pg.wreath_images(m, k, r, np.array(elems), h)
+        assert big.dtype == small.dtype == np.int16
+        small = small.reshape(len(elems), r * m)
+        big_cycles, small_cycles = pg.cycle_counts(big), pg.cycle_counts(small)
+        for row, gs in enumerate(elems):
+            ref_big, ref_small = _wreath_reference(m, k, r, gs, h)
+            assert big[row].tolist() == ref_big and small[row].tolist() == ref_small, (gs, h)
+            assert big_cycles[row] == len(pg.Permutation(tuple(ref_big)).cycles()), (gs, h)
+            assert small_cycles[row] == len(pg.Permutation(tuple(ref_small)).cycles()), (gs, h)
+
+
+def test_wreath_images_dtype_follows_the_degree():
+    # the identity of S_6 wr S_4 acts on 15^4 = 50,625 letters, beyond int16
+    ident = np.tile(np.arange(6), (1, 4, 1))
+    big, small = pg.wreath_images(6, 2, 4, ident, (0, 1, 2, 3))
+    assert big.dtype == small.dtype == np.int32
+    assert (big[0] == np.arange(15**4)).all() and (small.ravel() == np.arange(24)).all()
+
+
 def test_count_moved_ksubsets_examples():
     assert pg.count_moved_ksubsets(P(4, [(1, 2)]), 1) == 2
     assert pg.count_moved_ksubsets(P(4, [(1, 2)]), 2) == 4  # 2(m-y-1)y, y=1
@@ -221,8 +277,6 @@ def test_count_moved_ksubsets_examples():
 
 def test_count_moved_ksubsets_brute_force():
     rng = random.Random(7)
-    import itertools
-
     for _ in range(20):
         m = rng.randrange(5, 9)
         k = rng.randrange(1, (m - 1) // 2 + 1)

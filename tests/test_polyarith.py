@@ -527,6 +527,11 @@ def test_partition_bound_examples():
     assert pa.partition_bound(3, 2) == 4
     for r in (1, 2, 3, 4):
         assert pa.partition_bound(0, r) == math.factorial(r)
+    # q(k, r) counts the partitions of k with at most r parts
+    for k in range(16):
+        for r in range(1, 9):
+            brute = sum(1 for lam in pa._partitions(k) if len(lam) <= r)
+            assert pa.partition_bound(k, r) == brute * math.factorial(r), (k, r)
 
 
 def test_power_sum_solution_count():
