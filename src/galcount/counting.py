@@ -390,7 +390,8 @@ def _slice_counts_n5(H, a1):
 
 def _slice_counts_interval(n, H, a1):
     """Degrees 6-7: S_n only by certificate.  An n-cycle proves irreducibility,
-    so only the polynomials left uncertified get the exact reducibility test."""
+    so only the polynomials whose walk saw no n-cycle get the exact
+    reducibility test."""
     led = CountLedger(n=n, H=H, total=(2 * H + 1) ** (n - 1))
 
     def certify(polys, deltas):
@@ -400,7 +401,7 @@ def _slice_counts_interval(n, H, a1):
     for f, _, verdict in _decided(_unmasked(led, H, a1), certify):
         if verdict.status == "certifiedSn":
             certified += 1
-        elif not galois.is_irreducible(f):
+        elif (n,) not in (t for _, t in verdict.evidence) and not galois.is_irreducible(f):
             led.reducible += 1
         else:
             if verdict.status == "certifiedSubsetAn":

@@ -89,14 +89,23 @@ def cycle_type(g: Permutation) -> list[int]:
 def cycle_counts(P: np.ndarray) -> np.ndarray:
     """The number of cycles of each row of an (N, d) image array, by pointer
     doubling (Wyllie): after t rounds letter x carries the least of x, P(x),
-    ..., P^(2^t - 1)(x), so once 2^t >= d the letters that carry themselves
-    are the least letters of the cycles."""
-    d = P.shape[1]
-    label = np.tile(np.arange(d, dtype=P.dtype), (len(P), 1))
-    for _ in range(d.bit_length()):
-        np.minimum(label, np.take_along_axis(label, P, axis=1), out=label)
-        P = np.take_along_axis(P, P, axis=1)
-    return (label == np.arange(d)).sum(axis=1)
+    ..., P^(2^t - 1)(x), so once 2^t > d the letters that carry themselves
+    are the least letters of the cycles.  The successors run as one
+    permutation of the N d flat letters, row i's letter x being i d + x, in
+    int32 (int64 from 2^31 letters), and the labels stay in P's dtype: each
+    round is one gather of the labels and one of the successors."""
+    N, d = P.shape
+    dt = np.int32 if N * d < 2**31 else np.int64
+    nxt = P.astype(dt)
+    nxt += (np.arange(N, dtype=dt) * d)[:, None]
+    nxt = nxt.ravel()
+    label = np.tile(np.arange(d, dtype=P.dtype), N)
+    rounds = d.bit_length()
+    for t in range(rounds):
+        np.minimum(label, label[nxt], out=label)
+        if t + 1 < rounds:
+            nxt = nxt[nxt]
+    return np.count_nonzero(label.reshape(N, d) == np.arange(d, dtype=P.dtype), axis=1)
 
 
 def ind_of_element(g: Permutation) -> int:

@@ -20,7 +20,8 @@ One helper per operation, shared by every module:
   behind a mod-p gate) and `_squarefree_decomposition` (over F_p);
 - the Frobenius layer, on arrays of many polynomials at once: Berlekamp
   matrices from `_frobenius_matrix` (batched companion-matrix powers, all
-  by `_matpow`), read as cycle types from the nullities at the few
+  by `_matpow`, every array reduced mod p by `_reduce`, ranked by
+  `_ranks_mod_p`), read as cycle types from the nullities at the few
   exponents of `_nullity_table` by `frobenius_cycle_types` and as indices
   at any prime by `frobenius_index`, fed `chunks` of DECIDE_CHUNK rows by
   every caller over a space or slice;
@@ -656,15 +657,25 @@ def chunks(items):
         yield chunk
 
 
+def _reduce(A: np.ndarray, p: int) -> np.ndarray:
+    """Reduce A mod p in place, to the residues 0..p-1, and return it.
+    numpy's int64 floor division by a scalar is several times cheaper than
+    its %, and the same expression serves dtype=object."""
+    q = A // p
+    q *= p
+    A -= q
+    return A
+
+
 def _matpow(A: np.ndarray, e: int, p: int) -> np.ndarray:
     """A^e mod p, e >= 1, for a stack of square matrices with reduced
     entries, by square-and-multiply: every entry of each product is a sum of
     n products below p^2, which the caller's dtype holds."""
     R = A
     for bit in bin(e)[3:]:
-        R = R @ R % p
+        R = _reduce(R @ R, p)
         if bit == "1":
-            R = R @ A % p
+            R = _reduce(R @ A, p)
     return R
 
 
@@ -672,22 +683,26 @@ def _ranks_mod_p(A: np.ndarray, p: int) -> np.ndarray:
     """Ranks over F_p of a stack of square matrices with reduced entries, by
     one fraction-free Gaussian elimination run on all of them at once.
     Scaling a row by its pivot (a unit) keeps the rank and every entry
-    below p^2 before reduction.  A is overwritten."""
+    below p^2 before reduction.  The elimination runs on the transposes,
+    which have the same ranks, so that step j reads row j of each A and
+    rewrites only the rows below it, one contiguous block per matrix.  A is
+    overwritten."""
     M, n, _ = A.shape
-    free = np.ones((M, n), dtype=bool)  # rows not yet used as a pivot
+    free = np.ones((M, n), dtype=bool)  # columns of A not yet used as a pivot
     at = np.arange(M)
     for j in range(n):
-        col = A[:, :, j]
-        cand = free & (col != 0)
+        row = A[:, j, :]
+        cand = free & (row != 0)
         has = cand.any(axis=1)
         piv = cand.argmax(axis=1)
         free[at[has], piv[has]] = False
-        lead = np.where(has, A[at, piv, j], 1)[:, None, None]
-        kill = np.where(free & has[:, None], col, 0)[:, :, None] * A[at, piv, j:][:, None, :]
-        rest = A[:, :, j:]  # a view: the row operations run in place
-        rest *= lead
-        rest -= kill
-        rest %= p
+        if j + 1 == n:
+            break
+        pivcol = A[at, j + 1:, piv]  # a copy, read before the scaling
+        rest = A[:, j + 1:]  # a view: the column operations run in place
+        rest *= np.where(has, row[at, piv], 1)[:, None, None]
+        rest -= pivcol[:, :, None] * np.where(free & has[:, None], row, 0)[:, None, :]
+        _reduce(rest, p)
     return n - free.sum(axis=1)
 
 
@@ -708,7 +723,7 @@ def _frobenius_matrix(rows: np.ndarray, p: int) -> np.ndarray:
     Q = np.zeros((N, n, n), dtype=dt)
     Q[:, 0, 0] = 1
     for i in range(1, n):
-        Q[:, i] = (Q[:, i - 1, None] @ Cp)[:, 0] % p
+        Q[:, i] = _reduce((Q[:, i - 1, None] @ Cp)[:, 0], p)
     return Q
 
 
@@ -738,8 +753,7 @@ def frobenius_cycle_types(rows, p: int) -> list[tuple[int, ...]]:
     mats[:, 0] = Q
     for i, d in enumerate(ds, start=1):
         mats[:, i] = _matpow(Q, d, p)
-        mats[:, i, range(n), range(n)] -= 1
-    mats %= p
+        mats[:, i, range(n), range(n)] = _reduce(mats[:, i, range(n), range(n)] - 1, p)
     ranks = _ranks_mod_p(mats.reshape(-1, n, n), p).reshape(N, len(ds) + 1)
     bad = np.nonzero(ranks[:, 0] < n)[0]
     if bad.size:
@@ -842,7 +856,12 @@ def partition_bound(k: int, r: int) -> int:
 
 
 def power_sum_solution_count(p: int, weights: tuple[int, ...], targets: tuple[int, ...]) -> int:
-    """Solutions of sum m_i x_i^j = c_j (j = 1..r) in F_p^r, exact scan."""
+    """Solutions of sum m_i x_i^j = c_j (j = 1..r) in F_p^r, counted exactly
+    by meet in the middle (Horowitz-Sahni): the vectors (sum_(i<h) m_i
+    x_i^j)_j of the first h = ceil(r/2) variables, packed in base p, are
+    sorted once (at most 31^3 keys), and every tuple of the other r - h
+    variables adds the number of them equal to (c_j - its own sums)_j, read
+    off by two binary searches (at most 31^2 of them)."""
     _require_prime(p)
     r = len(weights)
     if len(targets) != r:
@@ -854,15 +873,20 @@ def power_sum_solution_count(p: int, weights: tuple[int, ...], targets: tuple[in
         for combo in itertools.combinations(ws, size):
             if sum(combo) % p == 0:
                 raise SubsetSumZero(f"subset {combo} sums to 0 mod {p}")
-    powers = [[pow(x, j, p) for j in range(1, r + 1)] for x in range(p)]
-    count = 0
-    for xs in itertools.product(range(p), repeat=r):
-        if all(
-            sum(ws[i] * powers[xs[i]][j] for i in range(r)) % p == targets[j] % p
-            for j in range(r)
-        ):
-            count += 1
-    return count
+    powers = np.arange(p, dtype=np.int64)[:, None] ** np.arange(1, r + 1) % p  # x^j, j = 1..r
+    place = p ** np.arange(r, dtype=np.int64)
+
+    def sums(start: np.ndarray, ms: list[int], sign: int) -> np.ndarray:
+        # the keys of start + sign * sum_i m_i x_i^j over every tuple of x_i
+        vec = start[None, :]
+        for m in ms:
+            vec = (vec[:, None, :] + sign * m * powers[None, :, :]).reshape(-1, r) % p
+        return vec @ place
+
+    h = (r + 1) // 2
+    left = np.sort(sums(np.zeros(r, dtype=np.int64), ws[:h], 1))
+    right = sums(np.array([c % p for c in targets], dtype=np.int64), ws[h:], -1)
+    return int((np.searchsorted(left, right, "right") - np.searchsorted(left, right, "left")).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ def test_zassenhaus_runs_only_where_mask_and_certificate_leave_a_polynomial(monk
             calls[_name] += 1
             return _fn(f)
         monkeypatch.setattr(ga, name, counted)
-    for (n, H), want in [((5, 2), 0), ((6, 1), 72), ((7, 1), 52)]:
+    for (n, H), want in [((5, 2), 0), ((6, 1), 36), ((7, 1), 44)]:
         calls.update(dict.fromkeys(calls, 0))
         ct.compute_E(n, H)
         assert calls == {"is_irreducible": want, "factor_over_Z": want}, (n, H)

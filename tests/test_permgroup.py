@@ -268,6 +268,18 @@ def test_wreath_images_dtype_follows_the_degree():
     assert (big[0] == np.arange(15**4)).all() and (small.ravel() == np.arange(24)).all()
 
 
+def test_cycle_counts_match_the_cycle_decomposition():
+    """Seeded permutations, identities and single d-cycles, against
+    Permutation.cycles(); the last stack has N d >= 2^15 letters."""
+    rng = np.random.default_rng(17)
+    for N, d, dtype in [(0, 5, np.int16), (4, 0, np.int16), (6, 1, np.int16), (50, 7, np.int32), (300, 120, np.int16)]:
+        P = np.array([rng.permutation(d) for _ in range(N)], dtype=dtype).reshape(N, d)
+        P[::5] = np.arange(d)
+        P[1::5] = np.roll(np.arange(d), 1)
+        want = [len(pg.Permutation(tuple(row)).cycles()) for row in P.tolist()]
+        assert pg.cycle_counts(P).tolist() == want, (N, d)
+
+
 def test_count_moved_ksubsets_examples():
     assert pg.count_moved_ksubsets(P(4, [(1, 2)]), 1) == 2
     assert pg.count_moved_ksubsets(P(4, [(1, 2)]), 2) == 4  # 2(m-y-1)y, y=1

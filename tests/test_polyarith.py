@@ -1,5 +1,6 @@
 """Exact integer/F_p polynomial arithmetic: discriminants, factoring, indices."""
 
+import collections
 import functools
 import itertools
 import math
@@ -376,6 +377,54 @@ def test_frobenius_cycle_types_rejects_a_ramified_row():
                     pa.frobenius_cycle_types(squarefree[:at] + [row] + squarefree[at:], p)
 
 
+def _rank_mod_p(rows, p):
+    """Rank over F_p by Gauss-Jordan elimination with inverses, one matrix."""
+    rows = [[a % p for a in row] for row in rows]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][j], -1, p)
+        rows[rank] = [a * inv % p for a in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][j]:
+                c = rows[i][j]
+                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p", [2, 3, 97, 2**31 - 1])
+@pytest.mark.parametrize("n", [1, 2, 5, 7])
+def test_ranks_mod_p_match_a_scalar_elimination(n, p):
+    """Zero, full-rank (a permuted unit triangle) and rank-deficient (a
+    product through k < n) matrices in one stack; p = 2^31 - 1 takes the
+    dtype=object path, as in `_frobenius_matrix`."""
+    rng = random.Random(f"ranks-{n}-{p}")
+    big = n * p * p >= 2**62
+    mats, want = [], []
+    for i in range(60):
+        kind = i % 3
+        if kind == 0:
+            m = [[0] * n for _ in range(n)]
+        elif kind == 1:
+            tri = [[(1 if a == b else rng.randrange(p)) if b >= a else 0 for b in range(n)] for a in range(n)]
+            m = rng.sample(tri, n)
+        else:
+            k = rng.randrange(n)
+            u = [[rng.randrange(p) for _ in range(k)] for _ in range(n)]
+            v = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
+            m = [[sum(u[a][t] * v[t][b] for t in range(k)) % p for b in range(n)] for a in range(n)]
+        mats.append(m)
+        want.append(_rank_mod_p(m, p))
+        if kind < 2:
+            assert want[-1] == (0 if kind == 0 else n)
+    A = np.array(mats, dtype=object if big else np.int64).reshape(len(mats), n, n)
+    assert pa._ranks_mod_p(A, p).tolist() == want
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 97, 223, 2**31 - 1])
 @pytest.mark.parametrize("n", range(1, 8))
 def test_frobenius_matrix_rows_are_powers_of_x(n, p):
@@ -539,6 +588,80 @@ def test_power_sum_solution_count():
     assert pa.power_sum_solution_count(7, (1, 1), (0, 0)) <= 2
     with pytest.raises(SubsetSumZero):
         pa.power_sum_solution_count(7, (1, 6), (0, 0))
+
+
+def _power_sum_scan(p, weights):
+    """{targets: solutions} for every target at once, by a scan of F_p^r."""
+    r = len(weights)
+    terms = [[[w * x**j for j in range(1, r + 1)] for x in range(p)] for w in weights]
+    table = collections.Counter()
+    for parts in itertools.product(*terms):
+        table[tuple(sum(col) % p for col in zip(*parts))] += 1
+    return table
+
+
+def _zero_subset_sum(p, weights):
+    return any(
+        sum(c) % p == 0 for size in range(1, len(weights) + 1) for c in itertools.combinations(weights, size)
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_power_sum_solution_count_matches_a_scan(p):
+    """Every (weights, targets) with r <= 3 over F_p."""
+    for r in range(4):
+        for weights in itertools.product(range(p), repeat=r):
+            table = None if _zero_subset_sum(p, weights) else _power_sum_scan(p, weights)
+            for targets in itertools.product(range(p), repeat=r):
+                if table is None:
+                    with pytest.raises(SubsetSumZero):
+                        pa.power_sum_solution_count(p, weights, targets)
+                else:
+                    assert pa.power_sum_solution_count(p, weights, targets) == table[targets], (weights, targets)
+
+
+@pytest.mark.parametrize("p,r", [(2, 0), (13, 0), (5, 4), (7, 4), (11, 4), (13, 4), (7, 5)])
+def test_power_sum_solution_count_matches_a_scan_seeded(p, r):
+    """Seeded weights and targets, unreduced and negative, with r = 0, 4, 5;
+    half of the targets come from a point, so that most counts are nonzero."""
+    rng = random.Random(f"power-sums-{p}-{r}")
+    for _ in range(3):
+        weights = tuple(rng.randrange(-3 * p, 3 * p) for _ in range(r))
+        while _zero_subset_sum(p, weights):
+            weights = tuple(rng.randrange(-3 * p, 3 * p) for _ in range(r))
+        table = _power_sum_scan(p, weights)
+        for k in range(30):
+            if k % 2:
+                targets = tuple(rng.randrange(-3 * p, 3 * p) for _ in range(r))
+            else:
+                xs = [rng.randrange(p) for _ in range(r)]
+                targets = tuple(sum(w * x**j for w, x in zip(weights, xs)) + p * rng.randrange(-2, 3) for j in range(1, r + 1))
+            want = table[tuple(t % p for t in targets)]
+            assert pa.power_sum_solution_count(p, weights, targets) == want, (weights, targets)
+
+
+def test_power_sum_solution_count_limits():
+    # at r = 5, p = 31 with equal weights the power sums fix the multiset of
+    # the x_i (Newton's identities, p > r), so the count is the number of
+    # its orderings
+    for xs, orderings in [((0, 1, 2, 3, 4), 120), ((1, 1, 2, 3, 30), 60), ((5, 5, 5, 7, 7), 10)]:
+        targets = tuple(sum(x**j for x in xs) for j in range(1, 6))
+        assert pa.power_sum_solution_count(31, (1,) * 5, targets) == orderings
+    assert pa.power_sum_solution_count(31, (2,) * 5, (0,) * 5) == 1  # only x = 0
+    # unreduced targets where no variable is left for the second half
+    assert [pa.power_sum_solution_count(7, (1,), (t,)) for t in (10, -4, 3)] == [1, 1, 1]
+    assert pa.power_sum_solution_count(7, (2, 3), (-2, 15)) == pa.power_sum_solution_count(7, (2, 3), (5, 1))
+    big = (10**30, -(10**40))
+    assert pa.power_sum_solution_count(7, (1, 2), big) == pa.power_sum_solution_count(7, (1, 2), tuple(c % 7 for c in big))
+    with pytest.raises(SubsetSumZero):
+        pa.power_sum_solution_count(31, (1, 2, 3, 4, 21), (0,) * 5)
+    with pytest.raises(SubsetSumZero):
+        pa.power_sum_solution_count(5, (1, 1, 1, 1, 1), (0,) * 5)  # five ones sum to 5
+    for args in [(37, (1,), (0,)), (7, (1,) * 6, (0,) * 6), (7, (1, 2), (0,))]:
+        with pytest.raises(UsageError):
+            pa.power_sum_solution_count(*args)
+    with pytest.raises(NotPrime):
+        pa.power_sum_solution_count(9, (1,), (0,))
 
 
 # ---------------------------------------------------------------------------
