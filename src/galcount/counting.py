@@ -17,16 +17,15 @@ below 2^62 (H <= 403, beyond the default budget) and on dtype=object above.
 
 Degrees 2-4 are decided entirely with integer arrays.  From degree 3 up,
 `_factor_mask` marks the polynomials of a slice with a monic integer factor
-of degree 1 or 2 by one array scatter per factor degree; for n <= 5 that is
-exactly the reducible ones.  For degrees 5-7 each polynomial still gets its
-own discriminant (`polyarith.disc`, a Hankel determinant of power sums).
-The unmasked quintics are irreducible and are decided together by
-`galois.quintic_groups`; the unmasked sextics and septics go to
-`galois.sn_certificates`.  Both batched Frobenius deciders are fed in
-`polyarith.chunks`, so their arrays stay O(DECIDE_CHUNK n^2) at any H.  A
-certified S_n has an n-cycle and so is irreducible; only the sextics and
-septics left uncertified get the exact test `galois.is_irreducible`
-(Zassenhaus), which books each as reducible or unresolved.
+of degree m <= n/2 by one array scatter per factor degree.  A reducible
+polynomial has such a factor, so at every degree the mask is exactly
+reducibility, and the box counters never factor over Z.  For degrees 5-7
+each polynomial still gets its own discriminant (`polyarith.disc`, a
+Hankel determinant of power sums).  The unmasked polynomials are
+irreducible: the quintics are decided together by `galois.quintic_groups`,
+the sextics and septics go to `galois.sn_certificates`, and those left
+uncertified are booked as unresolved.  Both batched Frobenius deciders are
+fed in `polyarith.chunks`, so their arrays stay O(DECIDE_CHUNK n^2) at any H.
 `case_partition` screens cubics, quartics and quintics with the same
 `_unmasked` slices and names the groups with `galois.irreducible_groups`.
 
@@ -44,6 +43,7 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from multiprocessing import Pool
 
 import numpy as np
@@ -188,7 +188,7 @@ def _slice_counts_n2(H, a1):
 def _factor_dtype(n, H):
     """int64 while every intermediate of `_factor_mask` stays below 2^62."""
     R = H + 1
-    return np.int64 if max(2 * R**n, (3 * R) ** (n - 1)) < 2**62 else object
+    return np.int64 if max(2 * R**n, (4 * R) ** (n - 1)) < 2**62 else object
 
 
 def _factor_tail(a1, head, q):
@@ -217,31 +217,31 @@ def _factor_tail(a1, head, q):
 
 
 def _factor_mask(n, H, a1):
-    """Mask over (a_2, ..., a_n) of the monic polynomials of the slice a1
-    with a monic integer factor of degree 1 or 2 (for n <= 5: reducible).
+    """Mask over (a_2, ..., a_n) of the reducible polynomials of the slice a1,
+    found by their monic integer factors of degree m <= n/2.
 
-    Every root has |r| <= H + 1, so a linear factor x + b has |b| <= H + 1
-    and a quadratic x^2 + bx + c has |b| <= 2(H + 1) and 0 < |c| <= H
-    (c = 0 is the root 0); a quartic's two quadratic factors have c e = a_4,
-    so one of them has c^2 <= H.  Such a factor and the head (a_2, ..., a_(n-m))
-    fix the last m coefficients (`_factor_tail`), which are scattered into
-    the mask where they lie in the box.  Factors are taken in blocks of
-    (2H + 3)^m, so the temporaries hold about as many entries as the mask.
-    With R = H + 1, every intermediate is below 2 R^n for the roots and
-    (3R)^(n-1) for the quadratics (|d_k| < (3R)^k by induction), so the
-    mask runs in int64 while both stay below 2^62 and on dtype=object above.
+    Every root has |r| < R = H + 1, so a factor x^m + q_1 x^(m-1) + ... + q_m
+    has |q_j| <= C(m, j) R^j; q_m divides a_n, so |q_m| <= H, and q_m = 0 (the
+    root 0) is needed only for m = 1; for n = 2m one of the two factors has
+    q_m^2 <= H.  Such a factor and the head (a_2, ..., a_(n-m)) fix the last
+    m coefficients (`_factor_tail`), which are scattered into the mask where
+    they lie in the box.  Factors are taken in blocks of (2H + 3)^m, so the
+    temporaries hold about as many entries as the mask.  As |d_k| <= H +
+    3R|d_(k-1)| + 3R^2|d_(k-2)| + H|d_(k-3)| < (4R)^k by induction, every
+    intermediate is below 2 R^n for m = 1 and (4R)^(n-1) above, so the mask
+    runs in int64 while both stay below 2^62 and on dtype=object above.
     """
     S = 2 * H + 1
     dt = _factor_dtype(n, H)
     R = H + 1
     coef = np.arange(-H, H + 1, dtype=np.int64)
     mask = np.zeros((S,) * (n - 1), dtype=bool)
-    for m in (1, 2) if n >= 4 else (1,):  # a cubic with a quadratic factor has a root
-        if m == 1:
-            factors = np.arange(-R, R + 1)[None]
-        else:
-            c = coef[(coef != 0) & (coef * coef <= (H if n == 4 else H * H))]
-            factors = np.stack([np.repeat(np.arange(-2 * R, 2 * R + 1), c.size), np.tile(c, 4 * R + 1)])
+    for m in range(1, n // 2 + 1):
+        last = coef if m == 1 else coef[(coef != 0) & (coef * coef <= (H if 2 * m == n else H * H))]
+        factors = last[None]
+        for j in range(m - 1, 0, -1):  # prepend every q_j to every column (q_(j+1), ..., q_m)
+            qj = np.arange(-math.comb(m, j) * R**j, math.comb(m, j) * R**j + 1)
+            factors = np.vstack([np.repeat(qj, factors.shape[1]), np.tile(factors, qj.size)])
         axes = n - m - 1  # head coefficients a_2 .. a_(n-m)
         head = [coef.astype(dt).reshape((1,) * (k + 1) + (-1,) + (1,) * (axes - k - 1)) for k in range(axes)]
         block = (S + 2) ** m
@@ -353,9 +353,9 @@ def _slice_counts_n4(H, a1):
 
 
 def _unmasked(led, H, a1):
-    """(f, disc(f)) for every f of the slice a1 with a nonzero discriminant
-    and no factor in `_factor_mask`; the others go to led.disc_zero or
-    led.reducible."""
+    """(f, disc(f)) for every irreducible f of the slice a1 with a nonzero
+    discriminant: the others go to led.disc_zero, or to led.reducible by
+    `_factor_mask`."""
     mask = _factor_mask(led.n, H, a1).ravel().tolist()
     for rest, masked in zip(itertools.product(range(-H, H + 1), repeat=led.n - 1), mask):
         f = MonicIntPoly((a1, *rest))
@@ -377,7 +377,7 @@ def _decided(pairs, decide):
 
 
 def _slice_counts_n5(H, a1):
-    """A quintic without a factor of degree 1 or 2 is irreducible."""
+    """Every unmasked quintic is irreducible and gets its exact group."""
     led = CountLedger(n=5, H=H, total=(2 * H + 1) ** 4)
     groups = dict.fromkeys(DEGREE_GROUPS[5], 0)
     for _, _, name in _decided(_unmasked(led, H, a1), galois.quintic_groups):
@@ -389,23 +389,15 @@ def _slice_counts_n5(H, a1):
 
 
 def _slice_counts_interval(n, H, a1):
-    """Degrees 6-7: S_n only by certificate.  An n-cycle proves irreducibility,
-    so only the polynomials whose walk saw no n-cycle get the exact
-    reducibility test."""
+    """Degrees 6-7: S_n only by certificate.  Every unmasked polynomial is
+    irreducible, so one left uncertified is unresolved."""
     led = CountLedger(n=n, H=H, total=(2 * H + 1) ** (n - 1))
-
-    def certify(polys, deltas):
-        return galois.sn_certificates(polys, deltas, prime_budget=25)
-
     certified = 0
-    for f, _, verdict in _decided(_unmasked(led, H, a1), certify):
+    for _, _, verdict in _decided(_unmasked(led, H, a1), partial(galois.sn_certificates, prime_budget=25)):
         if verdict.status == "certifiedSn":
             certified += 1
-        elif (n,) not in (t for _, t in verdict.evidence) and not galois.is_irreducible(f):
-            led.reducible += 1
         else:
-            if verdict.status == "certifiedSubsetAn":
-                led.square_disc += 1
+            led.square_disc += verdict.status == "certifiedSubsetAn"
             led.unresolved += 1
     if certified:
         led.per_group[SN_NAME[n]] = certified
@@ -595,8 +587,8 @@ _PRIMITIVE_NON_SN = {3: ("C3",), 4: ("A4",), 5: ("C5", "D5", "F20", "A5")}
 def case_partition(n: int, H: int, params: SieveParams | None = None) -> dict:
     """Sieve cases for irreducible f with primitive non-S_n group.
 
-    The slices are screened by `_unmasked`, which for n <= 5 leaves exactly
-    the irreducible f, and `galois.irreducible_groups` names them in batches.
+    The slices are screened by `_unmasked`, which leaves exactly the
+    irreducible f, and `galois.irreducible_groups` names them in batches.
 
     C = product of primes with certified positive field-disc valuation,
     D = product p^{v_p} over those primes.  Case I: C <= H^{1+d} < ... and
@@ -738,8 +730,6 @@ def intransitive_height_report(n1: int, n2: int, H: int, budget: int = 10**6) ->
         fac = []
         for g, e in galois.factor_over_Z(f):
             fac.extend([g] * e)
-        if sum(g.degree for g in fac) != n:
-            continue  # cannot happen for monic f; guard
         seen = set()
         idx = range(len(fac))
         for r in range(len(fac) + 1):

@@ -855,6 +855,12 @@ def partition_bound(k: int, r: int) -> int:
     return partition_count(k, r) * math.factorial(r)
 
 
+def zero_subset_sum(weights, p: int) -> tuple[int, ...] | None:
+    """The first nonempty subset of `weights` (by size, then position) whose sum is 0 mod p, or None."""
+    subsets = (c for k in range(1, len(weights) + 1) for c in itertools.combinations(weights, k))
+    return next((c for c in subsets if sum(c) % p == 0), None)
+
+
 def power_sum_solution_count(p: int, weights: tuple[int, ...], targets: tuple[int, ...]) -> int:
     """Solutions of sum m_i x_i^j = c_j (j = 1..r) in F_p^r, counted exactly
     by meet in the middle (Horowitz-Sahni): the vectors (sum_(i<h) m_i
@@ -869,10 +875,9 @@ def power_sum_solution_count(p: int, weights: tuple[int, ...], targets: tuple[in
     if r > 5 or p > 31:
         raise UsageError("scan limited to r <= 5, p <= 31")
     ws = [w % p for w in weights]
-    for size in range(1, r + 1):
-        for combo in itertools.combinations(ws, size):
-            if sum(combo) % p == 0:
-                raise SubsetSumZero(f"subset {combo} sums to 0 mod {p}")
+    zero = zero_subset_sum(ws, p)
+    if zero is not None:
+        raise SubsetSumZero(f"subset {zero} sums to 0 mod {p}")
     powers = np.arange(p, dtype=np.int64)[:, None] ** np.arange(1, r + 1) % p  # x^j, j = 1..r
     place = p ** np.arange(r, dtype=np.int64)
 

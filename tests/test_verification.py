@@ -1,5 +1,7 @@
 """Property-suite plumbing; the full runs live in the acceptance tests."""
 
+import itertools
+
 import pytest
 
 from galcount import fourier
@@ -32,6 +34,31 @@ def test_prop34_seeded_and_reproducible():
     assert a["pass"]
     # p=3, r=3 has no admissible weights at all
     assert {"p": 3, "r": 3, "collected": 0} in a["details"]["skippedCells"]
+
+
+def test_prop34_skips_only_cells_without_admissible_weights():
+    """Brute force over every ordered weight tuple in {1..p-1}^r: a cell is
+    skipped exactly when each tuple has a nonempty subset summing to 0 mod p."""
+    def admissible(ws, p):
+        subsets = itertools.product((0, 1), repeat=len(ws))
+        return all(sum(w * b for w, b in zip(ws, bits)) % p for bits in subsets if any(bits))
+
+    inadmissible = [
+        {"p": p, "r": r, "collected": 0}
+        for p in (3, 5, 7, 11, 13)
+        for r in (1, 2, 3)
+        if not any(admissible(ws, p) for ws in itertools.product(range(1, p), repeat=r))
+    ]
+    assert inadmissible == [{"p": 3, "r": 3, "collected": 0}]
+    for seed in range(3):
+        assert vf.verify_prop34(seed=seed, samples=20)["details"]["skippedCells"] == inadmissible
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 5])
+def test_prop34_checked_and_skipped_cells_pinned(seed):
+    rep = vf.verify_prop34(seed=seed, samples=20)
+    assert (rep["checked"], rep["violations"]) == (280, 0)
+    assert rep["details"]["skippedCells"] == [{"p": 3, "r": 3, "collected": 0}]
 
 
 def test_fmky_small():
