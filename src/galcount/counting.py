@@ -86,7 +86,6 @@ class CountLedger:
     per_group: dict = field(default_factory=dict)
     square_disc: int = 0
     unresolved: int = 0
-    case_histogram: dict = field(default_factory=dict)
     checksum: int = 0
 
     def merge(self, other: "CountLedger") -> "CountLedger":
@@ -95,9 +94,6 @@ class CountLedger:
         per_group = dict(self.per_group)
         for k, v in other.per_group.items():
             per_group[k] = per_group.get(k, 0) + v
-        hist = dict(self.case_histogram)
-        for k, v in other.case_histogram.items():
-            hist[k] = hist.get(k, 0) + v
         return CountLedger(
             n=self.n,
             H=self.H,
@@ -107,7 +103,6 @@ class CountLedger:
             per_group=per_group,
             square_disc=self.square_disc + other.square_disc,
             unresolved=self.unresolved + other.unresolved,
-            case_histogram=hist,
             checksum=self.checksum ^ other.checksum,
         )
 
@@ -121,7 +116,7 @@ class CountLedger:
             "perGroup": {k: self.per_group[k] for k in sorted(self.per_group)},
             "squareDisc": self.square_disc,
             "unresolved": self.unresolved,
-            "caseHistogram": {k: self.case_histogram[k] for k in sorted(self.case_histogram)},
+            "caseHistogram": {},  # always empty; format 1 records carry the key
             "checksum": self.checksum,
         }
 
@@ -136,7 +131,6 @@ class CountLedger:
             per_group=dict(obj["perGroup"]),
             square_disc=obj["squareDisc"],
             unresolved=obj["unresolved"],
-            case_histogram=dict(obj.get("caseHistogram", {})),
             checksum=obj["checksum"],
         )
 
@@ -460,7 +454,7 @@ def _load_slice(root, n, H, a1) -> CountLedger | None:
             == (FORMAT_VERSION, n, H, a1, n, H)
             and led.total == counted == (2 * H + 1) ** (n - 1)
             and stored == led.checksum
-            and not led.case_histogram
+            and not record["ledger"].get("caseHistogram")
         )
     except (OSError, ValueError, KeyError, TypeError):
         return None

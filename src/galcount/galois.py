@@ -1,10 +1,14 @@
 """Factorization over Z, exact Galois groups for degree <= 5 and S_n
 certificates beyond.
 
-factor_over_Z is classical Zassenhaus: factor mod a good prime, Hensel-lift
-past the Mignotte bound, recombine subsets.  `classify` factors every input
-with it first and hands an irreducible one to `irreducible_groups`, so no
-group test sees a reducible polynomial (disc(f) = 0 makes f reducible).
+factor_over_Z is classical Zassenhaus: Yun splits off repeated factors only
+when disc(f) = 0; each squarefree part is factored mod the least prime not
+dividing its discriminant, all modular factors are lifted together past the
+Mignotte bound by one linear Hensel lift (`_hensel_lift_list`, which also
+lifts the quintic split-prime roots), and subsets are recombined.
+`classify` factors every input with it first and hands an irreducible one
+to `irreducible_groups`, so no group test sees a reducible polynomial
+(disc(f) = 0 makes f reducible).
 Cubics are decided by the square-discriminant test.  An irreducible quartic
 x^4 + ax^3 + bx^2 + cx + d is decided by its discriminant and the integer
 roots of the ordinary resolvent cubic y^3 - by^2 + (ac - 4d)y -
@@ -86,9 +90,7 @@ from .polyarith import (
     factor_mod_p,
     frobenius_cycle_types,
     is_prime,
-    pderiv,
     pdivmod,
-    pgcd,
     pmul,
     ptrim,
 )
@@ -174,58 +176,30 @@ def _pxgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
-def _hensel_step(f, g, h, s, t, m):
-    """One quadratic lift: from f=gh, sg+th=1 (mod m) to the same mod m^2."""
-    m2 = m * m
-    e = ptrim([(x - y) % m2 for x, y in itertools.zip_longest(f, pmul(g, h, m2), fillvalue=0)])
-    q, r = pdivmod(pmul(s, e, m2), h, m2)
-    g1 = ptrim(
-        [
-            (x + y + z) % m2
-            for x, y, z in itertools.zip_longest(g, pmul(t, e, m2), pmul(q, g, m2), fillvalue=0)
-        ]
-    )
-    h1 = ptrim([(x + y) % m2 for x, y in itertools.zip_longest(h, r, fillvalue=0)])
-    b = ptrim(
-        [
-            (x + y - (1 if i == 0 else 0)) % m2
-            for i, (x, y) in enumerate(
-                itertools.zip_longest(pmul(s, g1, m2), pmul(t, h1, m2), fillvalue=0)
-            )
-        ]
-    )
-    c, d = pdivmod(pmul(s, b, m2), h1, m2)
-    s1 = ptrim([(x - y) % m2 for x, y in itertools.zip_longest(s, d, fillvalue=0)])
-    t1 = ptrim(
-        [
-            (x - y - z) % m2
-            for x, y, z in itertools.zip_longest(t, pmul(t, b, m2), pmul(c, g1, m2), fillvalue=0)
-        ]
-    )
-    return g1, h1, s1, t1
-
-
 def _hensel_lift_list(f: list[int], factors: list[list[int]], p: int, target: int) -> list[list[int]]:
-    """Lift monic f = prod(factors) from mod p to mod target = p^a."""
-    if len(factors) == 1:
-        return [[c % target for c in f]]
-    half = len(factors) // 2
-    g = [1]
-    for fac in factors[:half]:
-        g = pmul(g, fac, p)
-    h = [1]
-    for fac in factors[half:]:
-        h = pmul(h, fac, p)
-    s, t = _pxgcd(g, h, p)
+    """Lift monic f = prod(factors) from mod p to mod target = p^a, linearly.
+
+    The monic factors, with coefficients in [0, p), must be pairwise coprime
+    mod p.  With F_i = f/f_i and s_i = F_i^(-1) mod (f_i, p), each step from
+    m to mp adds m (s_i e mod f_i) to f_i, where e = (f - prod f_i)/m mod p:
+    then sum_i (s_i e mod f_i) F_i = e mod p, so the product is f mod mp.
+    The lifts keep coefficients in [0, mp), and monic lifts are unique.
+    """
+    fp = [c % p for c in f]
+    inverses = [_pxgcd(pdivmod(fp, fi, p)[0], fi, p)[0] for fi in factors]
+    lifted = [fi[:] for fi in factors]
     m = p
     while m < target:
-        g, h, s, t = _hensel_step(f, g, h, s, t, m)
-        m = m * m
-    g = [c % target for c in g]
-    h = [c % target for c in h]
-    return _hensel_lift_list(g, factors[:half], p, target) + _hensel_lift_list(
-        h, factors[half:], p, target
-    )
+        mp = m * p
+        prod = [1]
+        for g in lifted:
+            prod = pmul(prod, g, mp)
+        e = ptrim([(x - y) % mp // m for x, y in zip(f, prod)])
+        for g, fi, s in zip(lifted, factors, inverses):
+            for k, c in enumerate(pdivmod(pmul(s, e, p), fi, p)[1]):
+                g[k] += m * c
+        m = mp
+    return lifted
 
 
 def _sym(c: int, q: int) -> int:
@@ -258,13 +232,9 @@ def _zassenhaus(f: MonicIntPoly) -> list[MonicIntPoly]:
     if n == 1:
         return [f]
     fasc = list(reversed(f.full()))
-    # pick a prime keeping f squarefree mod p
-    for p in _ascending_primes():
-        fp = ptrim([c % p for c in fasc])
-        if len(fp) - 1 == n:
-            dp = pderiv(fp, p)
-            if dp != [0] and len(pgcd(fp, dp, p)) == 1:
-                break
+    # a monic f is squarefree mod p exactly when p does not divide disc(f)
+    delta = disc(f)
+    p = next(p for p in _ascending_primes() if delta % p)
     modular = [list(g.coeffs) for g, _ in factor_mod_p(PolyModP.of(p, fasc))]
     if len(modular) == 1:
         return [f]

@@ -17,7 +17,7 @@ One helper per operation, shared by every module:
 - division and gcd over F_p: `pdivmod` (also over Z/m by a monic divisor),
   `pgcd`, `pmonic`, `ppow_mod`;
 - squarefree decomposition: `_squarefree_decomposition_Q` (Yun, over Q,
-  behind a mod-p gate) and `_squarefree_decomposition` (over F_p);
+  run only when disc(f) = 0) and `_squarefree_decomposition` (over F_p);
 - the Frobenius layer, on arrays of many polynomials at once: Berlekamp
   matrices from `_frobenius_matrix` (batched companion-matrix powers, all
   by `_matpow`, every array reduced mod p by `_reduce`, ranked by
@@ -790,20 +790,23 @@ def index_table(p: int, n: int) -> list[int]:
 
 
 def dedekind_p_maximal(f: MonicIntPoly, p: int) -> bool:
-    """Dedekind criterion: is Z[x]/(f) maximal at p? (f assumed irreducible/Q)."""
+    """Dedekind criterion: is Z[x]/(f) maximal at p? (f assumed irreducible/Q).
+
+    With f = prod s_j^j mod p squarefree-decomposed, g* = prod s_j is the
+    product of the distinct irreducible factors and h* = prod s_j^(j-1) = f/g*.
+    """
     _require_prime(p)
-    fac = factor_mod_p(PolyModP.of(p, list(reversed(f.full()))))
+    fasc = list(reversed(f.full()))
     gstar = [1]
     hstar = [1]
-    for g, e in fac:
-        gstar = pmul(gstar, list(g.coeffs), p)
-        for _ in range(e - 1):
-            hstar = pmul(hstar, list(g.coeffs), p)
+    for s, j in _squarefree_decomposition([c % p for c in fasc], p):
+        gstar = pmul(gstar, s, p)
+        for _ in range(j - 1):
+            hstar = pmul(hstar, s, p)
     # integer lifts, monic, ascending
     glift = [c if c <= p // 2 else c - p for c in gstar]
     hlift = [c if c <= p // 2 else c - p for c in hstar]
     prod = pmul(glift, hlift)
-    fasc = list(reversed(f.full()))
     # g*h* == f mod p, so the difference is divisible by p coefficient-wise
     diff = [a - b for a, b in itertools.zip_longest(prod, fasc, fillvalue=0)]
     assert all(d % p == 0 for d in diff)
@@ -898,14 +901,13 @@ def power_sum_solution_count(p: int, weights: tuple[int, ...], targets: tuple[in
 # Mahler measure
 
 
-_SQUAREFREE_GATE_PRIMES = (2**31 - 1, 2**61 - 1)
-
-
 def _squarefree_decomposition_Q(f: MonicIntPoly) -> list[tuple[MonicIntPoly, int]]:
     """Yun's algorithm in characteristic 0: monic squarefree parts with
     their multiplicities, in increasing multiplicity; a constant f is its
     own single part.  Gauss's lemma keeps every part integer-coefficient.
-    Yun runs only when gcd(f, f') is nontrivial at both gate primes."""
+    Yun runs only when disc(f) = 0, i.e. when f has a repeated root."""
+    if not f.degree or disc(f):
+        return [(f, 1)]
 
     def fdivmod(a, b):
         a = list(a)
@@ -934,16 +936,8 @@ def _squarefree_decomposition_Q(f: MonicIntPoly) -> list[tuple[MonicIntPoly, int
             b = [Fraction(0)] * pad + list(b)
         return _trim([x - y for x, y in zip(a, b)])
 
-    # gcd(f, f') = 1 mod p makes the monic f squarefree mod p, so disc(f) != 0
-    fasc = list(reversed(f.full()))
-    for p in _SQUAREFREE_GATE_PRIMES:
-        fp = [c % p for c in fasc]
-        if len(pgcd(fp, pderiv(fp, p), p)) == 1:
-            return [(f, 1)]
     fq = [Fraction(c) for c in f.full()]
     a = fgcd(fq, _deriv(fq))
-    if len(a) == 1:
-        return [(f, 1)]
     b, _ = fdivmod(fq, a)
     c, _ = fdivmod(_deriv(fq), a)
     d = fsub(c, _deriv(b))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +21,6 @@ from . import fourier, permgroup
 from .polyarith import (
     DoubleDiscInput,
     SplittingType,
-    _partitions,
     chunks,
     disc_poly_in_last,
     double_disc,
@@ -215,29 +213,19 @@ def verify_prop51dd() -> dict:
 
 
 def _sigmas_up_to(n: int):
-    """All splitting types of total degree between 1 and n."""
-    seen = set()
-    for total in range(1, n + 1):
-        for part in _partitions(total):
-            # group equal degrees into multiplicities in every way: a part list
-            # like (1,1) can be one irreducible squared or two distinct ones
-            for split in _multiplicity_splits(part):
-                seen.add(split)
-    return [SplittingType.of(s) for s in sorted(seen)]
+    """All splitting types of total degree between 1 and n: the multisets of
+    (degree, multiplicity) parts (f, e) with sum f*e <= n, each sorted."""
+    parts = [(f, e) for f in range(1, n + 1) for e in range(1, n // f + 1)]
 
+    def grow(start: int, room: int):
+        yield ()
+        for i in range(start, len(parts)):
+            f, e = parts[i]
+            if f * e <= room:
+                for rest in grow(i, room - f * e):
+                    yield (parts[i], *rest)
 
-def _multiplicity_splits(part):
-    """Ways to read a degree multiset as (degree, multiplicity) pairs."""
-    counts = Counter(part)
-    per_degree = []
-    for d, c in sorted(counts.items()):
-        # a multiset of multiplicities summing to c is a partition of c
-        per_degree.append([tuple((d, e) for e in comp) for comp in _partitions(c)])
-    out = []
-    for pick in itertools.product(*per_degree):
-        flat = tuple(sorted(x for grp in pick for x in grp))
-        out.append(flat)
-    return out
+    return [SplittingType.of(s) for s in sorted(grow(0, n)) if s]
 
 
 def verify_decay(ns=(3, 4), ps=(3, 5, 7, 11), spaces=("monic", "binary"), tol=1e-9) -> dict:

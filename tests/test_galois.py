@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from galcount import counting as ct
 from galcount import galois as ga
 from galcount.errors import DegreeOutOfRange, RamifiedOnly, UsageError
-from galcount.polyarith import MonicIntPoly, PolyModP, disc, factor_mod_p
+from galcount.polyarith import MonicIntPoly, PolyModP, disc, factor_mod_p, pmul
 
 x = sympy.Symbol("x")
 
@@ -186,6 +186,43 @@ def test_quintic_resolvent_sextic_pinned_and_prime_independent():
         p1, p2 = split_primes(f, 2)
         assert ga.quintic_resolvent_sextic(*ga._split_roots(f, p1)) == sextic, (coeffs, p1)
         assert ga.quintic_resolvent_sextic(*ga._split_roots(f, p2)) == sextic, (coeffs, p2)
+
+
+def _lift_cases():
+    """(f, factors mod p, p), ascending: five linear factors at split primes
+    5..223, and Zassenhaus-shaped factorizations at p = 2, 3, 5."""
+    rng = random.Random(3)
+    cases = []
+    for p in (5, 7, 11, 13, 31, 101, 223):
+        roots = rng.sample(range(p), 5)
+        f = [1]
+        for r in roots:
+            f = pmul(f, [-r, 1])
+        f = [c + p * rng.randrange(-3, 4) for c in f[:-1]] + [1]
+        cases.append((f, [[-r % p, 1] for r in roots], p))
+    for p in (2, 3, 5):
+        found = 0
+        while found < 4:
+            f = [rng.randrange(-9, 10) for _ in range(rng.randrange(3, 8))] + [1]
+            factors = factor_mod_p(PolyModP.of(p, f))
+            if len(factors) >= 2 and all(e == 1 for _, e in factors):
+                cases.append((f, [list(g.coeffs) for g, _ in factors], p))
+                found += 1
+    return cases
+
+
+def test_hensel_lift_is_monic_and_multiplies_to_f():
+    for f, factors, p in _lift_cases():
+        target = p**12
+        lifted = ga._hensel_lift_list(f, [g[:] for g in factors], p, target)
+        assert len(lifted) == len(factors)
+        for g, h in zip(lifted, factors):
+            assert len(g) == len(h) and g[-1] == 1, (f, p)
+            assert [c % p for c in g] == h, (f, p)
+        prod = [1]
+        for g in lifted:
+            prod = pmul(prod, g, target)
+        assert prod == [c % target for c in f], (f, p)
 
 
 @given(st.lists(st.integers(min_value=-8, max_value=8), min_size=2, max_size=4))

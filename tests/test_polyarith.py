@@ -535,6 +535,33 @@ def test_dedekind_examples():
     assert pa.dedekind_p_maximal(pa.MonicIntPoly((1, 1, 1)), 7)  # squarefree mod 7
 
 
+def _dedekind_by_factor_mod_p(f, p):
+    """The criterion with g* and h* built from the full factorization mod p."""
+    gstar, hstar = [1], [1]
+    for g, e in pa.factor_mod_p(pa.PolyModP.of(p, list(reversed(f.full())))):
+        gstar = pa.pmul(gstar, list(g.coeffs), p)
+        for _ in range(e - 1):
+            hstar = pa.pmul(hstar, list(g.coeffs), p)
+    glift = [c if c <= p // 2 else c - p for c in gstar]
+    hlift = [c if c <= p // 2 else c - p for c in hstar]
+    fasc = list(reversed(f.full()))
+    diff = [a - b for a, b in itertools.zip_longest(pa.pmul(glift, hlift), fasc, fillvalue=0)]
+    tbar = pa.ptrim([(d // p) % p for d in diff])
+    return len(pa.pgcd(pa.pgcd(tbar, gstar, p), hstar, p)) == 1
+
+
+def test_dedekind_matches_factor_mod_p_construction():
+    verdicts = set()
+    for p in (2, 3, 5):
+        for n in (2, 3):
+            for coeffs in itertools.product(range(-p, p + 1), repeat=n):
+                f = pa.MonicIntPoly(coeffs)
+                want = _dedekind_by_factor_mod_p(f, p)
+                assert pa.dedekind_p_maximal(f, p) == want, (coeffs, p)
+                verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 def test_field_disc_valuation_examples():
     f = pa.MonicIntPoly((0, 1))  # x^2 + 1, disc -4
     assert pa.field_disc_valuation(f, 5) == 0
@@ -730,14 +757,15 @@ def _sympy_sqf(full):
 
 
 def test_squarefree_gate_falls_back_to_yun():
-    # x (x - m) is squarefree, but has a double root mod both gate primes
-    m = 1
-    for q in pa._SQUAREFREE_GATE_PRIMES:
-        m *= q
+    # x (x - m) is squarefree although it has a double root mod 2^31 - 1 and
+    # mod 2^61 - 1; only disc(f) = 0 sends f to Yun
+    m = (2**31 - 1) * (2**61 - 1)
     f = pa.MonicIntPoly((-m, 0))
     assert pa._squarefree_decomposition_Q(f) == [(f, 1)]
     g = pa.MonicIntPoly((-2 * m, m * m))  # (x - m)^2
     assert pa._squarefree_decomposition_Q(g) == [(pa.MonicIntPoly((-m,)), 2)]
+    one = pa.MonicIntPoly(())
+    assert pa._squarefree_decomposition_Q(one) == [(one, 1)]
 
 
 def test_squarefree_decomposition_matches_sympy():
