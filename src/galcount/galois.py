@@ -7,8 +7,8 @@ dividing its discriminant, all modular factors are lifted together past the
 Mignotte bound by one linear Hensel lift (`_hensel_lift_list`, which also
 lifts the quintic split-prime roots), and subsets are recombined.
 `classify` factors every input with it first and hands an irreducible one
-to `irreducible_groups`, so no group test sees a reducible polynomial
-(disc(f) = 0 makes f reducible).
+to `irreducible_groups`, with the discriminant that factoring computed, so
+no group test sees a reducible polynomial (disc(f) = 0 makes f reducible).
 Cubics are decided by the square-discriminant test.  An irreducible quartic
 x^4 + ax^3 + bx^2 + cx + d is decided by its discriminant and the integer
 roots of the ordinary resolvent cubic y^3 - by^2 + (ac - 4d)y -
@@ -226,14 +226,14 @@ def _divides(f_desc: list[int], g_desc: list[int]) -> list[int] | None:
     return q
 
 
-def _zassenhaus(f: MonicIntPoly) -> list[MonicIntPoly]:
-    """Factor a squarefree monic integer polynomial into monic irreducibles."""
+def _zassenhaus(f: MonicIntPoly, delta: int) -> list[MonicIntPoly]:
+    """Factor a squarefree monic integer polynomial with discriminant delta
+    into monic irreducibles."""
     n = f.degree
     if n == 1:
         return [f]
     fasc = list(reversed(f.full()))
     # a monic f is squarefree mod p exactly when p does not divide disc(f)
-    delta = disc(f)
     p = next(p for p in _ascending_primes() if delta % p)
     modular = [list(g.coeffs) for g, _ in factor_mod_p(PolyModP.of(p, fasc))]
     if len(modular) == 1:
@@ -272,16 +272,24 @@ def _zassenhaus(f: MonicIntPoly) -> list[MonicIntPoly]:
     return found
 
 
-def factor_over_Z(f: MonicIntPoly) -> list[tuple[MonicIntPoly, int]]:
-    """Complete factorization into monic integer irreducibles."""
+def _factor_and_disc(f: MonicIntPoly) -> tuple[list[tuple[MonicIntPoly, int]], int]:
+    """`factor_over_Z` of a non-constant f, and disc(f).  A squarefree f
+    goes to Zassenhaus with its own discriminant; otherwise disc(f) = 0 and
+    each of Yun's parts goes with its own (1 for a linear part)."""
+    delta = disc(f)
     out = [
         (irr, mult)
-        for part, mult in _squarefree_decomposition_Q(f)
-        if part.degree  # a constant f is its own part and has no factors
-        for irr in _zassenhaus(part)
+        for part, mult in _squarefree_decomposition_Q(f, delta)
+        for irr in _zassenhaus(part, delta or (disc(part) if part.degree > 1 else 1))
     ]
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs, t[1]))
-    return out
+    return out, delta
+
+
+def factor_over_Z(f: MonicIntPoly) -> list[tuple[MonicIntPoly, int]]:
+    """Complete factorization into monic integer irreducibles (none for a
+    constant f)."""
+    return _factor_and_disc(f)[0] if f.degree else []
 
 
 def is_irreducible(f: MonicIntPoly) -> bool:
@@ -511,9 +519,9 @@ def classify(f: MonicIntPoly) -> GaloisVerdict:
     n = f.degree
     if not 2 <= n <= 5:
         raise DegreeOutOfRange("classification implemented for 2 <= n <= 5")
-    fac = factor_over_Z(f)
+    fac, delta = _factor_and_disc(f)
     if len(fac) == 1 and fac[0][1] == 1:
-        return GaloisVerdict("exactGroup", group=irreducible_groups([f], [disc(f)])[0])
+        return GaloisVerdict("exactGroup", group=irreducible_groups([f], [delta])[0])
     degs = tuple(sorted(g.degree for g, e in fac for _ in range(e)))
     return GaloisVerdict("reducible", factor_degrees=degs)
 

@@ -287,6 +287,47 @@ def wreath_images(m: int, k: int, r: int, G, h) -> tuple[np.ndarray, np.ndarray]
     return big, small
 
 
+def wreath_cycle_counts(m: int, k: int, r: int, h) -> tuple[np.ndarray, np.ndarray]:
+    """The number of cycles of every (g_1..g_r; h) of S_m wr S_r, r <= 2, in
+    the product action on r-tuples of k-subsets and in the imprimitive
+    action, as two (m!)^r arrays in the order of itertools.product over
+    itertools.permutations(range(m)), without the images of the elements.
+
+    Both come from two m!-row tables: c_g, the number c_g[l] of l-cycles of
+    g on the C(m,k) k-subsets (from `wreath_images` with r = 1), and cyc(g),
+    its number of cycles on m letters.  With Gamma[a, b] = gcd(a, b):
+    r = 1 gives sum_l c_g[l] and cyc(g); h = id gives c_g1^T Gamma c_g2 and
+    cyc(g_1) + cyc(g_2); h = (1 2) gives, for pi = g_1 g_2 (g_2 applied
+    first), sum_l c_pi[l] ceil(l/2) + (c_pi^T Gamma c_pi - C(m,k))/2 and
+    cyc(pi).  The proofs are in `verification.verify_thm25`.
+    """
+    h = tuple(int(b) for b in h)
+    if not 1 <= r <= 2 or sorted(h) != list(range(r)):
+        raise UsageError("need r in {1, 2} and a block permutation h of S_r")
+    perms = np.array(list(itertools.permutations(range(m))), dtype=_index_dtype(m))
+    nsub = comb(m, k)
+    sub = wreath_images(m, k, 1, perms[:, None], (0,))[0]
+    # step every k-subset at once; a subset first comes back after l steps
+    length = np.zeros(sub.shape, dtype=np.int64)
+    cur = sub
+    for t in range(1, nsub + 1):
+        length[(length == 0) & (cur == np.arange(nsub))] = t
+        cur = np.take_along_axis(sub, cur, axis=1)
+    ls = np.arange(1, nsub + 1)
+    c = (length[:, :, None] == ls).sum(axis=1) // ls
+    cyc = cycle_counts(perms)
+    gamma = np.gcd.outer(ls, ls)
+    if r == 1:
+        return c.sum(axis=1), cyc
+    if h == (0, 1):
+        return (c @ gamma @ c.T).ravel(), (cyc[:, None] + cyc).ravel()
+    # perms is in lexicographic order, so its base-m codes ascend
+    codes = perms.astype(np.int64) @ m ** np.arange(m - 1, -1, -1)
+    pi = np.searchsorted(codes, np.take(perms, perms, axis=1) @ m ** np.arange(m - 1, -1, -1))
+    swapped = c @ ((ls + 1) // 2) + (((c @ gamma) * c).sum(axis=1) - nsub) // 2
+    return swapped[pi].ravel(), cyc[pi].ravel()
+
+
 def _wreath_generators(m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Generators (g_1..g_r; h) of S_m wr S_r as image arrays (ngens, r, m)
     and (ngens, r): the m-cycle and (1 2) on the first block, then the block

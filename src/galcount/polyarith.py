@@ -901,12 +901,13 @@ def power_sum_solution_count(p: int, weights: tuple[int, ...], targets: tuple[in
 # Mahler measure
 
 
-def _squarefree_decomposition_Q(f: MonicIntPoly) -> list[tuple[MonicIntPoly, int]]:
+def _squarefree_decomposition_Q(f: MonicIntPoly, delta: int | None = None) -> list[tuple[MonicIntPoly, int]]:
     """Yun's algorithm in characteristic 0: monic squarefree parts with
     their multiplicities, in increasing multiplicity; a constant f is its
     own single part.  Gauss's lemma keeps every part integer-coefficient.
-    Yun runs only when disc(f) = 0, i.e. when f has a repeated root."""
-    if not f.degree or disc(f):
+    Yun runs only when disc(f) = 0, i.e. when f has a repeated root; a
+    caller that has computed disc(f) passes it as delta."""
+    if not f.degree or (disc(f) if delta is None else delta):
         return [(f, 1)]
 
     def fdivmod(a, b):
@@ -959,21 +960,25 @@ def mahler_measure(f: MonicIntPoly, tol: float = 1e-9) -> float:
     if tol < 1e-12:
         raise UsageError("tol too small to certify in double precision")
     parts = _squarefree_decomposition_Q(f)
-    if len(parts) > 1 or parts[0][1] > 1:
-        # repeated roots break both the residual certificate and the
-        # high-precision solver; measure the squarefree parts instead.
-        # M(g) >= 1, so each factor error delta inflates the product by
-        # at most e*delta*M; a rough first pass sizes the budget
-        weight = sum(e for _, e in parts)
-        rough = 1.0
-        for g, e in parts:
-            rough *= mahler_measure(g, 1e-3) ** e
-        budget = tol / (2 * weight * max(1.0, rough))
-        out = 1.0
-        for g, e in parts:
-            out *= mahler_measure(g, max(budget, 1e-12)) ** e
-        return out
+    if len(parts) == 1 and parts[0][1] == 1:
+        return _mahler_measure_squarefree(f, tol)
+    # repeated roots break both the residual certificate and the
+    # high-precision solver; measure the squarefree parts instead.
+    # M(g) >= 1, so each factor error delta inflates the product by
+    # at most e*delta*M; a rough first pass sizes the budget
+    weight = sum(e for _, e in parts)
+    rough = 1.0
+    for g, e in parts:
+        rough *= _mahler_measure_squarefree(g, 1e-3) ** e
+    budget = tol / (2 * weight * max(1.0, rough))
+    out = 1.0
+    for g, e in parts:
+        out *= _mahler_measure_squarefree(g, max(budget, 1e-12)) ** e
+    return out
 
+
+def _mahler_measure_squarefree(f: MonicIntPoly, tol: float) -> float:
+    """`mahler_measure` of an f without repeated roots."""
     coeffs = [1.0, *map(float, f.coeffs)]
     roots = np.roots(coeffs)
     # Newton-residual error estimate per root

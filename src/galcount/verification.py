@@ -3,9 +3,10 @@
 Each suite exhaustively (or, where noted, by seeded sampling) checks one of
 the finitely decidable statements backing the counting bounds: completion
 counts, power-sum solution counts, moved-subset lower bounds, index ratios
-of product actions (whole chunks of elements at once, as image arrays),
-the forced-index criterion, and Fourier decay.  A suite returns a report
-dict with `pass`, `checked`, `violations`, and details.
+of product actions (every element's cycle counts in closed form from the
+cycles of its factors on k-subsets and on letters), the forced-index
+criterion, and Fourier decay.  A suite returns a report dict with `pass`,
+`checked`, `violations`, and details.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from . import fourier, permgroup
 from .polyarith import (
     DoubleDiscInput,
     SplittingType,
-    chunks,
     disc_poly_in_last,
     double_disc,
     index_table,
@@ -136,7 +136,30 @@ def verify_thm25() -> dict:
     """Product-action vs imprimitive-action index ratio exceeds n/(3rm).
 
     Exhaustive over all non-identity elements of S_m wr S_r for every
-    (m, k, r) with k < m/2, r <= 2, and product-action degree <= 100.
+    (m, k, r) with k < m/2, r <= 2, and product-action degree n = C(m,k)^r
+    <= 100.  The cycle counts come from `permgroup.wreath_cycle_counts`,
+    which reads them off the cycles of each g in S_m on k-subsets (c_g[l]
+    of length l) and on letters (cyc(g)), with Gamma[a, b] = gcd(a, b):
+
+    - h = id: (S_1, S_2) -> (g_1 S_1, g_2 S_2) maps A x B to itself for a
+      g_1-cycle A and a g_2-cycle B, with orbits of length lcm(|A|, |B|),
+      so gcd(|A|, |B|) of them: c_g1^T Gamma c_g2 cycles in all, and
+      cyc(g_1) + cyc(g_2) on the two blocks.
+    - h = (1 2): conjugating T: (S_1, S_2) -> (g_1 S_2, g_2 S_1) by
+      (x, y) -> (x, g_1 y) gives U: (s, t) -> (t, pi s) with pi = g_1 g_2
+      (g_2 applied first), and U^2 = pi x pi.  For a pi-cycle A of length
+      l, U maps A x A to itself; U^(2j) fixes no point for 0 < j < l, and
+      U^(2j+1)(s, t) = (pi^j t, pi^(j+1) s) = (s, t) needs t = pi^(-j) s
+      and 2j + 1 = 0 mod l, so the l^2 points lie in ceil(l/2) orbits
+      (l/2 of length 2l for even l, and (l-1)/2 of length 2l plus one of
+      length l for odd l).  For two pi-cycles A != B, U swaps A x B and
+      B x A, and its orbits on their union are the gcd(|A|, |B|) orbits of
+      pi x pi on A x B.  Summed over cycles and pairs that is
+      sum_l c_pi[l] ceil(l/2) + (c_pi^T Gamma c_pi - C(m,k))/2, since the
+      diagonal of c_pi^T Gamma c_pi is sum_A |A| = C(m,k).  The imprimitive
+      element squares to pi on each block, so each pi-cycle becomes one
+      cycle through both blocks: cyc(pi) in all.
+    - r = 1: sum_l c_g[l] and cyc(g).
     """
     checked = 0
     violations = []
@@ -151,20 +174,17 @@ def verify_thm25() -> dict:
     sym = {m: list(itertools.permutations(range(m))) for m in sizes}
     for m, k, r in combos:
         n = math.comb(m, k) ** r
-        perms = np.array(sym[m])
         for hs in sym[r]:
-            # the (g_1..g_r) as index tuples into sym[m], the identity first
-            for chunk in chunks(itertools.product(range(len(perms)), repeat=r)):
-                big, small = permgroup.wreath_images(m, k, r, perms[np.array(chunk)], hs)
-                big_ind = n - permgroup.cycle_counts(big)
-                small_ind = r * m - permgroup.cycle_counts(small.reshape(len(chunk), r * m))
-                # the imprimitive action is faithful, so only the identity has
-                # index 0; big/small <= n/(3rm) is compared in integers
-                keep = small_ind > 0
-                checked += int(keep.sum())
-                for j in np.flatnonzero(keep & (big_ind * 3 * r * m <= n * small_ind)):
-                    gtup = tuple(sym[m][i] for i in chunk[j])
-                    violations.append({"m": m, "k": k, "r": r, "gs": gtup, "h": hs, "big": int(big_ind[j]), "small": int(small_ind[j])})
+            # indexed like itertools.product(sym[m], repeat=r), the identity first
+            big, small = permgroup.wreath_cycle_counts(m, k, r, hs)
+            big_ind, small_ind = n - big, r * m - small
+            # the imprimitive action is faithful, so only the identity has
+            # index 0; big/small <= n/(3rm) is compared in integers
+            keep = small_ind > 0
+            checked += int(keep.sum())
+            for j in np.flatnonzero(keep & (big_ind * 3 * r * m <= n * small_ind)):
+                gtup = tuple(sym[m][i] for i in np.unravel_index(j, (len(sym[m]),) * r))
+                violations.append({"m": m, "k": k, "r": r, "gs": gtup, "h": hs, "big": int(big_ind[j]), "small": int(small_ind[j])})
     return {
         "suite": "thm25",
         "pass": not violations,

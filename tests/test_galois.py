@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from galcount import counting as ct
 from galcount import galois as ga
+from galcount import polyarith as pa
 from galcount.errors import DegreeOutOfRange, RamifiedOnly, UsageError
 from galcount.polyarith import MonicIntPoly, PolyModP, disc, factor_mod_p, pmul
 
@@ -273,6 +274,31 @@ def test_classify_reducible_with_nonzero_disc():
 
 # ---------------------------------------------------------------------------
 # the S_n certificate for degrees beyond 5
+
+
+def test_classify_computes_each_discriminant_once(monkeypatch):
+    """`classify` reuses the discriminant that factoring computed: one `disc`
+    for each of the 81 quartics with coefficients in {-1, 0, 1}, then one
+    for each of Yun's parts of degree >= 2 (computing it three times for a
+    squarefree f made 193 calls)."""
+    quartics = [poly(*c) for c in itertools.product((-1, 0, 1), repeat=4)]
+    want = []
+    for f in quartics:
+        want.append(f)
+        if disc(f) == 0:
+            want += [g for g, _ in pa._squarefree_decomposition_Q(f) if g.degree >= 2]
+    assert len(want) == 91
+    calls = []
+
+    def counting_disc(f):
+        calls.append(f)
+        return disc(f)
+
+    for mod in (ga, pa):
+        monkeypatch.setattr(mod, "disc", counting_disc)
+    verdicts = Counter(v.group or v.factor_degrees for v in map(ga.classify, quartics))
+    assert calls == want
+    assert verdicts == {(1, 3): 24, "S4": 20, (1, 1, 2): 14, "D4": 10, (1, 1, 1, 1): 6, (2, 2): 3, "C4": 2, "V4": 2}
 
 
 def test_sn_certificate_quintic():

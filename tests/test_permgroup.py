@@ -15,6 +15,7 @@ from galcount.errors import (
     IdentityElement,
     NotTransitive,
     TrivialGroup,
+    UsageError,
 )
 
 P = pg.Permutation.from_cycles
@@ -266,6 +267,28 @@ def test_wreath_images_dtype_follows_the_degree():
     big, small = pg.wreath_images(6, 2, 4, ident, (0, 1, 2, 3))
     assert big.dtype == small.dtype == np.int32
     assert (big[0] == np.arange(15**4)).all() and (small.ravel() == np.arange(24)).all()
+
+
+_THM25_COMBOS = [(3, 1, 1), (3, 1, 2), (4, 1, 1), (4, 1, 2), (5, 1, 1), (5, 1, 2), (5, 2, 1), (5, 2, 2)]
+
+
+@pytest.mark.parametrize("m,k,r", _THM25_COMBOS)
+def test_wreath_cycle_counts_match_the_image_arrays(m, k, r):
+    """The closed forms against cycle_counts(wreath_images(...)) on every
+    element of S_m wr S_r, for each block permutation h, in both actions."""
+    perms = np.array(list(itertools.permutations(range(m))))
+    elems = perms[np.array(list(itertools.product(range(len(perms)), repeat=r)))]
+    for h in itertools.permutations(range(r)):
+        big, small = pg.wreath_images(m, k, r, elems, h)
+        want = pg.cycle_counts(big), pg.cycle_counts(small.reshape(len(elems), r * m))
+        got = pg.wreath_cycle_counts(m, k, r, h)
+        assert [g.tolist() for g in got] == [w.tolist() for w in want], h
+
+
+def test_wreath_cycle_counts_refuses_other_shapes():
+    for r, h in [(3, (0, 1, 2)), (2, (0, 0)), (1, (1,)), (0, ())]:
+        with pytest.raises(UsageError):
+            pg.wreath_cycle_counts(4, 1, r, h)
 
 
 def test_cycle_counts_match_the_cycle_decomposition():

@@ -797,6 +797,26 @@ def test_mahler_measure_of_repeated_roots():
         assert got == pytest.approx(expect, rel=1e-7, abs=1e-7), full
 
 
+def test_mahler_measure_computes_one_disc_per_call(monkeypatch):
+    """Yun's parts are squarefree, so they are measured without another
+    squarefree test: one `disc` for each of the 81 quartics with
+    coefficients in {-1, 0, 1} (a repeated test made 131)."""
+    calls = []
+    real_disc = pa.disc
+
+    def counting_disc(f):
+        calls.append(f)
+        return real_disc(f)
+
+    monkeypatch.setattr(pa, "disc", counting_disc)
+    quartics = [pa.MonicIntPoly(c) for c in itertools.product((-1, 0, 1), repeat=4)]
+    measures = dict(zip(quartics, map(pa.mahler_measure, quartics)))
+    assert calls == quartics
+    # x^4 + x^2 = x^2 (x^2 + 1) and x^4 are measured through their parts
+    assert measures[pa.MonicIntPoly((0, 1, 0, 0))] == pytest.approx(1.0, abs=1e-9)
+    assert measures[pa.MonicIntPoly((0, 0, 0, 0))] == 1.0
+
+
 def test_serialization_roundtrip():
     f = pa.MonicIntPoly((10**30, -7, 3))
     arr = f.to_json()

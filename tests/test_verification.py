@@ -66,6 +66,15 @@ def test_fmky_small():
     assert rep["pass"] and rep["checked"] > 0
 
 
+def test_thm25_report_pinned():
+    rep = vf.verify_thm25()
+    assert (rep["pass"], rep["checked"], rep["violations"]) == (True, 59086, 0)
+    assert rep["details"] == {
+        "combos": [(3, 1, 1), (3, 1, 2), (4, 1, 1), (4, 1, 2), (5, 1, 1), (5, 1, 2), (5, 2, 1), (5, 2, 2)],
+        "failures": [],
+    }
+
+
 def test_prop51dd_finds_forced_tuples():
     rep = vf.verify_prop51dd()
     assert rep["pass"]
