@@ -32,11 +32,9 @@ import numpy as np
 
 from .errors import TooLarge, UsageError
 from .polyarith import (
-    PolyModP,
     SplittingType,
     chunks,
     factor_int,
-    factor_mod_p,
     frobenius_cycle_types,
     frobenius_index,
     index_table,
@@ -212,41 +210,6 @@ def fourier_table(space: WeightSpace, sigma: SplittingType) -> FourierTable:
     # ifftn is exactly p^-N sum w(f) e(+2 pi i [f,g]/p), the definition
     values = np.fft.ifftn(w.astype(np.complex128))
     return FourierTable(space, sigma, values, w)
-
-
-def weight(space: WeightSpace, point: tuple[int, ...], sigma: SplittingType) -> int:
-    """Pointwise w_{p,sigma}: independent of the table-building path."""
-    p, n = space.p, space.n
-    if sigma.deg > n:
-        return 0
-    if space.kind == "monic":
-        if len(point) != n:
-            raise UsageError("monic point is (a_1..a_n)")
-        fac = factor_mod_p(PolyModP.of(p, [point[i] % p for i in range(n - 1, -1, -1)] + [1]))
-        mults = {("x", g.coeffs): e for g, e in fac}
-    else:
-        if len(point) != n + 1:
-            raise UsageError("binary point is (c_0..c_n)")
-        c = [x % p for x in point]
-        if all(x == 0 for x in c):
-            mults = None  # the zero form: everything divides it
-        else:
-            v = next(i for i, x in enumerate(c) if x)
-            uni_desc = c[v:]
-            mults = {_Y: v} if v else {}
-            if len(uni_desc) > 1:
-                lead_inv = pow(uni_desc[0], p - 2, p)
-                monic = [x * lead_inv % p for x in reversed(uni_desc)]
-                for g, e in factor_mod_p(PolyModP.of(p, monic)):
-                    mults[("x", g.coeffs)] = e
-            # degree-0 remainder contributes nothing
-    count = 0
-    for sel in _selections(space, sigma):
-        if mults is None or all(
-            mults.get(m, 0) >= e for m, e in sel
-        ):
-            count += 1
-    return count
 
 
 def parseval_gap(table: FourierTable) -> float:

@@ -2,8 +2,9 @@
 certificates beyond.
 
 factor_over_Z is classical Zassenhaus: Yun splits off repeated factors only
-when disc(f) = 0; each squarefree part is factored mod the least prime not
-dividing its discriminant, all modular factors are lifted together past the
+when disc(f) = 0; each squarefree part is factored deterministically by
+Berlekamp (`polyarith.factor_mod_p`) mod the least prime not dividing its
+discriminant, a small one, all modular factors are lifted together past the
 Mignotte bound by one linear Hensel lift (`_hensel_lift_list`, which also
 lifts the quintic split-prime roots), and subsets are recombined.
 `classify` factors every input with it first and hands an irreducible one

@@ -15,7 +15,7 @@ One helper per operation, shared by every module:
   that keeps the full untrimmed length;
 - derivative: `_deriv` (descending, over Z or Q), `pderiv` (ascending, mod p);
 - division and gcd over F_p: `pdivmod` (also over Z/m by a monic divisor),
-  `pgcd`, `pmonic`, `ppow_mod`;
+  `pgcd`, `pmonic`;
 - squarefree decomposition: `_squarefree_decomposition_Q` (Yun, over Q,
   run only when disc(f) = 0) and `_squarefree_decomposition` (over F_p);
 - the Frobenius layer, on arrays of many polynomials at once: Berlekamp
@@ -25,6 +25,11 @@ One helper per operation, shared by every module:
   exponents of `_nullity_table` by `frobenius_cycle_types` and as indices
   at any prime by `frobenius_index`, fed `chunks` of DECIDE_CHUNK rows by
   every caller over a space or slice;
+- factorization over F_p, on the same matrices: `factor_mod_p` is the
+  squarefree decomposition, then Berlekamp (`_berlekamp`) on each part's
+  `_frobenius_matrix`, for small p; `splitting_type` takes the
+  multiplicities from the squarefree decomposition and the degrees from
+  `frobenius_cycle_types` of each part, at any prime;
 - interpolation: `interpolate`, exact Newton interpolation from integer
   points to descending integer coefficients;
 - integer factorization: `factor_int`, by trial division;
@@ -43,7 +48,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -389,17 +393,6 @@ def pmonic(a: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
-def ppow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = pdivmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = pdivmod(pmul(result, base, p), mod, p)[1]
-        base = pdivmod(pmul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
-
-
 def pderiv(a: list[int], p: int) -> list[int]:
     return ptrim([(i * a[i]) % p for i in range(1, len(a))] or [0])
 
@@ -464,70 +457,58 @@ def _squarefree_decomposition(f: list[int], p: int) -> list[tuple[list[int], int
     return out
 
 
-def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Split squarefree monic f into products of irreducibles of equal degree."""
-    out = []
-    h = [0, 1]  # x
-    v = f[:]
-    d = 0
-    while len(v) - 1 > 2 * d:
-        d += 1
-        h = ppow_mod(h, p, v, p)
-        g = pgcd([(a - b) % p for a, b in itertools.zip_longest(h, [0, 1], fillvalue=0)], v, p)
-        if len(g) > 1:
-            out.append((g, d))
-            v = pdivmod(v, g, p)[0]
-            h = pdivmod(h, v, p)[1]
-    if len(v) > 1:
-        out.append((v, len(v) - 1))
-    return out
-
-
-def _equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
-    """Cantor-Zassenhaus split of monic squarefree f, all factors of degree d."""
+def _berlekamp(f: list[int], p: int) -> list[list[int]]:
+    """The monic irreducible factors of the squarefree monic f over F_p, by
+    Berlekamp (von zur Gathen & Gerhard, Modern Computer Algebra, 14.8).
+    {a : aQ = a} for the Berlekamp matrix Q is the subalgebra F_p^r of
+    F_p[x]/(f), one coordinate per factor; its basis, from one Gauss-Jordan
+    elimination on (Q - I)^T, starts with the constants.  Every further
+    basis vector v has v^p = v, so each factor g so far is the product of
+    gcd(g, v - s) over s in F_p, and the splits end at r factors after
+    O(p r) gcds: callers pass small p."""
     n = len(f) - 1
-    if n == d:
-        return [f]
-    while True:
-        a = [rng.randrange(p) for _ in range(n)] + [1]
-        if p == 2:
-            # trace map over F_{2^d}
-            t = a[:]
-            cur = a[:]
-            for _ in range(d - 1):
-                cur = ppow_mod(cur, 2, f, p)
-                t = ptrim([(x + y) % p for x, y in itertools.zip_longest(t, cur, fillvalue=0)])
-            g = pgcd(t, f, p)
-        else:
-            b = ppow_mod(a, (p**d - 1) // 2, f, p)
-            b = b[:]
-            b[0] = (b[0] - 1) % p
-            g = pgcd(ptrim(b), f, p)
-        if 0 < len(g) - 1 < n:
-            rest = pdivmod(f, g, p)[0]
-            return _equal_degree(g, d, p, rng) + _equal_degree(rest, d, p, rng)
+    Q = _frobenius_matrix(np.array([f[-2::-1]]), p)[0].tolist()
+    A = [[(Q[j][i] - (i == j)) % p for j in range(n)] for i in range(n)]  # (Q - I)^T
+    pivots: list[int] = []
+    for col in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if A[i][col]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        inv = pow(A[r][col], p - 2, p)
+        A[r] = [a * inv % p for a in A[r]]
+        for i in range(n):
+            if i != r and (c := A[i][col]):
+                A[i] = [(a - c * b) % p for a, b in zip(A[i], A[r])]
+        pivots.append(col)
+    basis = []  # one vector per free column, column 0 (the constants) first
+    for j in sorted(set(range(n)) - set(pivots)):
+        v = [0] * n
+        v[j] = 1
+        for r, col in enumerate(pivots):
+            v[col] = -A[r][j] % p
+        basis.append(v)
+    factors = [f]
+    for v in basis[1:]:
+        if len(factors) < len(basis):
+            factors = [h for g in factors for s in range(p) if len(h := pgcd(g, [(v[0] - s) % p, *v[1:]], p)) > 1]
+    return factors
 
 
-def factor_mod_p(f: PolyModP, seed: int | None = None) -> list[tuple[PolyModP, int]]:
-    """Complete monic factorization of f over F_p.
-
-    The equal-degree stage is randomized; the rng is seeded from (f, p) so
-    repeated calls are reproducible.  The returned list is sorted.
-    """
+def factor_mod_p(f: PolyModP) -> list[tuple[PolyModP, int]]:
+    """Complete monic factorization of f over F_p, sorted: Yun's squarefree
+    decomposition, then Berlekamp on each part.  Deterministic; the
+    Berlekamp splits cost O(p r) gcds, so callers pass small p."""
     p = f.p
     c = list(f.coeffs)
     if c == [0]:
         raise UsageError("cannot factor the zero polynomial")
-    if len(c) == 1:
-        return []
-    if seed is None:
-        seed = hash((p,) + tuple(c)) & 0x7FFFFFFF
-    rng = random.Random(seed)
-    out = []
-    for g, mult in _squarefree_decomposition(c, p):
-        for h, d in _distinct_degree(g, p):
-            for irr in _equal_degree(h, d, p, rng):
-                out.append((PolyModP(p, tuple(irr)), mult))
+    out = [
+        (PolyModP(p, tuple(irr)), mult)
+        for g, mult in _squarefree_decomposition(c, p)
+        for irr in _berlekamp(g, p)
+    ]
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs, t[1]))
     return out
 
@@ -597,20 +578,15 @@ class SplittingType:
 
 
 def splitting_type(f: MonicIntPoly, p: int) -> SplittingType:
-    """The splitting type of f mod p, from the squarefree and distinct-degree
-    stages alone: a component of degree D found at stage d holds D/d
-    irreducible factors of degree d."""
+    """The splitting type of f mod p, at any prime: the multiplicities from
+    the squarefree decomposition, the degrees from the Frobenius cycle type
+    of each squarefree part."""
     c = PolyModP.of(p, list(reversed(f.full()))).coeffs
     return SplittingType.of(
         (d, e)
         for g, e in _squarefree_decomposition(list(c), p)
-        for h, d in _distinct_degree(g, p)
-        for _ in range((len(h) - 1) // d)
+        for d in frobenius_cycle_types([g[-2::-1]], p)[0]
     )
-
-
-def index_mod_p(f: MonicIntPoly, p: int) -> int:
-    return splitting_type(f, p).ind
 
 
 # ---------------------------------------------------------------------------

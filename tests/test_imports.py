@@ -1,7 +1,7 @@
 """Static hygiene: no module of the package keeps an unused module-level
 import or a module-level function or class that nothing reads, the exact
 classifier never imports the floating-point mpmath, and every name the
-benchmark's tracer wraps exists."""
+benchmark wraps or reads exists."""
 
 import ast
 import importlib
@@ -105,3 +105,45 @@ def test_every_traced_name_resolves():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"{home}.{attr}"
+
+
+def galcount_reads(source: str) -> set[str]:
+    """Dotted names `<module>.<attr>...` read in `source` through a module
+    bound by `from galcount import <module>` (at any depth of the file),
+    under the module's own name."""
+    tree = ast.parse(source)
+    modules = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "galcount"
+        for alias in node.names
+    }
+    reads = set()
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in modules:
+            reads.add(".".join([modules[node.id], *reversed(chain)]))
+    return reads
+
+
+def test_guard_finds_galcount_reads():
+    source = "def job():\n    from galcount import galois as g, cli\n    g.classify(1).status\n    cli.main([])\n    os.path.join()\n"
+    assert galcount_reads(source) == {"galois.classify", "cli.main"}
+
+
+def test_every_name_perfbench_reads_resolves():
+    """perfbench/*.py reads galcount attributes by name, such as
+    `galois.is_irreducible` in its correctness oracle; a removed one would
+    fail every benchmark check without failing any other test."""
+    files = sorted((ROOT / "perfbench").glob("*.py"))
+    reads = set().union(*(galcount_reads(path.read_text()) for path in files))
+    assert {"galois.is_irreducible", "galois.classify", "counting.compute_E", "cli.main"} <= reads
+    for name in sorted(reads):
+        home, *attrs = name.split(".")
+        obj = importlib.import_module(f"galcount.{home}")
+        for part in attrs:
+            assert hasattr(obj, part), name
+            obj = getattr(obj, part)

@@ -245,15 +245,8 @@ def test_factor_mod_p_requires_prime():
         pa.factor_mod_p(poly_mod(9, [1, 0, 1]))
 
 
-@given(
-    st.integers(min_value=0, max_value=4).map(lambda i: [2, 3, 5, 7, 11][i]),
-    st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=7),
-    st.integers(min_value=0, max_value=2**30),
-)
-@settings(max_examples=120, deadline=None)
-def test_factor_mod_p_matches_sympy(p, tail, seed):
-    full = [1, *[c % p for c in tail]]
-    fac = pa.factor_mod_p(poly_mod(p, full), seed=seed)
+def assert_factor_mod_p_matches_sympy(p, full):
+    fac = pa.factor_mod_p(poly_mod(p, full))
     # product reproduces f
     prod = [1]
     for g, e in fac:
@@ -264,11 +257,33 @@ def test_factor_mod_p_matches_sympy(p, tail, seed):
     _, ref = sympy.factor_list(sympy.Poly(full, x, modulus=p).set_domain(sympy.GF(p, symmetric=False)))
     theirs = sorted((tuple(int(c) % p for c in g.all_coeffs()), e) for g, e in ref)
     assert ours == theirs
+    return fac
 
 
-def test_factor_mod_p_deterministic_per_seed():
-    f = poly_mod(13, [1, 0, 0, 0, 0, 0, 1])
-    assert pa.factor_mod_p(f, seed=5) == pa.factor_mod_p(f, seed=5)
+@given(
+    st.integers(min_value=0, max_value=4).map(lambda i: [2, 3, 5, 7, 11][i]),
+    st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=7),
+)
+@settings(max_examples=120, deadline=None)
+def test_factor_mod_p_matches_sympy(p, tail):
+    assert_factor_mod_p_matches_sympy(p, [1, *[c % p for c in tail]])
+
+
+@pytest.mark.parametrize(
+    "p, full, factors",
+    [
+        (2, [1, *[0] * 14, 1, 0], 6),  # x^16 - x: every irreducible of degree 1, 2 or 4
+        (3, [1, *[0] * 7, -1, 0], 6),  # x^9 - x: degree 1 or 2
+        (13, [1, *[0] * 11, -1], 12),  # x^12 - 1: the twelve units
+        (7, [1, *[0] * 5, -1, 0], 7),  # x^7 - x: all of F_7
+    ],
+    ids=["x16-x_F2", "x9-x_F3", "x12-1_F13", "x7-x_F7"],
+)
+def test_factor_mod_p_splits_by_several_kernel_vectors(p, full, factors):
+    """Berlekamp kernels of dimension 6 to 12.  One basis vector takes at
+    most p values on the factors, so over F_2 and F_3 it cannot separate
+    six of them, and the splits must go on to further vectors."""
+    assert len(assert_factor_mod_p_matches_sympy(p, full)) == factors
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +331,16 @@ def test_splitting_type_matches_full_factorization():
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 97])
 @pytest.mark.parametrize("n", range(2, 8))
 def test_frobenius_cycle_types_match_splitting_type(n, p):
+    """The degrees of the squarefree rows' factors, from Berlekamp's
+    `factor_mod_p` (`splitting_type` reads `frobenius_cycle_types` itself)."""
     rng = random.Random(100 * n + p)
     rows, want = [], []
     while len(rows) < 60:
         coeffs = tuple(rng.randrange(-6, 7) for _ in range(n))
-        t = pa.splitting_type(pa.MonicIntPoly(coeffs), p)
-        if all(e == 1 for _, e in t.parts):
+        fac = pa.factor_mod_p(pa.PolyModP.of(p, [*reversed(coeffs), 1]))
+        if all(e == 1 for _, e in fac):
             rows.append(coeffs)
-            want.append(tuple(sorted((d for d, _ in t.parts), reverse=True)))
+            want.append(tuple(sorted((g.degree for g, _ in fac), reverse=True)))
     assert pa.frobenius_cycle_types(rows, p) == want
     assert pa.frobenius_cycle_types(rows[:1], p) == want[:1]
 
@@ -332,7 +349,9 @@ def test_frobenius_cycle_types_object_path():
     # n p^2 >= 2^62 switches to Python ints
     p = 2**31 - 1
     f = pa.MonicIntPoly((0, 0, 0, -1, -1))
-    want = tuple(sorted((d for d, _ in pa.splitting_type(f, p).parts), reverse=True))
+    _, ref = sympy.factor_list(to_sympy(f.full()).as_expr(), modulus=p)
+    want = tuple(sorted((sympy.degree(g, x) for g, e in ref for _ in range(e)), reverse=True))
+    assert want == (2, 1, 1, 1)
     assert pa.frobenius_cycle_types([f.coeffs], p) == [want]
 
 
@@ -425,6 +444,18 @@ def test_ranks_mod_p_match_a_scalar_elimination(n, p):
     assert pa._ranks_mod_p(A, p).tolist() == want
 
 
+def ppow_mod(base, e, mod, p):
+    """base^e mod (mod, p), ascending, by square-and-multiply on lists."""
+    result = [1]
+    base = pa.pdivmod(base, mod, p)[1]
+    while e:
+        if e & 1:
+            result = pa.pdivmod(pa.pmul(result, base, p), mod, p)[1]
+        base = pa.pdivmod(pa.pmul(base, base, p), mod, p)[1]
+        e >>= 1
+    return result
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 97, 223, 2**31 - 1])
 @pytest.mark.parametrize("n", range(1, 8))
 def test_frobenius_matrix_rows_are_powers_of_x(n, p):
@@ -436,7 +467,7 @@ def test_frobenius_matrix_rows_are_powers_of_x(n, p):
     for row, q in zip(rows, Q):
         mod = [c % p for c in (*reversed(row), 1)]
         for i in range(n):
-            r = pa.ppow_mod([0, 1], i * p, mod, p)
+            r = ppow_mod([0, 1], i * p, mod, p)
             assert q[i].tolist() == [c % p for c in r] + [0] * (n - len(r))
     assert pa._frobenius_matrix(np.array(rows[:1]), p).tolist() == Q[:1].tolist()
 
@@ -480,11 +511,11 @@ def test_frobenius_index_object_path():
     assert pa.frobenius_index([f.coeffs], p).tolist() == [pa.splitting_type(f, p).ind] == [1]
 
 
-def test_index_mod_p_examples():
-    assert pa.index_mod_p(pa.MonicIntPoly((0, 0, 1)), 3) == 2
-    assert pa.index_mod_p(pa.MonicIntPoly((1, -2, 3)), 5) == 0  # squarefree mod 5
+def test_splitting_type_index_examples():
+    assert pa.splitting_type(pa.MonicIntPoly((0, 0, 1)), 3).ind == 2
+    assert pa.splitting_type(pa.MonicIntPoly((1, -2, 3)), 5).ind == 0  # squarefree mod 5
     sq = sympy.Poly((x**2 + x + 1) ** 2, x).all_coeffs()
-    assert pa.index_mod_p(pa.MonicIntPoly(tuple(int(c) for c in sq[1:])), 5) == 2
+    assert pa.splitting_type(pa.MonicIntPoly(tuple(int(c) for c in sq[1:])), 5).ind == 2
 
 
 def test_splitting_type_parse_roundtrip():
@@ -582,7 +613,7 @@ def test_count_index_completions_examples():
         pa.count_index_completions(3, 3, 1, (0, 1))
     prefix = (1, 3)
     scan = sum(
-        pa.index_mod_p(pa.MonicIntPoly((*prefix, a, b)), 7) == 2 for a in range(7) for b in range(7)
+        pa.splitting_type(pa.MonicIntPoly((*prefix, a, b)), 7).ind == 2 for a in range(7) for b in range(7)
     )
     assert pa.count_index_completions(7, 4, 2, prefix) == scan
 
@@ -595,7 +626,7 @@ def test_index_table_matches_pointwise(p, n):
 
     for idx, tup in enumerate(itertools.product(range(p), repeat=n)):
         f = pa.MonicIntPoly(tup)
-        assert tab[idx] == pa.index_mod_p(f, p)
+        assert tab[idx] == pa.splitting_type(f, p).ind
 
 
 def test_partition_bound_examples():
