@@ -5,6 +5,7 @@ The non-S_n count should grow like H^(n-1); the slope of the log-log fit
 is printed together with the per-ledger breakdown.
 
 Usage: python3 scripts/growth_ladder.py --n 3 --ladder 10,20,40,80
+       python3 scripts/growth_ladder.py --n 4 --ladder 8,16,32
 """
 
 import argparse

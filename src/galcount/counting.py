@@ -8,9 +8,10 @@ schedule-independent.  With a checkpoint directory each slice is stored as
 a file as soon as it is counted, and a stored slice is reused only if it
 re-seals (see `_load_slice`).
 
-The quartic counter decides a whole slice with integer arrays, one a2 row
-at a time: its temporaries hold O(Y S) entries, for S = 2H+1 and the
-candidate resolvent roots |y| <= Y = 2(H+1)^2, not O(Y S^2).  The
+The quartic counter decides a whole slice with integer arrays, a block of
+a2 rows at a time.  Fujiwara's bound puts the resolvent roots at |y| <= Y
+= O(H), so a slice tries O(Y S^2) candidates for S = 2H+1, and a block
+temporary holds at most S^3 entries, or one a2 row where that is more.  The
 discriminant terms are at most 1069 H^6 in size and the resolvent values
 at most Y^3 + H Y^2 + H^2 Y + H^2, so it runs in int64 while both stay
 below 2^62 (H <= 403, beyond the default budget) and on dtype=object above.
@@ -272,13 +273,39 @@ def _slice_counts_n3(H, a1):
     return led
 
 
+def _resolvent_root_bound(H, a):
+    """Least t >= H with t^2 >= (|a| + 4) H and 2 t^3 >= (a^2 + 4H) H + H^2.
+
+    For |b|, |c|, |d| <= H these are bounds on the coefficients -b, ac - 4d
+    and -(a^2 d - 4bd + c^2) of the quartic resolvent cubic, so by Fujiwara's
+    bound |y| <= 2 max(|e2|, |e1|^(1/2), |e0 / 2|^(1/3)) every root y of it
+    has |y| <= 2t.
+    """
+    t = H
+    while t * t < (abs(a) + 4) * H or 2 * t**3 < (a * a + 4 * H) * H + H * H:
+        t += 1
+    return t
+
+
+def _quartic_block_rows(H, Y):
+    """b rows per block of `_slice_counts_n4`: S^2 // (2Y + 1), at least one.
+
+    A block's temporaries are (rows, 2Y + 1, S) and (rows, S, S) arrays, so
+    each holds at most S^3 entries, as many as the slice's `_factor_mask`,
+    unless one b row alone holds more.
+    """
+    S = 2 * H + 1
+    return max(1, S * S // (2 * Y + 1))
+
+
 def _quartic_dtype(H):
     """int64 while every intermediate of `_slice_counts_n4` stays below 2^62.
 
     The discriminant terms are at most 1069 H^6 in size; the resolvent value
-    N(y, b, c) is at most Y^3 + H Y^2 + H^2 Y + H^2 with Y = 2(H+1)^2.
+    N(y, b, c) is at most Y^3 + H Y^2 + H^2 Y + H^2, with Y = 2t the root
+    bound of `_resolvent_root_bound` at |a| = H, where it is largest.
     """
-    Y = 2 * (H + 1) ** 2
+    Y = 2 * _resolvent_root_bound(H, H)
     bound = max(1069 * H**6, Y**3 + H * Y * Y + H * H * Y + H * H)
     return np.int64 if bound < 2**62 else object
 
@@ -287,60 +314,72 @@ def _slice_counts_n4(H, a1):
     """Every quartic x^4 + a x^3 + b x^2 + c x + d of the slice a = a1.
 
     The resolvent cubic g(y) = y^3 - b y^2 + (ac - 4d) y - (a^2 d - 4bd + c^2)
-    has the roots x1x2 + x3x4 etc., so |y| < Y = 2(H+1)^2.  It is linear in
-    d: g = N(y, b, c) - d D(y, b) with N = y^3 - b y^2 + acy - c^2 and
-    D = 4y + a^2 - 4b.  So for each (y, c) of one b row, D != 0 gives one
-    candidate d = N / D, kept if exact with |d| <= H, and D = 0 with N = 0
-    makes y a root for every d.  Scatter-counting these gives the integer
-    roots of g per (c, d); the group follows as in
-    `galois.quartic_group_irreducible`, whose Kappe-Warren test runs on the
-    one-root entries with Python ints, since beta^2 * delta can leave int64.
-    One b row at a time keeps the temporaries at O(Y S).
+    has the roots x1x2 + x3x4 etc., all with |y| <= Y by Fujiwara's bound
+    (`_resolvent_root_bound`), so the box costs O(H) candidate y per (b, c).
+    g is linear in d: g = N(y, b, c) - d D(y, b) with N = y^3 - b y^2 + acy
+    - c^2 and D = 4y + a^2 - 4b.  So for each (b, y, c), D != 0 gives one
+    candidate d = N / D, kept if exact with |d| <= H, and D = 0 (at y0 = b -
+    a^2/4, a root only if |y0| <= Y) with N = 0 makes y0 a root for every d.
+    Scatter-counting these gives the integer roots of g per (b, c, d); the
+    group follows as in `galois.quartic_group_irreducible`, whose
+    Kappe-Warren test runs on the one-root entries with Python ints, since
+    beta^2 * delta can leave int64.  The b rows are counted in blocks of
+    `_quartic_block_rows`, so no temporary outgrows the factor mask.
     """
     S = 2 * H + 1
     dt = _quartic_dtype(H)
     a = a1
     red = _factor_mask(4, H, a1)
     coef = np.arange(-H, H + 1, dtype=np.int64).astype(dt)
-    cc, dd = coef[:, None], coef[None, :]
-    Y = 2 * (H + 1) ** 2
+    Y = 2 * _resolvent_root_bound(H, a)
     y = np.arange(-Y, Y + 1, dtype=np.int64).astype(dt)[:, None]
     yy = y * y
-    N0 = (a * y - dd) * dd  # the b-free part acy - c^2 of N, c along the columns
+    N0 = (yy + a * coef) * y - coef * coef  # the b-free part y^3 + acy - c^2 of N, (y, c)
     led = CountLedger(n=4, H=H, total=S**3)
     groups = dict.fromkeys(DEGREE_GROUPS[4], 0)
-    for ib, b in enumerate(range(-H, H + 1)):
-        delta = galois.quartic_disc(a, b, cc, dd)
-        zero = delta == 0
-        irr = ~zero & ~red[ib]
-        led.disc_zero += int(zero.sum())
-        led.reducible += int((red[ib] & ~zero).sum())
-        # integer roots of the resolvent per (c, d)
-        N = (y - b) * yy + N0
+
+    def count_rows(lo, hi):  # the block of b rows lo <= b < hi; its temporaries end with the call
+        r = hi - lo
+        b = np.arange(lo, hi, dtype=np.int64).astype(dt)[:, None, None]
+        # integer roots of the resolvent per (b, c, d)
+        N = N0 - b * yy
         D = 4 * y + (a * a - 4 * b)
-        Dsafe = np.where(D == 0, 1, D)
-        d = N // Dsafe
-        yi, ci = np.nonzero((N % Dsafe == 0) & (D != 0) & (d >= -H) & (d <= H))
-        idx = ci * S + (d[yi, ci] + H).astype(np.int64)
-        roots = np.bincount(idx, minlength=S * S).reshape(S, S)
-        beta = np.zeros(S * S, dtype=dt)
+        d = N // np.where(D == 0, 1, D)
+        bi, yi, ci = np.nonzero((d * D == N) & (D != 0) & (d >= -H) & (d <= H))
+        idx = (bi * S + ci) * S + (d[bi, yi, ci] + H).astype(np.int64)
+        del d
+        roots = np.bincount(idx, minlength=r * S * S).reshape(r, S, S)
+        beta = np.zeros(r * S * S, dtype=dt)
         beta[idx] = y[yi, 0]
-        beta = beta.reshape(S, S)
-        if a % 2 == 0:  # D = 0 at y = b - a^2/4
-            k = b - a * a // 4 + Y
-            hit = N[k] == 0
-            roots[hit] += 1
-            beta[hit] = y[k, 0]
+        beta = beta.reshape(r, S, S)
+        if a % 2 == 0:  # D = 0 at y0 = b - a^2/4
+            y0 = b[:, 0, 0] - a * a // 4
+            (i,) = np.nonzero(abs(y0) <= Y)
+            hit = np.zeros((r, S, 1), dtype=bool)
+            hit[i, :, 0] = N[i, (y0[i] + Y).astype(np.int64)] == 0
+            roots += hit
+            beta = np.where(hit, y0[:, None, None], beta)
+        del N
+        delta = galois.quartic_disc(a, b, coef[:, None], coef)
+        zero = delta == 0
+        blk = red[lo + H : hi + H]
+        irr = ~zero & ~blk
+        led.disc_zero += int(zero.sum())
+        led.reducible += int((blk & ~zero).sum())
         none = irr & (roots == 0)
         pos = none & (delta > 0)
-        square = _square_mask(np.where(pos, delta, 0)) & pos
-        groups["A4"] += int(square.sum())
-        groups["S4"] += int((none & ~square).sum())
+        square = int(_square_mask(delta[pos]).sum())
+        groups["A4"] += square
+        groups["S4"] += int(none.sum()) - square
         groups["V4"] += int((irr & (roots == 3)).sum())
         one = irr & (roots == 1)
-        ds = (np.nonzero(one)[1] - H).tolist()
-        for d4, bt, dl in zip(ds, beta[one].tolist(), delta[one].tolist()):
-            groups["C4" if galois._kappe_warren_c4(a, b, d4, bt, dl) else "D4"] += 1
+        bs, _, ds = np.nonzero(one)
+        for b4, d4, bt, dl in zip((bs + lo).tolist(), (ds - H).tolist(), beta[one].tolist(), delta[one].tolist()):
+            groups["C4" if galois._kappe_warren_c4(a, b4, d4, bt, dl) else "D4"] += 1
+
+    rows = _quartic_block_rows(H, Y)
+    for lo in range(-H, H + 1, rows):
+        count_rows(lo, min(lo + rows, H + 1))
     led.per_group = {k: v for k, v in groups.items() if v}
     led.square_disc = groups["A4"] + groups["V4"]
     return led

@@ -115,6 +115,69 @@ def test_quartic_int64_bounds_hold_at_the_largest_int64_H():
     assert ga.quartic_disc(*corners.T).tolist() == [ga.quartic_disc(*map(int, row)) for row in corners]
 
 
+def test_resolvent_roots_lie_within_the_fujiwara_bound():
+    """Every integer root of the resolvent cubic of every quartic of height
+    h <= 6 lies within the bound of the slice a of the box h; the roots come
+    from the Cauchy-bracketed `galois._integer_cubic_roots`."""
+    for a, b, c, d in itertools.product(range(-6, 7), repeat=4):
+        Y = 2 * ct._resolvent_root_bound(max(abs(a), abs(b), abs(c), abs(d)), a)
+        roots = ga._integer_cubic_roots(-b, a * c - 4 * d, 4 * b * d - a * a * d - c * c)
+        assert all(abs(y) <= Y for y in roots), (a, b, c, d, roots)
+
+
+def test_resolvent_root_bound_is_the_least_t():
+    def holds(t, H, a):
+        return t >= H and t * t >= (abs(a) + 4) * H and 2 * t**3 >= (a * a + 4 * H) * H + H * H
+
+    for H in range(101):
+        for a in range(-H, H + 1):
+            t = ct._resolvent_root_bound(H, a)
+            assert holds(t, H, a) and not holds(t - 1, H, a), (H, a, t)
+
+
+@pytest.mark.parametrize("H, a1", [(13, 12), (13, -12), (14, 14), (14, -14), (16, 16), (16, -16)])
+def test_quartic_slice_matches_per_polynomial_count(H, a1):
+    """Slices where y0 = b - a^2/4, the root of D = 0, lies within the root
+    bound for some b rows and beyond it for others (H = 13) or for all of
+    them (H = 14, 16), against one classification per polynomial.  At
+    H = 16, reading N at y0 without the bound check would wrap to another
+    candidate y that is a root of N."""
+    Y = 2 * ct._resolvent_root_bound(H, a1)
+    inside = sum(abs(b - a1 * a1 // 4) <= Y for b in range(-H, H + 1))
+    assert inside < 2 * H + 1 and (inside > 0) == (H == 13)
+    want = ct.CountLedger(n=4, H=H, total=(2 * H + 1) ** 3)
+    mask = ct._factor_mask(4, H, a1).ravel().tolist()
+    for (b, c, d), masked in zip(itertools.product(range(-H, H + 1), repeat=3), mask):
+        if ga.quartic_disc(a1, b, c, d) == 0:
+            want.disc_zero += 1
+        elif masked:
+            want.reducible += 1
+        else:
+            name = ga.quartic_group_irreducible(a1, b, c, d)
+            want.per_group[name] = want.per_group.get(name, 0) + 1
+            want.square_disc += name in ("A4", "V4")
+    want.per_group = dict(sorted(want.per_group.items()))
+    got = ct.slice_ledger(4, H, a1)
+    got.checksum = 0
+    assert got.to_json() == want.to_json()
+
+
+def test_quartic_blocks_stay_within_the_entry_bound():
+    """Up to the largest quartic box the default budget admits, a block's
+    (rows, 2Y + 1, S) and (rows, S, S) temporaries hold at most S^3 entries,
+    or one b row where that alone is more."""
+    Hmax = max(H for H in range(200) if (2 * H + 1) ** 4 <= ct.DEFAULT_BUDGET)
+    assert Hmax == 88
+    for H in range(Hmax + 1):
+        S = 2 * H + 1
+        for a1 in range(-H, H + 1):
+            Y = 2 * ct._resolvent_root_bound(H, a1)
+            rows = ct._quartic_block_rows(H, Y)
+            assert 1 <= rows <= S
+            assert rows * (2 * Y + 1) * S <= max(S**3, (2 * Y + 1) * S)
+            assert rows * S * S <= S**3
+
+
 def test_factor_mask_matches_factor_over_Z():
     """The mask is "f is not irreducible" (factor_over_Z gives more than one
     factor, or a repeated one) on every polynomial of every slice, a_n = 0
