@@ -136,6 +136,8 @@ def cmd_count(args) -> list[dict]:
 
 def cmd_fourier(args) -> list[dict]:
     primes = _int_list(args.p)
+    if not primes or len(set(primes)) != len(primes):
+        raise UsageError("need a nonempty list of distinct primes")
     sigmas = [SplittingType.parse(s) for s in args.sigma.split(",")]
     out = []
     for sigma in sigmas:

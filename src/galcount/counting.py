@@ -54,7 +54,6 @@ from .errors import (
     DegreeOutOfRange,
     DivisionByZero,
     InsufficientData,
-    UnknownGroup,
     UsageError,
     ZeroCount,
 )
@@ -64,17 +63,12 @@ from .polyarith import MonicIntPoly, chunks, disc, factor_int, field_disc_valuat
 DEFAULT_BUDGET = 10**9
 FORMAT_VERSION = 1
 
-DEGREE_GROUPS = {
-    1: (),
-    2: ("C2",),
-    3: ("C3", "S3"),
-    4: ("C4", "V4", "D4", "A4", "S4"),
-    5: ("C5", "D5", "F20", "A5", "S5"),
-    6: ("S6",),  # certificate-only
-    7: ("S7",),
-}
-GROUP_ALIASES = {"S2": "C2", "A3": "C3"}
-SN_NAME = {1: "S1", 2: "C2", 3: "S3", 4: "S4", 5: "S5", 6: "S6", 7: "S7"}
+SN_NAME = {2: "C2", 3: "S3", 4: "S4", 5: "S5", 6: "S6", 7: "S7"}
+
+
+def _group_tally(n: int) -> dict:
+    """A zero count for every transitive group of degree n in `galois.GROUPS`."""
+    return {name: 0 for name, (_, label) in galois.GROUPS.items() if label.startswith(f"{n}T")}
 
 
 @dataclass
@@ -162,10 +156,6 @@ def _square_mask(d: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Slice counters
-
-
-def _slice_counts_n1(H, a1):
-    return CountLedger(n=1, H=H, total=1, reducible=1)  # x + a1 is linear
 
 
 def _slice_counts_n2(H, a1):
@@ -336,7 +326,7 @@ def _slice_counts_n4(H, a1):
     yy = y * y
     N0 = (yy + a * coef) * y - coef * coef  # the b-free part y^3 + acy - c^2 of N, (y, c)
     led = CountLedger(n=4, H=H, total=S**3)
-    groups = dict.fromkeys(DEGREE_GROUPS[4], 0)
+    groups = _group_tally(4)
 
     def count_rows(lo, hi):  # the block of b rows lo <= b < hi; its temporaries end with the call
         r = hi - lo
@@ -412,7 +402,7 @@ def _decided(pairs, decide):
 def _slice_counts_n5(H, a1):
     """Every unmasked quintic is irreducible and gets its exact group."""
     led = CountLedger(n=5, H=H, total=(2 * H + 1) ** 4)
-    groups = dict.fromkeys(DEGREE_GROUPS[5], 0)
+    groups = _group_tally(5)
     for _, _, name in _decided(_unmasked(led, H, a1), galois.quintic_groups):
         groups[name] += 1
         if name in ("C5", "D5", "A5"):
@@ -439,9 +429,7 @@ def _slice_counts_interval(n, H, a1):
 
 def slice_ledger(n: int, H: int, a1: int) -> CountLedger:
     """Ledger for the sub-box with the leading coefficient pinned to a1."""
-    if n == 1:
-        led = _slice_counts_n1(H, a1)
-    elif n == 2:
+    if n == 2:
         led = _slice_counts_n2(H, a1)
     elif n == 3:
         led = _slice_counts_n3(H, a1)
@@ -452,7 +440,7 @@ def slice_ledger(n: int, H: int, a1: int) -> CountLedger:
     elif n in (6, 7):
         led = _slice_counts_interval(n, H, a1)
     else:
-        raise DegreeOutOfRange("enumeration implemented for n <= 7")
+        raise DegreeOutOfRange("enumeration implemented for 2 <= n <= 7")
     led.checksum = _slice_crc(a1, led)
     return led
 
@@ -528,8 +516,8 @@ def enumerate_box(
     the process that computed it.  The missing slices are computed in a
     Pool of min(parallelism, missing slices, CPUs) processes, if above 1.
     """
-    if not 1 <= n <= 7 or H < 0:
-        raise UsageError("need 1 <= n <= 7 and H >= 0")
+    if not 2 <= n <= 7 or H < 0:
+        raise UsageError("need 2 <= n <= 7 and H >= 0")
     if parallelism < 1:
         raise UsageError(f"need parallelism >= 1, got {parallelism}")
     check_budget(n, H, budget)
@@ -585,17 +573,6 @@ def ledger_E(led: CountLedger) -> tuple[str, int | list[int]]:
     if led.n <= 5:
         return "exact", upper
     return "interval", [led.reducible + led.disc_zero + led.square_disc, upper]
-
-
-def compute_N(n: int, H: int, group_name: str, parallelism: int = 1) -> int:
-    """N_n(G,H): exact count with Galois group the named transitive group."""
-    if not 1 <= n <= 5:
-        raise DegreeOutOfRange("compute_N implemented for n <= 5")
-    name = GROUP_ALIASES.get(group_name, group_name)
-    if name not in DEGREE_GROUPS[n]:
-        raise UnknownGroup(f"{group_name} is not a transitive group label of degree {n}")
-    led, _ = enumerate_box(n, H, parallelism=parallelism)
-    return led.per_group.get(name, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -716,26 +693,6 @@ def bound_calculator(inp: BoundInputs) -> dict:
         "term3Exp": term3,
         "chosenExp": chosen,
         "Ystar": ystar,
-    }
-
-
-def cor17_report(n: int) -> dict:
-    """Both readings of the O(H^{3n/11+1.164}) headline bound, for inspection.
-
-    The direct evaluation with a = 3/8, k = n/2, u = 0 is
-    (3n^2+8n-16)/(11n-16), which tends to 3n/11 + 136/121; the stated
-    headline has additive constant 1.164.  Both are reported, neither
-    is asserted.
-    """
-    if n < 4 or n % 2:
-        raise UsageError("need even n >= 4")
-    out = bound_calculator(BoundInputs(n=n, ind=n // 2, a=Fraction(3, 8), u=Fraction(0)))
-    headline = Fraction(3 * n, 11) + Fraction(1164, 1000)
-    return {
-        "formulaExp": out["term2Exp"],
-        "chosenExp": out["chosenExp"],
-        "headlineExp": headline,
-        "asymptoticConstant": Fraction(136, 121),
     }
 
 

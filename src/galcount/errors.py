@@ -83,10 +83,6 @@ class BudgetExceeded(ResourceError):
     pass
 
 
-class UnknownGroup(UsageError):
-    pass
-
-
 class InsufficientData(UsageError):
     pass
 

@@ -18,13 +18,12 @@ The binary-form space is the full space of degree-n forms c_0 x^n + ... +
 c_n y^n, and its irreducibles are y together with the monic-in-x forms, so
 every nonzero form is a unit times a product of pool members.
 
-Irreducible pools and the index masks of box counts come from the batched
-Frobenius layer of `polyarith`, at every prime, p <= n included.
+Irreducible pools come from the batched Frobenius layer of `polyarith`, at
+every prime, p <= n included.
 """
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,10 +33,8 @@ from .errors import TooLarge, UsageError
 from .polyarith import (
     SplittingType,
     chunks,
-    factor_int,
     frobenius_cycle_types,
     frobenius_index,
-    index_table,
     is_prime,
     pmul,
 )
@@ -88,16 +85,6 @@ def enumerate_irreducibles(p: int, d: int) -> tuple[tuple[int, ...], ...]:
         types = frobenius_cycle_types(rows[squarefree], p)
         out += [(*block[i], 1) for i, t in zip(squarefree, types) if t == (d,)]
     return tuple(out)
-
-
-def irreducible_count_necklace(p: int, d: int) -> int:
-    """(1/d) sum_{e|d} mu(e) p^(d/e), the necklace cross-check."""
-
-    def mu(m: int) -> int:
-        fac = factor_int(m)
-        return 0 if any(e > 1 for e in fac.values()) else (-1) ** len(fac)
-
-    return sum(mu(e) * p ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
 
 
 _Y = ("y",)  # marker for the binary-space irreducible y
@@ -259,49 +246,3 @@ def verify_decay(table: FourierTable) -> dict:
         "maxNonzeroScaled": max_scaled,
         "regime": "p^(k+1/2)" if monic_full_degree else "p^(k+1)",
     }
-
-
-# ---------------------------------------------------------------------------
-# Box counts via residue-class precounts
-
-
-def _residue_counts(p: int, H: int) -> np.ndarray:
-    """counts[r] = #{a in [-H,H] : a = r mod p}."""
-    out = np.zeros(p, dtype=np.int64)
-    for r in range(p):
-        out[r] = (H - r) // p - math.ceil((-H - r) / p) + 1
-    return out
-
-
-def _index_mask(p: int, n: int, k: int) -> np.ndarray:
-    """Boolean (p,)*n array: residue tuples with index >= k mod p."""
-    return np.array(index_table(p, n)).reshape((p,) * n) >= k
-
-
-def box_count_index(p: int, n: int, k: int, H: int) -> int:
-    """#{monic f in [-H,H]^n : ind(f mod p) >= k}, exact."""
-    return multi_prime_box_count([(p, k)], n, H)
-
-
-def multi_prime_box_count(conditions: list[tuple[int, int]], n: int, H: int) -> int:
-    """#{monic f in box : ind(f mod p_i) >= k_i for all i}, via CRT residues."""
-    primes = [p for p, _ in conditions]
-    if len(set(primes)) != len(primes):
-        raise UsageError("repeated primes")
-    q = math.prod(primes)
-    if q > 10**5 or q**n > 10**7:
-        raise TooLarge("CRT residue scan too large")
-    if (2 * H + 1) ** n > 10**9:
-        raise TooLarge("box exceeds the scan budget")
-    joint = np.ones((q,) * n, dtype=bool)
-    r = np.arange(q)
-    for p, k in conditions:
-        if k <= 0:
-            continue
-        mask = _index_mask(p, n, k)
-        joint &= mask[np.ix_(*([r % p] * n))]
-    c = _residue_counts(q, H).astype(object)
-    acc = joint.astype(object)
-    for _ in range(n):
-        acc = np.tensordot(acc, c, axes=([acc.ndim - 1], [0]))
-    return int(acc)

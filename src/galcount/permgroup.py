@@ -46,10 +46,6 @@ class Permutation:
         return len(self.images)
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @classmethod
     def from_cycles(cls, n: int, cycles) -> "Permutation":
         """Build from disjoint cycles of 1-based letters, e.g. [(1,2),(3,4,5)]."""
         images = list(range(n))
@@ -77,14 +73,6 @@ class Permutation:
             out.append(tuple(cyc))
         return out
 
-    def moved(self) -> int:
-        return sum(1 for i, j in enumerate(self.images) if i != j)
-
-
-def cycle_type(g: Permutation) -> list[int]:
-    """Multiset of cycle lengths (ascending), summing to the degree."""
-    return sorted(len(c) for c in g.cycles())
-
 
 def cycle_counts(P: np.ndarray) -> np.ndarray:
     """The number of cycles of each row of an (N, d) image array, by pointer
@@ -106,11 +94,6 @@ def cycle_counts(P: np.ndarray) -> np.ndarray:
         if t + 1 < rounds:
             nxt = nxt[nxt]
     return np.count_nonzero(label.reshape(N, d) == np.arange(d, dtype=P.dtype), axis=1)
-
-
-def ind_of_element(g: Permutation) -> int:
-    """ind(g) = n - #orbits = sum of (cycle length - 1)."""
-    return g.degree - int(cycle_counts(np.array(g.images, dtype=_index_dtype(g.degree)).reshape(1, -1))[0])
 
 
 @dataclass

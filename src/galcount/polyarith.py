@@ -122,10 +122,6 @@ class MonicIntPoly:
         return [str(a) for a in self.coeffs]
 
     @classmethod
-    def from_json(cls, arr) -> "MonicIntPoly":
-        return cls(tuple(int(a) for a in arr))
-
-    @classmethod
     def from_full(cls, full) -> "MonicIntPoly":
         if not full or full[0] != 1:
             raise UsageError("not monic")
@@ -540,10 +536,6 @@ class SplittingType:
     @property
     def ind(self) -> int:
         return sum(f * (e - 1) for f, e in self.parts)
-
-    @property
-    def len(self) -> int:
-        return sum(f for f, _ in self.parts)
 
     @property
     def aut_count(self) -> int:

@@ -246,6 +246,10 @@ def test_bad_values_and_paths_exit_1(tmp_path, capsys):
         # an unknown or a repeated key is refused, not ignored or overwritten
         ["group", "--wreath", "m=5,k=1,r=2,x=9"],
         ["group", "--wreath", "m=5,k=1,r=2,m=4"],
+        # an empty prime list would print nothing, and a repeated prime would
+        # judge the trend of identical reports
+        ["fourier", "--p", ",", "--n", "3", "--sigma", "1"],
+        ["fourier", "--p", "5,5", "--n", "3", "--sigma", "1"],
         ["count", "--n", "2", "--H", "1", "--out", "/nonexistent/x"],
         ["count", "--n", "2", "--H", "1", "--csv", "/nonexistent/x"],
         ["count", "--n", "3", "--H", "2", "--parallelism", "0"],

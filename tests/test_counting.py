@@ -1,4 +1,4 @@
-"""Exact box enumeration ledgers, E_n/N_n counts, sieve cases, bound calculator."""
+"""Exact box enumeration ledgers, E_n and per-group counts, sieve cases, bound calculator."""
 
 import itertools
 import json
@@ -17,7 +17,6 @@ from galcount.errors import (
     DegreeOutOfRange,
     DivisionByZero,
     InsufficientData,
-    UnknownGroup,
     UsageError,
     ZeroCount,
 )
@@ -332,7 +331,7 @@ def test_checkpoint_damaged_slice_recomputed(tmp_path, damage):
 
 def test_checkpoint_not_created_for_a_refused_box(tmp_path):
     ck = str(tmp_path / "ck")
-    for n, H in ((8, 0), (0, 1), (3, -1)):
+    for n, H in ((8, 0), (0, 1), (1, 1), (3, -1)):
         with pytest.raises(UsageError):
             ct.enumerate_box(n, H, checkpoint=ck)
     with pytest.raises(BudgetExceeded):
@@ -393,9 +392,8 @@ def test_E_monotone_in_H():
 
 
 def test_N_known_values():
-    # quadratics with square disc in the 3x3 box: x^2+bx+c reducible or C2
-    assert ct.compute_N(2, 1, "S2") == 5  # alias resolves to C2
-    assert ct.compute_N(2, 1, "C2") == 5
+    # 5 of the 9 quadratics x^2 + bx + c with |b|, |c| <= 1 are irreducible
+    assert ct.enumerate_box(2, 1)[0].per_group["C2"] == 5
     # every cubic counted as C3 has square discriminant
     led = ct.enumerate_box(3, 6)[0]
     assert led.per_group.get("C3", 0) <= led.square_disc
@@ -407,12 +405,7 @@ def test_N_v4_brute_force():
         f = MonicIntPoly(tup)
         if disc(f) != 0 and ga.classify(f).group == "V4":
             count += 1
-    assert ct.compute_N(4, 2, "V4") == count
-
-
-def test_unknown_group_rejected():
-    with pytest.raises(UnknownGroup):
-        ct.compute_N(3, 2, "M11")
+    assert ct.enumerate_box(4, 2)[0].per_group["V4"] == count
 
 
 def test_budget_and_degree_errors():
@@ -538,19 +531,16 @@ def test_bound_nontrivial_exponent_saving():
 
 
 def test_cor17_report():
-    rep = ct.cor17_report(22)
+    # Cor. 1.7 with a = 3/8, k = n/2, u = 0: term2 is (3n^2+8n-16)/(11n-16)
+    def term2(n):
+        return ct.bound_calculator(ct.BoundInputs(n=n, ind=n // 2, a=Fraction(3, 8), u=Fraction(0)))["term2Exp"]
+
     n = 22
-    assert rep["formulaExp"] == Fraction(3 * n * n + 8 * n - 16, 11 * n - 16)
+    assert term2(n) == Fraction(3 * n * n + 8 * n - 16, 11 * n - 16)
     # the additive constant of the formula reading converges to 136/121
-    gaps = [
-        abs(ct.cor17_report(m)["formulaExp"] - Fraction(3 * m, 11) - Fraction(136, 121))
-        for m in (20, 200, 2000)
-    ]
+    gaps = [abs(term2(m) - Fraction(3 * m, 11) - Fraction(136, 121)) for m in (20, 200, 2000)]
     assert gaps == sorted(gaps, reverse=True)
     assert gaps[-1] < Fraction(1, 1000)
-    assert rep["asymptoticConstant"] == Fraction(136, 121)
-    with pytest.raises(UsageError):
-        ct.cor17_report(7)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Finite-field Fourier tables for the splitting-type weights, box counts."""
+"""Finite-field Fourier tables for the splitting-type weights."""
 
 import itertools
 
@@ -7,7 +7,7 @@ import pytest
 
 from galcount import fourier as fr
 from galcount.errors import TooLarge
-from galcount.polyarith import PolyModP, SplittingType, factor_mod_p
+from galcount.polyarith import PolyModP, SplittingType, factor_int, factor_mod_p
 from galcount.verification import _sigmas_up_to
 
 S = SplittingType.parse
@@ -31,16 +31,15 @@ def direct_transform(space: fr.WeightSpace, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def box_count_index_scan(p: int, n: int, k: int, H: int) -> int:
-    """Direct scan cross-check (small boxes only)."""
-    if (2 * H + 1) ** n > 10**6:
-        raise TooLarge("scan cross-check limited to 10^6 points")
-    mask = fr._index_mask(p, n, k)
-    count = 0
-    for tup in itertools.product(range(-H, H + 1), repeat=n):
-        if mask[tuple(a % p for a in tup)]:
-            count += 1
-    return count
+def irreducible_count_necklace(p: int, d: int) -> int:
+    """(1/d) sum_{e|d} mu(e) p^(d/e), the number of monic irreducibles of
+    degree d over F_p by the necklace formula."""
+
+    def mu(m: int) -> int:
+        fac = factor_int(m)
+        return 0 if any(e > 1 for e in fac.values()) else (-1) ** len(fac)
+
+    return sum(mu(e) * p ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
 
 
 def weight(space: fr.WeightSpace, point: tuple[int, ...], sigma: SplittingType) -> int:
@@ -98,7 +97,7 @@ def test_irreducible_counts_match_necklace_formula():
     for p in (2, 3, 5, 7):
         for d in (1, 2, 3):
             listed = len(fr.enumerate_irreducibles(p, d))
-            assert listed == fr.irreducible_count_necklace(p, d)
+            assert listed == irreducible_count_necklace(p, d)
 
 
 def test_enumerate_irreducibles_too_large():
@@ -187,43 +186,3 @@ def test_verify_decay_weil_regime():
         rep = fr.verify_decay(fr.fourier_table(space, S("1^3")))
         assert rep["regime"] == "p^(k+1/2)"
         assert rep["maxNonzeroScaled"] <= 3 - 1 + 0.5
-
-
-# ---------------------------------------------------------------------------
-# box counts
-
-
-def test_box_count_index_k0():
-    assert fr.box_count_index(5, 3, 0, 4) == 9**3
-
-
-def test_box_count_precount_matches_scan():
-    for p, n, k, H in [(5, 3, 2, 2), (3, 3, 1, 3), (7, 2, 1, 4)]:
-        assert fr.box_count_index(p, n, k, H) == box_count_index_scan(p, n, k, H)
-
-
-def test_box_count_balanced_box():
-    # H = (p-1)/2 makes the box exactly one full residue system per axis
-    p, n, k = 5, 3, 2
-    H = (p - 1) // 2
-    tuples = fr.box_count_index(p, n, k, H)
-    mask = fr._index_mask(p, n, k)
-    assert tuples == int(mask.sum())
-
-
-def test_multi_prime_consistency():
-    assert fr.multi_prime_box_count([(5, 2)], 3, 4) == fr.box_count_index(5, 3, 2, 4)
-    assert fr.multi_prime_box_count([(3, 0), (5, 0)], 3, 4) == 9**3
-
-
-def test_multi_prime_crt_brute_force():
-    from galcount.polyarith import MonicIntPoly, splitting_type
-
-    conds = [(3, 1), (5, 1)]
-    n, H = 3, 3
-    brute = 0
-    for tup in itertools.product(range(-H, H + 1), repeat=n):
-        f = MonicIntPoly(tup)
-        if all(splitting_type(f, p).ind >= k for p, k in conds):
-            brute += 1
-    assert fr.multi_prime_box_count(conds, n, H) == brute
