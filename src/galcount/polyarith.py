@@ -924,57 +924,166 @@ def _squarefree_decomposition_Q(f: MonicIntPoly, delta: int | None = None) -> li
 
 
 def mahler_measure(f: MonicIntPoly, tol: float = 1e-9) -> float:
-    """prod max(1,|root|) with certified absolute error <= tol."""
+    """M(f) = prod max(1, |root|), as the midpoint of a proven enclosure of
+    half-width at most tol.
+
+    Theorem (Smith 1970, from Gerschgorin's theorem).  Let f be monic of
+    degree n and z_1, ..., z_n distinct complex numbers, and set
+    r_i = n |f(z_i)| / prod_(j != i) |z_i - z_j|.  Every root of f lies in
+    the union of the discs |z - z_i| <= r_i, and a connected component of
+    k discs holds exactly k roots, with multiplicity.  So if the discs are
+    pairwise disjoint, each holds one simple root a_i: f is squarefree, and
+    max(1, |z_i| - r_i) <= max(1, |a_i|) <= max(1, |z_i| + r_i).  The
+    products of these bounds enclose M(f).
+
+    The z_i are the eigenvalues of f's companion matrix; they are exact
+    binary numbers, so the theorem applies to them as they are, and only
+    the bounds are rounded.  `_smith_factors` computes them in an
+    arithmetic whose +, -, *, / err by at most u relative and abs() of a
+    complex number by at most 4u (two ulps): Python floats with u = 2^-53,
+    or mpmath at p bits with u = 2^(1-p).  A complex product then errs by
+    at most sqrt(2) gamma_2 < 2.9u (Higham, Accuracy and Stability, Lemma
+    3.5), and the outward factors below cover every rounding:
+
+    - f(z) is evaluated by Horner, y_k = y_(k-1) z + a_k, with the running
+      sum m_k = m_(k-1) |z| + |y_k|, m_0 = 1 (Higham, section 5.1).  Then
+      |f(z) - y_n| <= 3.9u m_n for any n < 10^12; `_horner` returns
+      e = 16u m_n + 2^-1000, which also covers the rounding of |y_n| + e
+      and, through 2^-1000, gradual underflow.
+    - Each |z_i - z_j| is shrunk by 1 - 8u, which covers its subtraction,
+      its abs and one rounding of the product over j, so the computed
+      product is at most the true one.  Every partial product must stay
+      between 2^-1000 and 2^1000, where no float product underflows or
+      overflows.
+    - r_i = n (|y_n| + e) / prod * (1 + 8u) covers its three roundings
+      with a factor 1 + 2u to spare, so the computed r_i + r_j is at least
+      the true sum and the test gap_ij > r_i + r_j proves disjointness.
+    - The factor bounds max(1, |z_i| (1 - 8u) - r_i) and
+      max(1, (|z_i| + r_i)(1 + 8u)) cover the abs, the subtraction or
+      addition and one rounding of the product over all roots, so the
+      computed products lo and hi bound M(f) in any order of
+      multiplication.  An mpmath enclosure is multiplied out at p bits and
+      rounded to floats outward by 1 -/+ 8 * 2^-53, which covers float()
+      and one product rounding.
+    - The returned midpoint fl((lo + hi) / 2) is within (hi - lo)/2 +
+      2^-53 hi of M(f); the test hi - lo + 8 * 2^-53 hi <= 2 tol bounds
+      that by tol, its own roundings included.  So a float result is
+      proven only to about 12 * 2^-53 M(f) at best, and a smaller tol
+      raises ToleranceUnreachable, as does a cluster that 1696 bits do not
+      separate.
+
+    The fast path is one eigenvalue solve in floats.  Only when its discs
+    overlap or its enclosure is wider than tol does f take the fallback:
+    if disc(f) = 0, Yun's squarefree parts g^e are measured in one pass
+    and combined as prod [lo_g^e, hi_g^e].  While the product is still
+    wider than tol, every part is measured again from `mpmath.polyroots`
+    at 106, 212, ... bits by the same Smith test."""
     if tol < 1e-12:
         raise UsageError("tol too small to certify in double precision")
-    parts = _squarefree_decomposition_Q(f)
-    if len(parts) == 1 and parts[0][1] == 1:
-        return _mahler_measure_squarefree(f, tol)
-    # repeated roots break both the residual certificate and the
-    # high-precision solver; measure the squarefree parts instead.
-    # M(g) >= 1, so each factor error delta inflates the product by
-    # at most e*delta*M; a rough first pass sizes the budget
-    weight = sum(e for _, e in parts)
-    rough = 1.0
-    for g, e in parts:
-        rough *= _mahler_measure_squarefree(g, 1e-3) ** e
-    budget = tol / (2 * weight * max(1.0, rough))
-    out = 1.0
-    for g, e in parts:
-        out *= _mahler_measure_squarefree(g, max(budget, 1e-12)) ** e
-    return out
+    parts = [(f, 1)]
+    boxes = [_float_factors(f)]
+    lo, hi = _enclosure(parts, boxes)
+    if hi - lo + 8 * _U * hi > 2 * tol and disc(f) == 0:
+        parts = _squarefree_decomposition_Q(f, 0)
+        boxes = [_float_factors(g) for g, _ in parts]
+        lo, hi = _enclosure(parts, boxes)
+    precisions = iter((106, 212, 424, 848, 1696))
+    while hi - lo + 8 * _U * hi > 2 * tol:
+        prec = next(precisions, None)
+        if prec is None:
+            raise ToleranceUnreachable(f"could not certify M(f) to {tol}")
+        boxes = [_mp_factors(g, prec) or box for (g, _), box in zip(parts, boxes)]
+        lo, hi = _enclosure(parts, boxes)
+    return (lo + hi) / 2
 
 
-def _mahler_measure_squarefree(f: MonicIntPoly, tol: float) -> float:
-    """`mahler_measure` of an f without repeated roots."""
-    coeffs = [1.0, *map(float, f.coeffs)]
-    roots = np.roots(coeffs)
-    # Newton-residual error estimate per root
-    fz = np.polyval(coeffs, roots)
-    dcoeffs = np.polyder(np.array(coeffs))
-    dfz = np.polyval(dcoeffs, roots)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        delta = np.abs(fz) / np.abs(dfz)
-    mods = np.abs(roots)
-    m = float(np.prod(np.maximum(1.0, mods)))
-    if np.all(np.isfinite(delta)):
-        err = m * float(np.sum(delta / np.maximum(1.0, mods))) * 4.0
-        if err <= tol:
-            return m
-    # escalate precision with mpmath, doubling up to 4 times
+_U = 2.0**-53  # unit roundoff of a Python float
+_UNDERFLOW = 2.0**-1000  # exceeds every error gradual underflow adds to f(z)
+
+
+def _enclosure(parts: list[tuple[MonicIntPoly, int]], boxes: list) -> tuple[float, float]:
+    """[lo, hi] containing prod M(g)^e over the parts (g, e), from each
+    part's per-root factor bounds (`_smith_factors`); [1, inf] while some
+    part has none."""
+    if any(box is None for box in boxes):
+        return 1.0, math.inf
+    factors = [bound for (_, e), box in zip(parts, boxes) for bound in box * e]
+    return math.prod(lo for lo, _ in factors), math.prod(hi for _, hi in factors)
+
+
+def _float_factors(f: MonicIntPoly) -> list[tuple[float, float]] | None:
+    """`_smith_factors` of f at the eigenvalues of its companion matrix, in
+    floats; None if a coefficient is too large to be an exact float or the
+    discs do not separate."""
+    if f.height() >= 2**53:
+        return None
+    coeffs = [float(a) for a in f.coeffs]
+    companion = np.eye(f.degree, k=-1)
+    companion[0] = [-a for a in coeffs]
+    try:
+        return _smith_factors(coeffs, np.linalg.eigvals(companion).tolist(), _U)
+    except (np.linalg.LinAlgError, OverflowError, ZeroDivisionError):
+        return None
+
+
+def _mp_factors(f: MonicIntPoly, prec: int) -> list[tuple[float, float]] | None:
+    """The product of `_smith_factors` of f at `mpmath.polyroots`
+    approximations, computed and tested at prec bits, as one factor bound
+    rounded outward to floats; None if polyroots does not converge or the
+    discs do not separate."""
     import mpmath
 
-    prev = None
-    prec = 53
-    for _ in range(5):
-        prec *= 2
-        with mpmath.workprec(prec):
-            try:
-                roots = mpmath.polyroots([1, *f.coeffs], maxsteps=200, extraprec=prec)
-            except mpmath.libmp.NoConvergence:
-                continue
-            m = float(mpmath.fprod([max(1, abs(r)) for r in roots]))
-        if prev is not None and abs(m - prev) <= tol / 2:
-            return m
-        prev = m
-    raise ToleranceUnreachable(f"could not certify M(f) to {tol}")
+    with mpmath.workprec(prec):
+        try:
+            roots = mpmath.polyroots([1, *f.coeffs], maxsteps=200, extraprec=prec)
+            box = _smith_factors(f.coeffs, roots, mpmath.mpf(2) ** (1 - prec))
+        except (mpmath.libmp.NoConvergence, ZeroDivisionError):
+            return None
+        if box is None:
+            return None
+        lo, hi = math.prod(lo for lo, _ in box), math.prod(hi for _, hi in box)
+    return [(max(1.0, float(lo) * (1 - 8 * _U)), float(hi) * (1 + 8 * _U))]
+
+
+def _horner(coeffs, w, u):
+    """(y, e): y is f(w) by Horner for the monic f with coefficients
+    coeffs = (a_1, ..., a_n), and |f(w) - y| <= e (see `mahler_measure`)."""
+    aw = abs(w)
+    y = m = 1
+    for a in coeffs:
+        y = y * w + a
+        m = m * aw + abs(y)
+    return y, 16 * u * m + _UNDERFLOW
+
+
+def _smith_factors(coeffs, z, u):
+    """Per-root bounds [max(1, |z_i| - r_i), max(1, |z_i| + r_i)], rounded
+    outward, if the Smith discs of the approximations z to the roots of the
+    monic f with coefficients coeffs are pairwise disjoint; else None.  The
+    arithmetic is that of z (floats or mpmath) with unit roundoff at most
+    u; the proof is in `mahler_measure`."""
+    n = len(z)
+    shrink, grow = 1 - 8 * u, 1 + 8 * u
+    prods = [1] * n
+    gaps = []
+    for i in range(1, n):
+        for j in range(i):
+            gap = abs(z[i] - z[j]) * shrink
+            gaps.append(gap)
+            prods[i] *= gap
+            prods[j] *= gap
+    if gaps and not (min(gaps) ** (n - 1) > 2**-1000 and max(gaps) ** (n - 1) < 2**1000):
+        return None
+    radii = []
+    for w, prod in zip(z, prods):
+        y, e = _horner(coeffs, w, u)
+        radii.append(n * (abs(y) + e) / prod * grow)
+    if not all(r < math.inf for r in radii):
+        return None
+    k = 0
+    for i in range(1, n):
+        for j in range(i):
+            if not gaps[k] > radii[i] + radii[j]:
+                return None
+            k += 1
+    return [(max(1, abs(w) * shrink - r), max(1, (abs(w) + r) * grow)) for w, r in zip(z, radii)]

@@ -6,7 +6,6 @@ a few minutes in total; the unit test files cover the same code at smaller
 sizes.
 """
 
-import itertools
 import json
 import math
 import random

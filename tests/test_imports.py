@@ -1,7 +1,8 @@
-"""Static hygiene: no module of the package keeps an unused module-level
-import or a module-level function or class that nothing reads, the exact
-classifier never imports the floating-point mpmath, and every name the
-benchmark wraps or reads exists."""
+"""Static hygiene: no module of the package, the tests or the scripts keeps
+an unused module-level import, no package module keeps a module-level
+function or class that nothing reads, the exact classifier never imports
+the floating-point mpmath, and every name the benchmark wraps or reads
+exists."""
 
 import ast
 import importlib
@@ -38,7 +39,11 @@ def test_guard_flags_an_unused_import():
     assert unused_imports("from a import b as c\nc()\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    [*MODULES, *sorted((ROOT / "tests").glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))],
+    ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}",
+)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -6,7 +6,9 @@ import itertools
 import math
 import random
 import re
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -20,6 +22,7 @@ from galcount.errors import (
     NotPrime,
     NotSquarefreeModP,
     SubsetSumZero,
+    ToleranceUnreachable,
     UsageError,
 )
 
@@ -828,24 +831,170 @@ def test_mahler_measure_of_repeated_roots():
         assert got == pytest.approx(expect, rel=1e-7, abs=1e-7), full
 
 
-def test_mahler_measure_computes_one_disc_per_call(monkeypatch):
-    """Yun's parts are squarefree, so they are measured without another
-    squarefree test: one `disc` for each of the 81 quartics with
-    coefficients in {-1, 0, 1} (a repeated test made 131)."""
-    calls = []
+def test_mahler_measure_computes_disc_only_for_repeated_roots(monkeypatch):
+    """A quartic whose Smith discs separate is proven squarefree by them
+    and makes no `disc` call; each of the 13 quartics with coefficients in
+    {-1, 0, 1} that has a repeated root makes one, then Yun's parts."""
     real_disc = pa.disc
+    quartics = [pa.MonicIntPoly(c) for c in itertools.product((-1, 0, 1), repeat=4)]
+    repeated = [q for q in quartics if real_disc(q) == 0]
+    calls = []
 
     def counting_disc(f):
         calls.append(f)
         return real_disc(f)
 
     monkeypatch.setattr(pa, "disc", counting_disc)
-    quartics = [pa.MonicIntPoly(c) for c in itertools.product((-1, 0, 1), repeat=4)]
     measures = dict(zip(quartics, map(pa.mahler_measure, quartics)))
-    assert calls == quartics
+    assert len(repeated) == 13
+    assert calls == repeated
     # x^4 + x^2 = x^2 (x^2 + 1) and x^4 are measured through their parts
     assert measures[pa.MonicIntPoly((0, 1, 0, 0))] == pytest.approx(1.0, abs=1e-9)
     assert measures[pa.MonicIntPoly((0, 0, 0, 0))] == 1.0
+
+
+def _exact_value(coeffs, w):
+    """f(w) for the monic f with coefficients coeffs, at the binary complex
+    number w, in exact rationals: (real part, imaginary part)."""
+    re, im = Fraction(w.real), Fraction(w.imag)
+    y_re, y_im = Fraction(1), Fraction(0)
+    for a in coeffs:
+        y_re, y_im = y_re * re - y_im * im + a, y_re * im + y_im * re
+    return y_re, y_im
+
+
+def _companion_roots(coeffs):
+    companion = np.eye(len(coeffs), k=-1)
+    companion[0] = [-a for a in coeffs]
+    return np.linalg.eigvals(companion).tolist()
+
+
+def _sweep(seed, count):
+    """Seeded monic polynomials shaped like acceptance criterion 10:
+    degree 1..8, |a_i| <= 100, not all zero."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        coeffs = tuple(rng.randrange(-100, 101) for _ in range(rng.randrange(1, 9)))
+        if any(coeffs):
+            out.append(pa.MonicIntPoly(coeffs))
+    return out
+
+
+def test_horner_running_error_bound_dominates_the_exact_error():
+    """|f(w) - y| <= e for `_horner`'s float value y and bound e, with f(w)
+    exact at the binary w: at the computed roots, where cancellation is
+    worst, and at seeded points of modulus up to 4, real and complex."""
+    rng = random.Random(7)
+    checked = 0
+    for f in _sweep(7, 300):
+        coeffs = [float(a) for a in f.coeffs]
+        points = _companion_roots(f.coeffs)
+        points += [rng.uniform(-4, 4), complex(rng.uniform(-4, 4), rng.uniform(-4, 4))]
+        for w in points:
+            y, e = pa._horner(coeffs, w, pa._U)
+            re, im = _exact_value(f.coeffs, complex(w))
+            y = complex(y)
+            assert (re - Fraction(y.real)) ** 2 + (im - Fraction(y.imag)) ** 2 <= Fraction(e) ** 2, (f, w)
+            checked += 1
+    assert checked > 1500
+
+
+def _reference_measure(f, dps=60):
+    """M(f) from `mpmath.polyroots` at dps digits, for squarefree f."""
+    with mpmath.workdps(dps):
+        roots = mpmath.polyroots([1, *f.coeffs], maxsteps=400, extraprec=4 * dps)
+        return mpmath.fprod(max(1, abs(r)) for r in roots)
+
+
+def test_smith_enclosure_contains_a_60_digit_measure():
+    """The float discs separate for every polynomial of the sweep, and
+    their enclosure of M(f) holds the 60-digit value."""
+    for f in _sweep(2024, 150):
+        box = pa._float_factors(f)
+        assert box is not None, f
+        lo, hi = pa._enclosure([(f, 1)], [box])
+        want = _reference_measure(f)
+        assert lo <= want <= hi, f
+        assert (hi - lo) / 2 <= 1e-11 * hi, f
+        assert abs(pa.mahler_measure(f, tol=1e-9) - want) <= 1e-9, f
+
+
+def test_smith_factors_contain_the_bounds_of_the_theorem():
+    """At approximations moved off the roots by about 1e-7, f(z_i) is far
+    above rounding; the float factor bounds still contain the theorem's
+    max(1, |z_i| -/+ r_i), r_i = n |f(z_i)| / prod_(j != i) |z_i - z_j|,
+    evaluated at 50 digits on the same binary z_i."""
+    rng = random.Random(5)
+    checked = 0
+    for f in _sweep(5, 100):
+        n = f.degree
+        z = [w * complex(1 + rng.uniform(-1e-7, 1e-7), rng.uniform(-1e-7, 1e-7)) for w in _companion_roots(f.coeffs)]
+        box = pa._smith_factors([float(a) for a in f.coeffs], z, pa._U)
+        if box is None:
+            continue
+        with mpmath.workdps(50):
+            zs = [mpmath.mpc(w) for w in z]
+            for i, (lo, hi) in enumerate(box):
+                prod = mpmath.fprod(abs(zs[i] - zs[j]) for j in range(n) if j != i)
+                r = n * abs(mpmath.polyval([1, *f.coeffs], zs[i])) / prod
+                assert lo <= max(1, abs(zs[i]) - r) and max(1, abs(zs[i]) + r) <= hi, (f, i)
+        checked += 1
+    assert checked >= 80
+
+
+def _mignotte(n, a):
+    """x^n - 2 (a x - 1)^2, with two roots within about a^(-(n+2)/2) of 1/a."""
+    coeffs = [0] * n
+    coeffs[-3] -= 2 * a * a
+    coeffs[-2] += 4 * a
+    coeffs[-1] -= 2
+    return pa.MonicIntPoly(tuple(coeffs))
+
+
+def test_mahler_fallback_branches(monkeypatch):
+    """Clustered roots send f to mpmath with disc(f) != 0; repeated roots
+    send it to Yun's parts, whose float discs separate or, for a clustered
+    part, go to mpmath in turn.  Every value stays within tol of a
+    60-digit reference."""
+    counts = collections.Counter()
+
+    def counted(name):
+        real = getattr(pa, name)
+
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(pa, name, call)
+
+    counted("_squarefree_decomposition_Q")
+    counted("_mp_factors")
+    mignotte = _mignotte(8, 100)
+    square = pa.MonicIntPoly.from_full([1, 0, -3])
+    squared = pa.pmul(square.full(), square.full())
+    # (f, its squarefree parts, Yun runs, mpmath runs)
+    cases = [
+        (mignotte, [(mignotte, 1)], False, True),
+        (pa.MonicIntPoly.from_full(pa.pmul(squared, [1, 1])), [(square, 2), (pa.MonicIntPoly((1,)), 1)], True, False),
+        (pa.MonicIntPoly.from_full(pa.pmul(mignotte.full(), mignotte.full())), [(mignotte, 2)], True, True),
+    ]
+    for f, parts, yun, mp in cases:
+        assert pa._float_factors(f) is None, f
+        counts.clear()
+        got = pa.mahler_measure(f, tol=1e-6)
+        assert (counts["_squarefree_decomposition_Q"], counts["_mp_factors"] > 0) == (yun, mp), f
+        want = mpmath.fprod(_reference_measure(g) ** e for g, e in parts)
+        assert abs(got - want) <= 1e-6, f
+
+
+def test_mahler_measure_refuses_unprovable_tolerances():
+    f = _mignotte(4, 1000)  # M(f) is about 2 * 10^6
+    assert pa.mahler_measure(f, tol=1e-6) == pytest.approx(2e6, rel=1e-6)
+    with pytest.raises(ToleranceUnreachable):
+        pa.mahler_measure(f, tol=1e-9)  # about 4.5 * 2^-53 M(f): no float result is proven that close
+    with pytest.raises(UsageError):
+        pa.mahler_measure(f, tol=1e-13)
 
 
 def test_serialization_roundtrip():
