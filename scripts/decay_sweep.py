@@ -12,7 +12,6 @@ import argparse
 import json
 
 from galcount import fourier
-from galcount.verification import _sigmas_up_to
 
 
 def main():
@@ -23,16 +22,16 @@ def main():
     args = ap.parse_args()
 
     primes = [int(t) for t in args.primes.split(",")]
-    for sigma in _sigmas_up_to(args.n):
-        maxima = []
-        errs = []
-        for p in primes:
-            space = fourier.WeightSpace(args.space, p, args.n)
-            table = fourier.fourier_table(space, sigma)
-            rep = fourier.verify_decay(table)
-            maxima.append(rep["maxNonzeroScaled"])
-            errs.append(rep["mainTermError"])
-            regime = rep["regime"]
+    sigmas = fourier.sigmas_up_to(args.n)
+    found = [[] for _ in sigmas]  # one report per prime for each sigma
+    for p in primes:
+        space = fourier.WeightSpace(args.space, p, args.n)
+        for reports, table in zip(found, fourier.fourier_tables(space, sigmas)):
+            reports.append(fourier.verify_decay(table))
+    for sigma, reports in zip(sigmas, found):
+        maxima = [rep["maxNonzeroScaled"] for rep in reports]
+        errs = [rep["mainTermError"] for rep in reports]
+        regime = reports[-1]["regime"]
         print(
             json.dumps(
                 {

@@ -33,15 +33,11 @@ One helper per operation, shared by every module:
 - interpolation: `interpolate`, exact Newton interpolation from integer
   points to descending integer coefficients;
 - integer factorization: `factor_int`, by trial division;
-- resultant and discriminant: `resultant` and `disc_general` (Sylvester
-  determinants), and `disc` for monic f (the n x n Hankel determinant of
-  the Newton power sums), all by `_det_bareiss`.
-
-Sign convention, fixed for reproducibility: Res(f,g) is (-1)^(deg f deg g)
-times the determinant of the Sylvester matrix with the f-rows first, so that
-Res(x-a, x-b) = b-a, and disc_general(f) = (-1)^(d(d-1)/2) Res(f, f') / lc(f).
-For monic f both equal prod_(i<j) (alpha_i - alpha_j)^2, which `disc`
-computes as det[s_(i+j)], 0 <= i, j < n.
+- discriminant: `disc` for monic f, the n x n Hankel determinant
+  det[s_(i+j)], 0 <= i, j < n, of the Newton power sums, by `_det_bareiss`;
+  it equals prod_(i<j) (alpha_i - alpha_j)^2.  The one non-monic
+  discriminant, in `double_disc`, is the same determinant of a monic
+  rescaling, divided exactly.
 """
 from __future__ import annotations
 
@@ -182,20 +178,7 @@ def interpolate(xs: list[int], ys: list[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Resultants: Bareiss on the Sylvester matrix
-
-
-def sylvester_matrix(f: list[int], g: list[int]) -> list[list[int]]:
-    f, g = _trim(list(f)), _trim(list(g))
-    m, n = len(f) - 1, len(g) - 1
-    size = m + n
-    rows = []
-    for i in range(n):  # f-rows first
-        rows.append([0] * i + f + [0] * (n - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + g + [0] * (m - 1 - i))
-    assert all(len(r) == size for r in rows)
-    return rows
+# Discriminants: Bareiss on the Hankel matrix of power sums
 
 
 def _det_bareiss(mat: list[list[int]]) -> int:
@@ -223,47 +206,13 @@ def _det_bareiss(mat: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def resultant(f: list[int], g: list[int]) -> int:
-    """Res(f,g), normalized so Res(x-a, x-b) = b-a.
-
-    Computed as the Sylvester determinant (f-rows first) times
-    (-1)^(deg f * deg g); the sign factor is what makes the linear example
-    come out b-a while leaving every even-degree-product case untouched.
-    """
-    f, g = _trim(list(f)), _trim(list(g))
-    if f == [0] or g == [0]:
-        raise UsageError("resultant of the zero polynomial")
-    m, n = len(f) - 1, len(g) - 1
-    if m == 0:
-        return f[0] ** n
-    if n == 0:
-        return g[0] ** m
-    det = _det_bareiss(sylvester_matrix(f, g))
-    return -det if (m * n) % 2 else det
-
-
-def disc_general(f: list[int]) -> int:
-    """disc of an integer polynomial: (-1)^(d(d-1)/2) Res(f,f') / lc."""
-    f = _trim(list(f))
-    d = len(f) - 1
-    if d <= 0:
-        raise UsageError("disc needs degree >= 1")
-    if d == 1:
-        return 1
-    res = resultant(f, _deriv(f))
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    q, r = divmod(sign * res, f[0])
-    assert r == 0
-    return q
-
-
 def disc(f: MonicIntPoly) -> int:
     """disc of the monic f, as the Hankel determinant det[s_(i+j)], 0 <= i, j < n.
 
     The Newton power sums s_k = sum_i alpha_i^k come from the coefficients,
     and [s_(i+j)] = V V^T for the Vandermonde matrix V of the roots, so the
-    determinant is prod_(i<j) (alpha_i - alpha_j)^2: the value of
-    `disc_general`, from an n x n instead of a (2n-1) x (2n-1) matrix.
+    determinant is prod_(i<j) (alpha_i - alpha_j)^2, from an n x n instead
+    of the (2n-1) x (2n-1) Sylvester matrix of Res(f, f').
     """
     a = f.coeffs
     n = len(a)
@@ -307,13 +256,19 @@ class DoubleDiscInput:
 
 
 def double_disc(inp: DoubleDiscInput) -> int:
-    """DD(a_1..a_{n-1}) = Disc_{a_n}(Disc_x f), same sign convention."""
+    """DD(a_1..a_{n-1}) = Disc_{a_n}(Disc_x f), with Disc(g) = c^(2d-2)
+    prod_(i<j) (alpha_i - alpha_j)^2 for g of degree d and leading
+    coefficient c.
+
+    g = disc_poly_in_last has degree d = n - 1 >= 2 and c = +-n^n, and
+    h(x) = c^(d-1) g(x/c), with coefficients g_i c^(i-1), is monic with the
+    roots c alpha_i.  So Disc(h) = c^(d(d-1)) prod (alpha_i - alpha_j)^2
+    = c^((d-1)(d-2)) Disc(g), and the division is exact.
+    """
     g = disc_poly_in_last(inp.degree, inp.prefix)
-    if len(g) - 1 < 1:
-        return 0  # Disc_x degenerate to a constant in a_n (cannot happen generically)
-    if len(g) - 1 == 1:
-        return 1
-    return disc_general(g)
+    c, d = g[0], len(g) - 1
+    h = MonicIntPoly(tuple(g[i] * c ** (i - 1) for i in range(1, d + 1)))
+    return disc(h) // c ** ((d - 1) * (d - 2))
 
 
 def mod_p2_forced_test(p: int, n: int, residues: tuple[int, ...]) -> bool:

@@ -21,7 +21,6 @@ from .errors import UsageError
 from . import fourier, permgroup
 from .polyarith import (
     DoubleDiscInput,
-    SplittingType,
     disc_poly_in_last,
     double_disc,
     index_table,
@@ -232,48 +231,34 @@ def verify_prop51dd() -> dict:
     }
 
 
-def _sigmas_up_to(n: int):
-    """All splitting types of total degree between 1 and n: the multisets of
-    (degree, multiplicity) parts (f, e) with sum f*e <= n, each sorted."""
-    parts = [(f, e) for f in range(1, n + 1) for e in range(1, n // f + 1)]
-
-    def grow(start: int, room: int):
-        yield ()
-        for i in range(start, len(parts)):
-            f, e = parts[i]
-            if f * e <= room:
-                for rest in grow(i, room - f * e):
-                    yield (parts[i], *rest)
-
-    return [SplittingType.of(s) for s in sorted(grow(0, n)) if s]
-
-
 def verify_decay(ns=(3, 4), ps=(3, 5, 7, 11), spaces=("monic", "binary"), tol=1e-9) -> dict:
     """Fourier decay across primes: scaled maxima stay bounded in p.
 
     For each space, degree, and sigma, builds the full transform at every
     prime, checks Parseval to tolerance, and requires that neither the
     main-term error nor the scaled off-peak maximum increases monotonically
-    across the prime ladder (a proxy for p-uniform boundedness).
+    across the prime ladder (a proxy for p-uniform boundedness).  Each
+    space's tables come from one type map, prime by prime; the report lists
+    them sigma by sigma.
     """
     checked = 0
     violations = []
     series = []
     for kind in spaces:
         for n in ns:
-            for sigma in _sigmas_up_to(n):
-                errs = []
-                maxima = []
-                for p in ps:
-                    space = fourier.WeightSpace(kind, p, n)
-                    table = fourier.fourier_table(space, sigma)
-                    gap = fourier.parseval_gap(table)
+            sigmas = fourier.sigmas_up_to(n)
+            found = [[] for _ in sigmas]  # (p, Parseval gap, report) per sigma
+            for p in ps:
+                space = fourier.WeightSpace(kind, p, n)
+                for row, table in zip(found, fourier.fourier_tables(space, sigmas)):
+                    row.append((p, fourier.parseval_gap(table), fourier.verify_decay(table)))
+            for sigma, row in zip(sigmas, found):
+                for p, gap, _ in row:
                     checked += 1
                     if gap > tol:
                         violations.append({"space": kind, "n": n, "p": p, "sigma": str(sigma), "parsevalGap": gap})
-                    rep = fourier.verify_decay(table)
-                    errs.append(rep["mainTermError"])
-                    maxima.append(rep["maxNonzeroScaled"])
+                errs = [rep["mainTermError"] for _, _, rep in row]
+                maxima = [rep["maxNonzeroScaled"] for _, _, rep in row]
                 if fourier.accelerating(errs, tol) or fourier.accelerating(maxima, tol):
                     violations.append(
                         {"space": kind, "n": n, "sigma": str(sigma), "mainTermErrors": errs, "maxima": maxima}

@@ -38,14 +38,47 @@ small_coeff = st.integers(min_value=-20, max_value=20)
 
 # ---------------------------------------------------------------------------
 # resultants and discriminants
+#
+# The Sylvester resultant is the oracle for the Hankel `disc` and for
+# `double_disc`: Res(f, g) is (-1)^(deg f deg g) times the determinant of the
+# Sylvester matrix with the f-rows first, so that Res(x-a, x-b) = b-a, and
+# disc_general(f) = (-1)^(d(d-1)/2) Res(f, f') / lc(f).
+
+
+def sylvester_matrix(f: list[int], g: list[int]) -> list[list[int]]:
+    f, g = pa._trim(list(f)), pa._trim(list(g))
+    m, n = len(f) - 1, len(g) - 1
+    return [[0] * i + f + [0] * (n - 1 - i) for i in range(n)] + [[0] * i + g + [0] * (m - 1 - i) for i in range(m)]
+
+
+def resultant(f: list[int], g: list[int]) -> int:
+    f, g = pa._trim(list(f)), pa._trim(list(g))
+    m, n = len(f) - 1, len(g) - 1
+    if m == 0:
+        return f[0] ** n
+    if n == 0:
+        return g[0] ** m
+    det = pa._det_bareiss(sylvester_matrix(f, g))
+    return -det if (m * n) % 2 else det
+
+
+def disc_general(f: list[int]) -> int:
+    f = pa._trim(list(f))
+    d = len(f) - 1
+    if d == 1:
+        return 1
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    q, r = divmod(sign * resultant(f, pa._deriv(f)), f[0])
+    assert r == 0
+    return q
 
 
 def test_resultant_examples():
-    assert pa.resultant([1, -2], [1, -5]) == 3
-    assert pa.resultant([1, 0, 1], [1, 0, -1]) == 4
+    assert resultant([1, -2], [1, -5]) == 3
+    assert resultant([1, 0, 1], [1, 0, -1]) == 4
     f = [1, 0, -3, -1]
     fp = [3, 0, -3]
-    assert abs(pa.resultant(f, fp)) == 81
+    assert abs(resultant(f, fp)) == 81
 
 
 def test_disc_examples():
@@ -86,7 +119,7 @@ def test_resultant_matches_sylvester_determinant(fc, gc):
         rows.append([0] * i + g + [0] * (m - 1 - i))
     det = int(sympy.Matrix(rows).det())
     sign = -1 if (m * n) % 2 else 1
-    assert pa.resultant(f, g) == sign * det
+    assert resultant(f, g) == sign * det
 
 
 def _res_mod_p(f: list[int], g: list[int], p: int) -> int:
@@ -142,7 +175,7 @@ def resultant_crt(f: list[int], g: list[int]) -> int:
     if n == 0:
         return g[0] ** m
     bound = 1
-    for row in pa.sylvester_matrix(f, g):
+    for row in sylvester_matrix(f, g):
         bound *= math.isqrt(sum(c * c for c in row)) + 1
     primes, modulus, res = [], 1, 0
     pool = iter(_crt_primes())
@@ -193,8 +226,8 @@ def test_disc_product_formula(fc, gc):
     f = [1, *fc]
     g = [1, *gc]
     prod = [int(c) for c in (to_sympy(f) * to_sympy(g)).all_coeffs()]
-    lhs = pa.disc_general(prod)
-    rhs = pa.disc_general(f) * pa.disc_general(g) * pa.resultant(f, g) ** 2
+    lhs = disc_general(prod)
+    rhs = disc_general(f) * disc_general(g) * resultant(f, g) ** 2
     assert lhs == rhs
 
 
@@ -211,13 +244,13 @@ def test_hankel_disc_matches_sylvester_disc():
         for H in (1, 3, 50, 10**6):
             for _ in range(60):
                 f = pa.MonicIntPoly(tuple(rng.randint(-H, H) for _ in range(n)))
-                assert pa.disc(f) == pa.disc_general(f.full())
+                assert pa.disc(f) == disc_general(f.full())
         for _ in range(60):
             k = rng.randint(1, n // 2) if n >= 2 else 0
             g = [1, *(rng.randint(-4, 4) for _ in range(k))]
             h = [1, *(rng.randint(-4, 4) for _ in range(n - 2 * k))]
             f = pa.MonicIntPoly.from_full(pa.pmul(pa.pmul(g, g), h))
-            assert pa.disc(f) == pa.disc_general(f.full())
+            assert pa.disc(f) == disc_general(f.full())
             assert k == 0 or pa.disc(f) == 0
 
 
@@ -542,6 +575,17 @@ def test_disc_poly_in_last_matches_direct_disc():
         for an in (-3, 0, 2, 11):
             val = sum(c * an ** (len(poly) - 1 - i) for i, c in enumerate(poly))
             assert val == pa.disc(pa.MonicIntPoly((*prefix, an)))
+
+
+def test_double_disc_matches_sylvester_disc():
+    """The monic rescaling in `double_disc` gives the Sylvester discriminant
+    of the disc polynomial in a_n, whose leading coefficient -27 (n = 3),
+    256 or 3125 is never 1."""
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randrange(3, 6)
+        prefix = tuple(rng.randrange(-9, 10) for _ in range(n - 1))
+        assert pa.double_disc(pa.DoubleDiscInput(n, prefix)) == disc_general(pa.disc_poly_in_last(n, prefix))
 
 
 def test_double_disc_examples():

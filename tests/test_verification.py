@@ -95,11 +95,11 @@ def test_decay_single_space():
 
 
 def test_sigma_enumeration_covers_all_types():
-    sigmas = vf._sigmas_up_to(3)
+    sigmas = fourier.sigmas_up_to(3)
     texts = {str(s) for s in sigmas}
     assert texts == {"1", "1^2", "1^3", "1 1", "1 1 1", "1 1^2", "2", "1 2", "3"}
 
 
 def test_sigma_enumeration_counts_pinned():
-    lengths = [len(vf._sigmas_up_to(n)) for n in range(1, 9)]
+    lengths = [len(fourier.sigmas_up_to(n)) for n in range(1, 9)]
     assert lengths == [1, 4, 9, 20, 37, 71, 123, 217]
