@@ -11,10 +11,11 @@ re-seals (see `_load_slice`).
 The quartic counter decides a whole slice with integer arrays, a block of
 a2 rows at a time.  Fujiwara's bound puts the resolvent roots at |y| <= Y
 = O(H), so a slice tries O(Y S^2) candidates for S = 2H+1, and a block
-temporary holds at most S^3 entries, or one a2 row where that is more.  The
-discriminant terms are at most 1069 H^6 in size and the resolvent values
-at most Y^3 + H Y^2 + H^2 Y + H^2, so it runs in int64 while both stay
-below 2^62 (H <= 403, beyond the default budget) and on dtype=object above.
+temporary holds at most max(S^3, 2^16) entries, or one a2 row where that is
+more.  The discriminant terms are at most 1069 H^6 in size and the resolvent
+values at most Y^3 + H Y^2 + H^2 Y + H^2, so it runs in int64 while both stay
+below 2^62 (H <= 403, beyond the default budget) and on dtype=object above;
+the Kappe-Warren entries move to dtype=object from H = 76 on.
 
 Degrees 2-4 are decided entirely with integer arrays.  From degree 3 up,
 `_factor_mask` marks the polynomials of a slice with a monic integer factor
@@ -62,6 +63,7 @@ from .polyarith import MonicIntPoly, chunks, disc, factor_int, field_disc_valuat
 
 DEFAULT_BUDGET = 10**9
 FORMAT_VERSION = 1
+BLOCK_ENTRIES = 2**16  # a quartic block temporary may hold this many entries even where S^3 is less
 
 SN_NAME = {2: "C2", 3: "S3", 4: "S4", 5: "S5", 6: "S6", 7: "S7"}
 
@@ -140,20 +142,6 @@ def _slice_crc(a1: int, led: CountLedger) -> int:
     return zlib.crc32(json.dumps(body, sort_keys=True, separators=(",", ":")).encode())
 
 
-def _square_mask(d: np.ndarray) -> np.ndarray:
-    """Elementwise perfect-square test for a nonnegative integer array.
-
-    The float sqrt only proposes a candidate root; t^2 == d is checked
-    exactly (in int64 below 2^62, or in Python ints for dtype=object).
-    """
-    s = np.sqrt(d.astype(np.float64)).astype(np.int64).astype(d.dtype, copy=False)
-    ok = np.zeros(d.shape, dtype=bool)
-    for off in (-1, 0, 1):
-        t = s + off
-        ok |= (t >= 0) & (t * t == d)
-    return ok
-
-
 # ---------------------------------------------------------------------------
 # Slice counters
 
@@ -162,7 +150,7 @@ def _slice_counts_n2(H, a1):
     a2 = np.arange(-H, H + 1, dtype=np.int64)
     d = np.int64(a1) * a1 - 4 * a2
     zero = d == 0
-    sq = _square_mask(np.where(d > 0, d, 0)) & (d > 0)
+    sq = galois._square_mask(d) & (d > 0)
     led = CountLedger(n=2, H=H, total=2 * H + 1, disc_zero=int(zero.sum()), reducible=int(sq.sum()))
     c2 = int((~zero & ~sq).sum())
     if c2:
@@ -255,7 +243,7 @@ def _slice_counts_n3(H, a1):
     )
     zero = d == 0
     red = _factor_mask(3, H, a1) & ~zero
-    sq = _square_mask(np.where(d > 0, d, 0)) & (d > 0) & ~zero & ~red
+    sq = galois._square_mask(d) & ~zero & ~red
     led = CountLedger(n=3, H=H, total=S * S, disc_zero=int(zero.sum()), reducible=int(red.sum()))
     groups = {"C3": int(sq.sum()), "S3": int((~zero & ~red & ~sq).sum())}
     led.per_group = {k: v for k, v in groups.items() if v}
@@ -278,14 +266,14 @@ def _resolvent_root_bound(H, a):
 
 
 def _quartic_block_rows(H, Y):
-    """b rows per block of `_slice_counts_n4`: S^2 // (2Y + 1), at least one.
+    """b rows per block of `_slice_counts_n4`, at least one and at most S.
 
     A block's temporaries are (rows, 2Y + 1, S) and (rows, S, S) arrays, so
-    each holds at most S^3 entries, as many as the slice's `_factor_mask`,
-    unless one b row alone holds more.
+    each holds at most max(S^3, BLOCK_ENTRIES) entries (S^3 from H = 20 on),
+    unless one b row alone holds more.  Up to H = 14 a slice is one block.
     """
     S = 2 * H + 1
-    return max(1, S * S // (2 * Y + 1))
+    return min(S, max(1, max(S**3, BLOCK_ENTRIES) // (S * (2 * Y + 1))))
 
 
 def _quartic_dtype(H):
@@ -300,6 +288,13 @@ def _quartic_dtype(H):
     return np.int64 if bound < 2**62 else object
 
 
+def _kappe_warren_dtype(H):
+    """int64 while q * delta < 2^62 for q = beta^2 - 4d and a^2 - 4(b - beta),
+    so |q| <= max(Y^2 + 4H, H^2 + 4H + 4Y), with Y as in `_quartic_dtype`."""
+    Y = 2 * _resolvent_root_bound(H, H)
+    return np.int64 if max(Y * Y + 4 * H, H * H + 4 * H + 4 * Y) * 1069 * H**6 < 2**62 else object
+
+
 def _slice_counts_n4(H, a1):
     """Every quartic x^4 + a x^3 + b x^2 + c x + d of the slice a = a1.
 
@@ -312,12 +307,12 @@ def _slice_counts_n4(H, a1):
     a^2/4, a root only if |y0| <= Y) with N = 0 makes y0 a root for every d.
     Scatter-counting these gives the integer roots of g per (b, c, d); the
     group follows as in `galois.quartic_group_irreducible`, whose
-    Kappe-Warren test runs on the one-root entries with Python ints, since
-    beta^2 * delta can leave int64.  The b rows are counted in blocks of
-    `_quartic_block_rows`, so no temporary outgrows the factor mask.
+    Kappe-Warren test runs on the arrays of one-root entries, in the dtype of
+    `_kappe_warren_dtype`.  The b rows are counted in blocks of
+    `_quartic_block_rows`.
     """
     S = 2 * H + 1
-    dt = _quartic_dtype(H)
+    dt, kdt = _quartic_dtype(H), _kappe_warren_dtype(H)
     a = a1
     red = _factor_mask(4, H, a1)
     coef = np.arange(-H, H + 1, dtype=np.int64).astype(dt)
@@ -358,14 +353,15 @@ def _slice_counts_n4(H, a1):
         led.reducible += int((blk & ~zero).sum())
         none = irr & (roots == 0)
         pos = none & (delta > 0)
-        square = int(_square_mask(delta[pos]).sum())
+        square = int(galois._square_mask(delta[pos]).sum())
         groups["A4"] += square
         groups["S4"] += int(none.sum()) - square
         groups["V4"] += int((irr & (roots == 3)).sum())
         one = irr & (roots == 1)
         bs, _, ds = np.nonzero(one)
-        for b4, d4, bt, dl in zip((bs + lo).tolist(), (ds - H).tolist(), beta[one].tolist(), delta[one].tolist()):
-            groups["C4" if galois._kappe_warren_c4(a, b4, d4, bt, dl) else "D4"] += 1
+        c4 = galois._kappe_warren_mask(a, *(v.astype(kdt) for v in (bs + lo, ds - H, beta[one], delta[one])))
+        groups["C4"] += int(c4.sum())
+        groups["D4"] += int((~c4).sum())
 
     rows = _quartic_block_rows(H, Y)
     for lo in range(-H, H + 1, rows):
@@ -456,8 +452,8 @@ def _slice_path(root, n, H, a1):
 def _store_slice(root, n, H, a1, led: CountLedger) -> None:
     path = _slice_path(root, n, H, a1)
     record = {"formatVersion": FORMAT_VERSION, "n": n, "H": H, "a1": a1, "ledger": led.to_json()}
-    with open(path + ".tmp", "w") as fh:
-        json.dump(record, fh, sort_keys=True)
+    with open(path + ".tmp", "w") as fh:  # json.dumps: json.dump never uses the C encoder
+        fh.write(json.dumps(record, sort_keys=True))
     os.replace(path + ".tmp", path)
 
 

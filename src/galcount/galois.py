@@ -75,6 +75,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     DegreeOutOfRange,
     InternalError,
@@ -306,6 +308,20 @@ def _is_square(x: int) -> bool:
     return x >= 0 and math.isqrt(x) ** 2 == x
 
 
+def _square_mask(d: np.ndarray) -> np.ndarray:
+    """Elementwise perfect-square test of an integer array; negatives are not squares.
+
+    In int64, with |d| < 2^62, t = rint(sqrt(fl(d))) is the one candidate and
+    t * t == d is exact: for d = k^2 the two roundings move sqrt(d) by less
+    than k 2^-52 < 1/2 (k < 2^31), and t <= 2^31 keeps t * t in int64.  On
+    dtype=object each entry gets `_is_square` (math.isqrt), at any size.
+    """
+    if d.dtype == object:
+        return np.array([_is_square(x) for x in d.ravel().tolist()], dtype=bool).reshape(d.shape)
+    t = np.rint(np.sqrt(np.maximum(d, 0).astype(np.float64))).astype(np.int64)
+    return t * t == d
+
+
 def quartic_disc(a, b, c, d):
     """Discriminant of x^4 + a x^3 + b x^2 + c x + d, for ints or integer arrays.
 
@@ -363,13 +379,15 @@ def _integer_cubic_roots(b2: int, b1: int, b0: int) -> list[int]:
     return sorted(set(out))
 
 
-def _kappe_warren_c4(a: int, b: int, d: int, beta: int, delta: int) -> bool:
-    """Is the group C4, given the only integer root beta of the resolvent?
+def _kappe_warren_mask(a, b, d, beta, delta):
+    """C4 mask of irreducible quartics x^4 + ax^3 + bx^2 + cx + d with the only
+    integer resolvent root beta, on integer arrays in which q * delta fits.
 
     Kappe-Warren: C4 iff beta^2 - 4d and a^2 - 4(b - beta) are both squares
     in Q(sqrt(delta)), i.e. each is a square or a square times delta.
     """
-    return all(_is_square(q) or _is_square(q * delta) for q in (beta * beta - 4 * d, a * a - 4 * (b - beta)))
+    q1, q2 = beta * beta - 4 * d, a * a - 4 * (b - beta)
+    return (_square_mask(q1) | _square_mask(q1 * delta)) & (_square_mask(q2) | _square_mask(q2 * delta))
 
 
 def quartic_group_irreducible(a: int, b: int, c: int, d: int) -> str:
@@ -381,7 +399,8 @@ def quartic_group_irreducible(a: int, b: int, c: int, d: int) -> str:
         return "A4" if _is_square(delta) else "S4"
     if len(roots) == 3:
         return "V4"
-    return "C4" if _kappe_warren_c4(a, b, d, roots[0], delta) else "D4"
+    batch = np.array([[a, b, d, roots[0], delta]], dtype=object).T  # a batch of one, in Python ints
+    return "C4" if _kappe_warren_mask(*batch)[0] else "D4"
 
 
 # --- quintics, decided at one split prime ------------------------------------

@@ -163,18 +163,60 @@ def test_quartic_slice_matches_per_polynomial_count(H, a1):
 
 def test_quartic_blocks_stay_within_the_entry_bound():
     """Up to the largest quartic box the default budget admits, a block's
-    (rows, 2Y + 1, S) and (rows, S, S) temporaries hold at most S^3 entries,
-    or one b row where that alone is more."""
+    (rows, 2Y + 1, S) and (rows, S, S) temporaries hold at most
+    max(S^3, 2^16) entries, or one b row where that alone is more; up to
+    H = 14 every slice is one block."""
     Hmax = max(H for H in range(200) if (2 * H + 1) ** 4 <= ct.DEFAULT_BUDGET)
-    assert Hmax == 88
+    assert Hmax == 88 and ct.BLOCK_ENTRIES == 2**16
     for H in range(Hmax + 1):
         S = 2 * H + 1
         for a1 in range(-H, H + 1):
             Y = 2 * ct._resolvent_root_bound(H, a1)
             rows = ct._quartic_block_rows(H, Y)
             assert 1 <= rows <= S
-            assert rows * (2 * Y + 1) * S <= max(S**3, (2 * Y + 1) * S)
+            assert rows * (2 * Y + 1) * S <= max(S**3, 2**16, (2 * Y + 1) * S)
             assert rows * S * S <= S**3
+            assert rows == S or H > 14
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("H", [6, 13])
+def test_quartic_block_size_does_not_change_the_count(monkeypatch, H, dtype):
+    """One b row per block gives every slice ledger that the default blocks
+    (one per slice at these H) give, so the block edges, and the D = 0 rows
+    at y0 = b - a^2/4 among them, lose and double-count nothing."""
+    monkeypatch.setattr(ct, "_quartic_dtype", lambda H: dtype)
+    monkeypatch.setattr(ct, "_kappe_warren_dtype", lambda H: dtype)
+    want = [ct.slice_ledger(4, H, a1).canonical() for a1 in range(-H, H + 1)]
+    monkeypatch.setattr(ct, "_quartic_block_rows", lambda H, Y: 1)
+    assert [ct.slice_ledger(4, H, a1).canonical() for a1 in range(-H, H + 1)] == want
+
+
+def test_kappe_warren_dtype_turns_to_object_where_its_bound_reaches_2_62():
+    """int64 exactly while (max |q|) * (max |delta|) < 2^62; that ends at
+    H = 76, inside the default budget (H <= 88), long before the slice's own
+    dtype turns to object."""
+    for H in range(200):
+        Y = 2 * ct._resolvent_root_bound(H, H)
+        bound = max(Y * Y + 4 * H, H * H + 4 * H + 4 * Y) * 1069 * H**6
+        assert (ct._kappe_warren_dtype(H) is np.int64) == (bound < 2**62), H
+    assert ct._kappe_warren_dtype(75) is np.int64 and ct._kappe_warren_dtype(76) is object
+    assert ct._quartic_dtype(76) is np.int64
+
+
+def test_degree_2_to_4_counters_run_no_scalar_classifier(monkeypatch):
+    """The degree 2-4 slice counters decide every polynomial with arrays:
+    with the scalar quartic classifier and square test made to raise, the
+    boxes count to the same ledgers."""
+    boxes = [(2, 20), (3, 10), (4, 6)]
+    want = [ct.compute_E(n, H)["ledger"].canonical() for n, H in boxes]
+
+    def scalar(*args):
+        raise AssertionError(f"a slice counter decided {args} by itself")
+
+    monkeypatch.setattr(ga, "quartic_group_irreducible", scalar)
+    monkeypatch.setattr(ga, "_is_square", scalar)
+    assert [ct.compute_E(n, H)["ledger"].canonical() for n, H in boxes] == want
 
 
 def test_factor_mask_matches_factor_over_Z():
@@ -282,6 +324,14 @@ def test_checkpoint_slice_file_bytes_pinned(tmp_path):
     )
     again, computed = ct.enumerate_box(2, 5, checkpoint=str(tmp_path))
     assert computed == 0 and again.canonical() == led.canonical()
+
+
+def test_stored_slice_is_the_sorted_json_record(tmp_path):
+    led = ct.slice_ledger(4, 3, -2)
+    ct._store_slice(str(tmp_path), 4, 3, -2, led)
+    record = {"formatVersion": ct.FORMAT_VERSION, "n": 4, "H": 3, "a1": -2, "ledger": led.to_json()}
+    assert _slice_file(tmp_path, 4, 3, -2).read_bytes() == json.dumps(record, sort_keys=True).encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["count_n4_H3_a1-2.json"]
 
 
 def _edit_record(change):

@@ -5,6 +5,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -138,6 +139,36 @@ def test_quartic_group_matches_depressed_quartic_reference():
             assert name == depressed_quartic_group(*coeffs), coeffs
             seen[name] += 1
     assert set(seen) == {"C4", "V4", "D4", "A4", "S4"}, seen
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_kappe_warren_mask_matches_the_resolvent_oracle(dtype):
+    """Every irreducible quartic of height <= 5 whose resolvent has exactly
+    one integer root, decided as one batch, against the depressed quartic."""
+    rows = []
+    for a1 in range(-5, 6):
+        reducible = ct._factor_mask(4, 5, a1).ravel().tolist()
+        for (b, c, d), masked in zip(itertools.product(range(-5, 6), repeat=3), reducible):
+            delta = ga.quartic_disc(a1, b, c, d)
+            roots = ga._integer_cubic_roots(-b, a1 * c - 4 * d, 4 * b * d - a1 * a1 * d - c * c)
+            if delta and not masked and len(roots) == 1:
+                rows.append((a1, b, c, d, roots[0], delta))
+    a, b, _, d, beta, delta = np.array(rows, dtype=dtype).T
+    want = [depressed_quartic_group(*row[:4]) == "C4" for row in rows]
+    assert ga._kappe_warren_mask(a, b, d, beta, delta).tolist() == want
+    assert 0 < sum(want) < len(want)
+
+
+@pytest.mark.parametrize(
+    "ks, dtype",
+    [((0, 1, 2**26 - 1, 2**26 + 1, 2**31 - 1), np.int64), ((2**70 - 1, 2**70, 2**100, 2**100 + 1), object)],
+)
+def test_square_mask_is_exact_next_to_squares(ks, dtype):
+    """k^2 is a square and k^2 +- 1 is not (but for 0 and 1), in int64 up to
+    k = 2^31 - 1 and in Python ints far beyond float precision."""
+    near = [(k, e) for k in ks for e in (-1, 0, 1)]
+    got = ga._square_mask(np.array([k * k + e for k, e in near], dtype=dtype).reshape(-1, 3))
+    assert got.ravel().tolist() == [e == 0 or k * k + e in (0, 1) for k, e in near]
 
 
 def lehmer_quintic(n):
