@@ -24,9 +24,10 @@ Quintics and the S_n certificates of `sn_certificates` share one batched
 Frobenius walk (`_frobenius_walk`): the primes are taken in ascending
 order, each polynomial skips the primes dividing its own discriminant, all
 live polynomials get their cycle types at p from one
-`polyarith.frobenius_cycle_types` call (Berlekamp nullities, in int64 while
-n p^2 < 2^62 and in Python ints above), and a polynomial leaves the walk
-once it is decided.  `quintic_group_irreducible` and `sn_certificate` run
+`polyarith.frobenius_cycle_types` call (the roots mod p, the sign of the
+discriminants the walk already holds by Stickelberger, and for n = 6, 7
+one Berlekamp nullity), and a polynomial leaves the walk once it is
+decided.  `quintic_group_irreducible` and `sn_certificate` run
 the same walk on a batch of one.  A quintic is decided with integer
 arithmetic only:
 
@@ -461,7 +462,7 @@ def _frobenius_walk(polys: list[MonicIntPoly], deltas: list[int], live: list[int
             return
         at = [i for i in live if deltas[i] % p]
         if at:
-            types = frobenius_cycle_types([polys[i].coeffs for i in at], p)
+            types = frobenius_cycle_types([polys[i].coeffs for i in at], [deltas[i] for i in at], p)
             done = {i for i, t in zip(at, types) if step(i, p, t)}
             live = [i for i in live if i not in done]
 

@@ -18,18 +18,20 @@ One helper per operation, shared by every module:
   `pgcd`, `pmonic`;
 - squarefree decomposition: `_squarefree_decomposition_Q` (Yun, over Q,
   run only when disc(f) = 0) and `_squarefree_decomposition` (over F_p);
-- the Frobenius layer, on arrays of many polynomials at once: Berlekamp
-  matrices from `_frobenius_matrix` (batched companion-matrix powers, all
-  by `_matpow`, every array reduced mod p by `_reduce`, ranked by
-  `_ranks_mod_p`), read as cycle types from the nullities at the few
-  exponents of `_nullity_table` by `frobenius_cycle_types` and as indices
-  at any prime by `frobenius_index`, fed `chunks` of DECIDE_CHUNK rows by
-  every caller over a space or slice;
+- the Frobenius layer, on arrays of many polynomials at once: companion
+  matrices C (`_companion`), C^p and the Berlekamp matrices Q
+  (`_frobenius_matrix`) by `_matpow`, reduced mod p by `_reduce`, ranked
+  by `_ranks_mod_p`.  `frobenius_cycle_types` reads cycle types from the
+  roots mod p, the sign of the discriminant by Stickelberger and for
+  n = 6, 7 one nullity of Q^d - I, and `frobenius_index` reads indices at
+  any prime from a power of Q; callers over a space or slice feed them
+  `chunks` of DECIDE_CHUNK rows;
 - factorization over F_p, on the same matrices: `factor_mod_p` is the
   squarefree decomposition, then Berlekamp (`_berlekamp`) on each part's
   `_frobenius_matrix`, for small p; `splitting_type` takes the
   multiplicities from the squarefree decomposition and the degrees from
-  `frobenius_cycle_types` of each part, at any prime;
+  `frobenius_cycle_types` of each part, given the discriminant of its
+  monic integer lift, at any prime;
 - interpolation: `interpolate`, exact Newton interpolation from integer
   points to descending integer coefficients;
 - integer factorization: `factor_int`, by trial division;
@@ -52,6 +54,7 @@ import numpy as np
 from .errors import (
     CharacteristicTooSmall,
     DegreeTooSmall,
+    InternalError,
     NotPrime,
     NotSquarefreeModP,
     SubsetSumZero,
@@ -526,18 +529,20 @@ class SplittingType:
 
 def splitting_type(f: MonicIntPoly, p: int) -> SplittingType:
     """The splitting type of f mod p, at any prime: the multiplicities from
-    the squarefree decomposition, the degrees from the Frobenius cycle type
-    of each squarefree part."""
+    the squarefree decomposition, the degrees from `frobenius_cycle_types`
+    of each squarefree part g, given the discriminant of g's monic lift
+    with coefficients in [0, p), which p does not divide."""
     c = PolyModP.of(p, list(reversed(f.full()))).coeffs
-    return SplittingType.of(
-        (d, e)
-        for g, e in _squarefree_decomposition(list(c), p)
-        for d in frobenius_cycle_types([g[-2::-1]], p)[0]
-    )
+    parts = []
+    for g, e in _squarefree_decomposition(list(c), p):
+        row = tuple(g[-2::-1])
+        parts += [(d, e) for d in frobenius_cycle_types([row], [disc(MonicIntPoly(row))], p)[0]]
+    return SplittingType.of(parts)
 
 
 # ---------------------------------------------------------------------------
-# The batched Frobenius layer: Berlekamp nullities over whole arrays
+# The batched Frobenius layer: cycle types from root counts, Stickelberger's
+# sign and at most one Berlekamp nullity
 
 
 def _partitions(n: int, top: int | None = None):
@@ -552,17 +557,19 @@ def _partitions(n: int, top: int | None = None):
 
 
 @functools.lru_cache(maxsize=None)
-def _nullity_table(n: int) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+def _nullity_table(n: int) -> tuple[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]]:
     """(ds, table): a smallest set ds of exponents, first in lexicographic
-    order, whose nullities sum_i gcd(d, d_i), d in ds, tell the partitions
-    (d_1, ..., d_r) of n apart, and the table from the nullities, packed in
-    base n + 1, to the partition.  The search runs over d = 1..n, which
-    separate together; for n <= 7 no exponent above n gives a smaller set."""
+    order, such that the keys of the partitions (d_1, ..., d_r) of n tell
+    them apart, and the table from the key to the partition.  The key is
+    the number of parts 1 (the fixed points), the sign parity n - r mod 2
+    and, for each d in ds, the nullity sum_i gcd(d, d_i).  The search runs
+    over d = 1..n; for n <= 7 no exponent above n gives a smaller set, and
+    ds is () for n <= 5, (2,) for n = 6 and (4,) for n = 7."""
     parts = list(_partitions(n))
     for r in range(n + 1):
         for ds in itertools.combinations(range(1, n + 1), r):
             table = {
-                sum(sum(math.gcd(d, m) for m in lam) * (n + 1) ** i for i, d in enumerate(ds)): lam
+                (lam.count(1), (n - len(lam)) % 2, *(sum(math.gcd(d, m) for m in lam) for d in ds)): lam
                 for lam in parts
             }
             if len(table) == len(parts):
@@ -629,60 +636,115 @@ def _ranks_mod_p(A: np.ndarray, p: int) -> np.ndarray:
     return n - free.sum(axis=1)
 
 
-def _frobenius_matrix(rows: np.ndarray, p: int) -> np.ndarray:
-    """The (N, n, n) Berlekamp matrices Q of the monic x^n + a_1 x^(n-1) +
-    ... + a_n given by the rows (a_1, ..., a_n): the Frobenius g -> g^p of
-    A = F_p[x]/(f) is F_p-linear, and row i of Q holds x^(ip) mod f.  With C
-    the companion matrix (row j holds x^(j+1) mod f, so that g C = x g on
-    ascending coefficient rows), C^p multiplies by x^p and row i of Q is
-    e_0 (C^p)^i.  The arithmetic is int64 while n p^2 < 2^62, which bounds
-    every sum of products, and dtype=object above."""
+def _companion(rows: np.ndarray, p: int) -> np.ndarray:
+    """The (N, n, n) companion matrices C mod p of the monic x^n + a_1
+    x^(n-1) + ... + a_n given by the rows (a_1, ..., a_n): row j holds
+    x^(j+1) mod f, so that g C = x g on ascending coefficient rows of
+    A = F_p[x]/(f).  The dtype is int64 while n p^2 < 2^62, which bounds
+    every sum of products of two matrices, and object above."""
     N, n = rows.shape
     dt = np.int64 if n * p * p < 2**62 else object
     C = np.zeros((N, n, n), dtype=dt)
     C[:, range(n - 1), range(1, n)] = 1
     C[:, n - 1] = (-rows[:, ::-1] % p).astype(dt)  # x^n = -(a_n + a_(n-1) x + ...)
-    Cp = _matpow(C, p, p)
-    Q = np.zeros((N, n, n), dtype=dt)
+    return C
+
+
+def _berlekamp_matrix(Cp: np.ndarray, p: int) -> np.ndarray:
+    """The Berlekamp matrices Q from the powers C^p, which multiply by x^p:
+    the Frobenius g -> g^p of A is F_p-linear, and row i of Q holds
+    x^(ip) mod f = e_0 (C^p)^i."""
+    N, n, _ = Cp.shape
+    Q = np.zeros_like(Cp)
     Q[:, 0, 0] = 1
     for i in range(1, n):
         Q[:, i] = _reduce((Q[:, i - 1, None] @ Cp)[:, 0], p)
     return Q
 
 
-def frobenius_cycle_types(rows, p: int) -> list[tuple[int, ...]]:
+def _frobenius_matrix(rows: np.ndarray, p: int) -> np.ndarray:
+    """The (N, n, n) Berlekamp matrices Q of the monic polynomials given by
+    the rows (a_1, ..., a_n): row i holds x^(ip) mod f."""
+    return _berlekamp_matrix(_matpow(_companion(rows, p), p, p), p)
+
+
+def _root_counts(rows: np.ndarray, p: int) -> np.ndarray:
+    """The number of roots in F_p of each row's polynomial, from its values
+    at all p residues at once: the (N, n + 1) residue coefficients times
+    the (n + 1, p) table of the powers x^k mod p.  Every value is a sum of
+    n + 1 products below p^2, exact in int64 while (n + 1) p^2 < 2^63,
+    far above the p <= DECIDE_CHUNK n^2 of `frobenius_cycle_types`."""
+    N, n = rows.shape
+    xs = np.arange(p, dtype=np.int64)
+    powers = np.ones((n + 1, p), dtype=np.int64)  # row k holds x^(n-k)
+    for k in range(n - 1, -1, -1):
+        powers[k] = powers[k + 1] * xs % p
+    coeffs = np.ones((N, n + 1), dtype=np.int64)
+    coeffs[:, 1:] = rows % p
+    return (_reduce(coeffs @ powers, p) == 0).sum(axis=1)
+
+
+def frobenius_cycle_types(rows, deltas, p: int) -> list[tuple[int, ...]]:
     """The Frobenius cycle types at p, as descending tuples, of the monic
     polynomials given by the rows (a_1, ..., a_n) of an (N, n) integer
-    array, all at once.
+    array, with integer discriminants deltas, all at once.
 
-    If f is squarefree mod p with irreducible factors of degrees d_1..d_r,
-    then A = F_p[x]/(f) is the product of the fields F_(p^d_i), so
-    dim ker(Q^d - I) = sum_i gcd(d, d_i), and the nullities for the few d
-    in `_nullity_table`'s set tell the partitions of n apart: d = 1, 3 for
-    n = 5, d = 2, 3 for n = 6 and d = 1, 2, 6 for n = 7.  f is squarefree
-    mod p iff Q is invertible: a nonreduced A has some m != 0 with m^2 = 0,
-    which the Frobenius kills.  Every rank comes from one batched
-    elimination.  A row that is not squarefree mod p raises
-    NotSquarefreeModP.
+    f is squarefree mod p iff p does not divide disc(f), since disc(f mod
+    p) = disc(f) mod p for a monic f; a row with p | delta raises
+    NotSquarefreeModP.  For the others, let f = g_1 ... g_r mod p with
+    irreducible g_i of degrees d_i.  The key of `_nullity_table` reads:
+
+    - the fixed points r_1, the number of roots of f in F_p.  When
+      N p <= DECIDE_CHUNK n^2, the number of entries a chunk's matrix stack
+      may hold anyway, they are counted by evaluating every row at every
+      residue (`_root_counts`).  Above that bound r_1 is the nullity of
+      C^p - C, which multiplies A = F_p[x]/(f) by x^p - x, so its kernel
+      has dimension deg gcd(f, x^p - x); this route serves any p.
+    - the sign parity n - r mod 2, from Stickelberger's theorem (R. G.
+      Swan, "Factorization of polynomials over finite fields", Pacific J.
+      Math. 12, 1962): (delta | p) = (-1)^(n - r).  At p = 2 this reads
+      delta = 1 or 5 mod 8 as n - r is even or odd, since every
+      discriminant is 0 or 1 mod 4.  Any monic integer lift of f mod p
+      with p not dividing its discriminant serves.
+    - for n = 6 and 7, dim ker(Q^d - I) = sum_i gcd(d, d_i) at the one
+      exponent d = 2 or 4, since A is the product of the fields F_(p^d_i).
+      For n <= 5 the first two already tell the partitions apart.
+
+    Every rank comes from one batched elimination.  A key that names no
+    partition, which only a wrong delta can give, raises InternalError.
     """
     _require_prime(p)
     if len(rows) == 0:
         return []
     rows = np.asarray(rows)
     N, n = rows.shape
-    Q = _frobenius_matrix(rows, p)
+    if p == 2:  # the Kronecker symbol (delta | 2): +1 for delta = +-1 mod 8
+        parity = [(None, 0, None, 1, None, 1, None, 0)[d % 8] for d in deltas]
+    else:  # Euler's criterion
+        sign = {1: 0, p - 1: 1}
+        parity = [sign.get(pow(d, (p - 1) // 2, p)) for d in deltas]
+    if None in parity:
+        raise NotSquarefreeModP(f"row {rows[parity.index(None)].tolist()} is not squarefree mod {p}")
     ds, table = _nullity_table(n)
-    mats = np.empty((N, len(ds) + 1, n, n), dtype=Q.dtype)  # Q, then Q^d - I for d in ds
-    mats[:, 0] = Q
-    for i, d in enumerate(ds, start=1):
-        mats[:, i] = _matpow(Q, d, p)
-        mats[:, i, range(n), range(n)] = _reduce(mats[:, i, range(n), range(n)] - 1, p)
-    ranks = _ranks_mod_p(mats.reshape(-1, n, n), p).reshape(N, len(ds) + 1)
-    bad = np.nonzero(ranks[:, 0] < n)[0]
-    if bad.size:
-        raise NotSquarefreeModP(f"row {rows[bad[0]].tolist()} is not squarefree mod {p}")
-    keys = (n - ranks[:, 1:]) @ np.array([(n + 1) ** i for i in range(len(ds))], dtype=np.int64)
-    return [table[key] for key in keys.tolist()]
+    scan = N * p <= DECIDE_CHUNK * n * n
+    mats = []  # Q^d - I for d in ds, then C^p - C unless scan
+    if ds or not scan:
+        C = _companion(rows, p)
+        Cp = _matpow(C, p, p)
+        if ds:
+            Q = _berlekamp_matrix(Cp, p)
+            mats = [_reduce(_matpow(Q, d, p) - np.eye(n, dtype=np.int64), p) for d in ds]
+        if not scan:
+            mats.append(_reduce(Cp - C, p))
+    nullities = []  # one list per matrix of mats
+    if mats:
+        nullities = (n - _ranks_mod_p(np.stack(mats, axis=1).reshape(-1, n, n), p).reshape(N, -1)).T.tolist()
+    r1 = _root_counts(rows, p).tolist() if scan else nullities.pop()
+    types = [table.get(key) for key in zip(r1, parity, *nullities)]
+    if None in types:
+        i = types.index(None)
+        raise InternalError(f"row {rows[i].tolist()} with discriminant {deltas[i]} has no cycle type mod {p}")
+    return types
 
 
 def frobenius_index(rows, p: int) -> np.ndarray:

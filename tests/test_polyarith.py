@@ -14,11 +14,12 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from galcount import galois
+from galcount import fourier, galois
 from galcount import polyarith as pa
 from galcount.errors import (
     CharacteristicTooSmall,
     DegreeTooSmall,
+    InternalError,
     NotPrime,
     NotSquarefreeModP,
     SubsetSumZero,
@@ -377,8 +378,9 @@ def test_frobenius_cycle_types_match_splitting_type(n, p):
         if all(e == 1 for _, e in fac):
             rows.append(coeffs)
             want.append(tuple(sorted((g.degree for g, _ in fac), reverse=True)))
-    assert pa.frobenius_cycle_types(rows, p) == want
-    assert pa.frobenius_cycle_types(rows[:1], p) == want[:1]
+    deltas = [pa.disc(pa.MonicIntPoly(r)) for r in rows]
+    assert pa.frobenius_cycle_types(rows, deltas, p) == want
+    assert pa.frobenius_cycle_types(rows[:1], deltas[:1], p) == want[:1]
 
 
 def test_frobenius_cycle_types_object_path():
@@ -388,7 +390,84 @@ def test_frobenius_cycle_types_object_path():
     _, ref = sympy.factor_list(to_sympy(f.full()).as_expr(), modulus=p)
     want = tuple(sorted((sympy.degree(g, x) for g, e in ref for _ in range(e)), reverse=True))
     assert want == (2, 1, 1, 1)
-    assert pa.frobenius_cycle_types([f.coeffs], p) == [want]
+    assert pa.frobenius_cycle_types([f.coeffs], [pa.disc(f)], p) == [want]
+
+
+def _types_by_chunks(rows, deltas, p):
+    return [
+        t
+        for at in pa.chunks(range(len(rows)))
+        for t in pa.frobenius_cycle_types([rows[i] for i in at], [deltas[i] for i in at], p)
+    ]
+
+
+@pytest.mark.parametrize("n, p", [(n, p) for p in (2, 3, 5) for n in range(1, 7)] + [(5, 7)])
+def test_frobenius_cycle_types_match_the_type_map_on_every_row(n, p):
+    """Every monic row of F_p^n whose discriminant p does not divide gets
+    the degrees of its type in `fourier._type_map`, which builds the types
+    from products of irreducibles, not from Frobenius."""
+    types, labels, _ = fourier._type_map(fourier.WeightSpace("monic", p, n))
+    rows, deltas, want = [], [], []
+    for row in itertools.product(range(p), repeat=n):
+        if (delta := pa.disc(pa.MonicIntPoly(row))) % p:
+            tau = types[labels[row]]
+            assert all(e == 1 for _, e in tau.parts)
+            rows.append(row)
+            deltas.append(delta)
+            want.append(tuple(sorted((f for f, _ in tau.parts), reverse=True)))
+    assert _types_by_chunks(rows, deltas, p) == want
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_frobenius_cycle_types_at_2_do_not_depend_on_the_lift(n):
+    """Shifting the coefficients by even integers keeps f mod 2 and moves
+    the discriminant between lifts; the mod-8 sign must not notice."""
+    rng = random.Random(f"lift-{n}")
+    rows, shifted = [], []
+    for row in itertools.product(range(2), repeat=n):
+        if pa.disc(pa.MonicIntPoly(row)) % 2:
+            rows.append(row)
+            shifted += [tuple(a + 2 * rng.randrange(-20, 21) for a in row) for _ in range(5)]
+    want = [t for t in _types_by_chunks(rows, [pa.disc(pa.MonicIntPoly(r)) for r in rows], 2) for _ in range(5)]
+    assert {pa.disc(pa.MonicIntPoly(r)) % 8 for r in shifted} <= {1, 5}
+    assert _types_by_chunks(shifted, [pa.disc(pa.MonicIntPoly(r)) for r in shifted], 2) == want
+
+
+@pytest.mark.parametrize("n, p", [(n, p) for p in (97, 1009) for n in range(2, 8)] + [(2, 2), (7, 7)])
+def test_frobenius_cycle_types_agree_across_the_root_count_bound(n, p, monkeypatch):
+    """A batch of N rows counts the roots by evaluation while N p <=
+    DECIDE_CHUNK n^2, and as the nullity of C^p - C above; the same rows
+    get the same types either way.  At p = 2 and 7 the largest scanned
+    batch meets the bound exactly."""
+    scans = []
+    root_counts = pa._root_counts
+    monkeypatch.setattr(pa, "_root_counts", lambda rows, p: scans.append(len(rows)) or root_counts(rows, p))
+    rng = random.Random(f"bound-{n}-{p}")
+    below = pa.DECIDE_CHUNK * n * n // p
+    rows, deltas = [], []
+    while len(rows) < below + 1:
+        row = tuple(rng.randrange(-50, 51) for _ in range(n))
+        if (delta := pa.disc(pa.MonicIntPoly(row))) % p:
+            rows.append(row)
+            deltas.append(delta)
+    above = pa.frobenius_cycle_types(rows, deltas, p)
+    assert scans == []
+    assert pa.frobenius_cycle_types(rows[:below], deltas[:below], p) == above[:below]
+    assert pa.frobenius_cycle_types(rows[1:], deltas[1:], p) == above[1:]
+    assert scans == [below, below]
+
+
+@pytest.mark.parametrize("p, cubic, unit", [(2, (0, 1, 1), 5), (7, (0, 0, -2), 3), (2**31 - 1, (0, 0, -5), 3)])
+def test_frobenius_cycle_types_reject_a_wrong_discriminant_sign(p, cubic, unit):
+    """x (x - 1) g, for a cubic g irreducible mod p, has type (3, 1, 1): two
+    fixed points and an even sign.  Its discriminant times a non-residue
+    (times 5 at p = 2, which swaps 1 and 5 mod 8) claims an odd sign, and
+    no partition of 5 has two fixed points and an odd sign."""
+    row = tuple(pa.pmul([1, -1, 0], [1, *cubic])[1:])
+    delta = pa.disc(pa.MonicIntPoly(row))
+    assert pa.frobenius_cycle_types([row], [delta], p) == [(3, 1, 1)]
+    with pytest.raises(InternalError, match=re.escape(f"row {list(row)} with discriminant {delta * unit} has")):
+        pa.frobenius_cycle_types([row], [delta * unit], p)
 
 
 def _nonsquarefree_rows(n, rng, count):
@@ -410,26 +489,30 @@ def test_frobenius_cycle_types_rejects_a_ramified_row():
     # x^2 - 4 = (x - 2)(x + 2) has the double root 0 mod 2, and x^3 - x^2
     # the double root 0 at every p
     with pytest.raises(NotSquarefreeModP, match="not squarefree mod 2"):
-        pa.frobenius_cycle_types([(1, 1), (0, -4)], 2)
+        pa.frobenius_cycle_types([(1, 1), (0, -4)], [-3, 16], 2)
     for p in (2, 3, 97):
         with pytest.raises(NotSquarefreeModP):
-            pa.frobenius_cycle_types([(0, -1, 1), (-1, 0, 0)], p)
+            pa.frobenius_cycle_types([(0, -1, 1), (-1, 0, 0)], [-23, 0], p)
     with pytest.raises(NotPrime):
-        pa.frobenius_cycle_types([(0, 1)], 9)
+        pa.frobenius_cycle_types([(0, 1)], [-4], 9)
     rng = random.Random(7)
     for p in (2, 3, 5, 7, 13):
         for n in range(2, 8):
-            squarefree = []
+            squarefree, deltas = [], []
             while len(squarefree) < 10:
                 row = tuple(rng.randrange(-6, 7) for _ in range(n))
-                if pa.disc(pa.MonicIntPoly(row)) % p:
+                if (delta := pa.disc(pa.MonicIntPoly(row))) % p:
                     squarefree.append(row)
+                    deltas.append(delta)
             for row in _nonsquarefree_rows(n, rng, 10):
+                delta = pa.disc(pa.MonicIntPoly(row))
                 with pytest.raises(NotSquarefreeModP, match=f"not squarefree mod {p}"):
-                    pa.frobenius_cycle_types([row], p)
+                    pa.frobenius_cycle_types([row], [delta], p)
                 at = rng.randrange(len(squarefree) + 1)
                 with pytest.raises(NotSquarefreeModP, match=re.escape(f"row {list(row)} is")):
-                    pa.frobenius_cycle_types(squarefree[:at] + [row] + squarefree[at:], p)
+                    pa.frobenius_cycle_types(
+                        squarefree[:at] + [row] + squarefree[at:], deltas[:at] + [delta] + deltas[at:], p
+                    )
 
 
 def _rank_mod_p(rows, p):
@@ -508,24 +591,24 @@ def test_frobenius_matrix_rows_are_powers_of_x(n, p):
     assert pa._frobenius_matrix(np.array(rows[:1]), p).tolist() == Q[:1].tolist()
 
 
-@pytest.mark.parametrize(
-    "n, want", [(1, ()), (2, (1,)), (3, (1,)), (4, (1, 2)), (5, (1, 3)), (6, (2, 3)), (7, (1, 2, 6))]
-)
+@pytest.mark.parametrize("n, want", [(1, ()), (2, ()), (3, ()), (4, ()), (5, ()), (6, (2,)), (7, (4,))])
 def test_nullity_table_is_a_smallest_separating_set(n, want):
-    """The nullities sum_i gcd(d, d_i) for d in ds tell the partitions of n
-    apart, and no fewer exponents do, even above n: a nullity depends on d
-    only through gcd(d, m) for m <= n, so d = 1..lcm(1..n) covers all."""
+    """The fixed points, the sign parity n - r mod 2 and the nullities
+    sum_i gcd(d, d_i) for d in ds tell the partitions of n apart, and no
+    fewer exponents do, even above n: a nullity depends on d only through
+    gcd(d, m) for m <= n, so d = 1..lcm(1..n) covers all."""
     parts = list(pa._partitions(n))
     ds, table = pa._nullity_table(n)
     assert ds == want
     for lam in parts:
-        key = sum(sum(math.gcd(d, m) for m in lam) * (n + 1) ** i for i, d in enumerate(ds))
+        key = (lam.count(1), (n - len(lam)) % 2, *(sum(math.gcd(d, m) for m in lam) for d in ds))
         assert table[key] == lam
     assert len(table) == len(parts)
+    base = [(lam.count(1), (n - len(lam)) % 2) for lam in parts]
     columns = {tuple(sum(math.gcd(d, m) for m in lam) for lam in parts) for d in range(1, math.lcm(*range(1, n + 1)) + 1)}
     for r in range(len(ds)):
         for cols in itertools.combinations(columns, r):
-            assert len({tuple(col[j] for col in cols) for j in range(len(parts))}) < len(parts)
+            assert len({(*base[j], *(col[j] for col in cols)) for j in range(len(parts))}) < len(parts)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
