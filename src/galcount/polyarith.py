@@ -23,9 +23,10 @@ One helper per operation, shared by every module:
   (`_frobenius_matrix`) by `_matpow`, reduced mod p by `_reduce`, ranked
   by `_ranks_mod_p`.  `frobenius_cycle_types` reads cycle types from the
   roots mod p, the sign of the discriminant by Stickelberger and for
-  n = 6, 7 one nullity of Q^d - I, and `frobenius_index` reads indices at
-  any prime from a power of Q; callers over a space or slice feed them
-  `chunks` of DECIDE_CHUNK rows;
+  n = 6, 7 one nullity of Q^d - I; callers over a slice feed it `chunks`
+  of DECIDE_CHUNK rows.  Whole spaces need no matrices: `splitting_sieve`
+  types every monic point of degree up to n over F_p from its smallest
+  irreducible factor, for `index_table` and the Fourier type maps;
 - factorization over F_p, on the same matrices: `factor_mod_p` is the
   squarefree decomposition, then Berlekamp (`_berlekamp`) on each part's
   `_frobenius_matrix`, for small p; `splitting_type` takes the
@@ -497,15 +498,8 @@ class SplittingType:
 
     @property
     def aut_count(self) -> int:
-        prod = 1
-        for f, _ in self.parts:
-            prod *= f
-        counts: dict[tuple[int, int], int] = {}
-        for part in self.parts:
-            counts[part] = counts.get(part, 0) + 1
-        for c in counts.values():
-            prod *= math.factorial(c)
-        return prod
+        """prod f over the parts, times c! for each part repeated c times."""
+        return math.prod(f for f, _ in self.parts) * math.prod(math.factorial(self.parts.count(x)) for x in set(self.parts))
 
     @classmethod
     def parse(cls, text: str) -> "SplittingType":
@@ -576,7 +570,7 @@ def _nullity_table(n: int) -> tuple[tuple[int, ...], dict[tuple[int, ...], tuple
                 return ds, table
 
 
-DECIDE_CHUNK = 1024  # rows per batched Frobenius call over a whole space or slice
+DECIDE_CHUNK = 1024  # rows per batched Frobenius call over a slice, pairs per block of the sieve
 
 
 def chunks(items):
@@ -747,27 +741,103 @@ def frobenius_cycle_types(rows, deltas, p: int) -> list[tuple[int, ...]]:
     return types
 
 
-def frobenius_index(rows, p: int) -> np.ndarray:
-    """ind(f mod p) = sum_i deg g_i (e_i - 1), for f = prod g_i^e_i mod p,
-    of the monic polynomials given by the rows (a_1, ..., a_n), all at once
-    and at every prime p; no row need be squarefree mod p.
+# ---------------------------------------------------------------------------
+# The splitting-type sieve: every monic point over F_p labelled with its type
 
-    ker Q^j = {a : a^(p^j) = 0} lies in the nilradical of A = F_p[x]/(f),
-    of dimension ind(f mod p), and is all of it once p^j >= n >= every e_i:
-    a nilpotent a lies in every (g_i).  So ind = n - rank Q^j.
+
+@functools.lru_cache(maxsize=None)
+def splitting_types(d: int) -> tuple[SplittingType, ...]:
+    """Every splitting type of degree d, sorted by parts, so (d) comes last; () for d = 0."""
+    if d == 0:
+        return (SplittingType(()),)
+    parts = [(f, e) for f in range(1, d + 1) for e in range(1, d // f + 1)]
+    # each type once, with (f, e) as its largest part
+    types = (SplittingType((*t.parts, fe)) for fe in parts for t in splitting_types(d - fe[0] * fe[1]) if t.parts[-1:] <= (fe,))
+    return tuple(sorted(types, key=lambda t: t.parts))
+
+
+@functools.lru_cache(maxsize=None)
+def join_tables(d: int) -> dict[tuple[int, int], np.ndarray]:
+    """For each part (k, e) with k e <= d, the position in `splitting_types`(d)
+    of each type of degree d - k e with that part added."""
+    at = {t.parts: i for i, t in enumerate(splitting_types(d))}
+    parts = [(k, e) for k in range(1, d + 1) for e in range(1, d // k + 1)]
+    joined = {(k, e): [at[tuple(sorted((*t.parts, (k, e))))] for t in splitting_types(d - k * e)] for k, e in parts}
+    tables = {part: np.array(table, dtype=np.min_scalar_type(len(at))) for part, table in joined.items()}
+    for table in tables.values():
+        table.setflags(write=False)  # cached, so shared by every caller
+    return tables
+
+
+def _convolve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Row-wise products mod p of two stacks of coefficient rows, in int64."""
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), dtype=np.int64)
+    for k in range(b.shape[1]):
+        out[:, k : k + a.shape[1]] += a * b[:, k : k + 1].astype(np.int64)
+    return _reduce(out, p)
+
+
+def _monic_rows(points: np.ndarray, d: int, p: int) -> np.ndarray:
+    """The rows (1, a_1, ..., a_d) of points of the degree-d space, from their base-p digits."""
+    rows = np.ones((len(points), d + 1), dtype=np.int64)
+    rows[:, 1:] = points[:, None] // p ** np.arange(d - 1, -1, -1) % p
+    return rows
+
+
+def splitting_sieve(p: int, n: int) -> list[np.ndarray]:
+    """The label of every point (a_1, ..., a_d), row-major, of the monic
+    spaces of degree d = 0..n over F_p: the position of its type in
+    `splitting_types`(d).
+
+    Rank the irreducibles by degree, then by point index.  A reducible f is
+    g^e h for exactly one pair: g its first factor, e its multiplicity and
+    h = f / g^e of lower degree with every factor after g (minf[h] > rank
+    g; h = 1 has none), by unique factorization; and each such pair gives a
+    point of type tau(h) plus the part (deg g, e).  So stage d writes, for
+    each pool degree k < d and e <= d / k, the pairs of one `np.flatnonzero`
+    in blocks of DECIDE_CHUNK, their h rows from base-p digits.  The points
+    left unreached are the irreducibles of degree d, the next pool.
+
+    Memory: the labels (one or two bytes per point), an int32 minf per point
+    below degree n, the pool rows in the smallest dtype that holds p - 1,
+    and per (k, e) a boolean matrix and its int64 pairs, each at most p^d
+    entries, fed in blocks of a few DECIDE_CHUNK (d + 1) int64 entries.
     """
     _require_prime(p)
-    rows = np.asarray(rows)
-    n = rows.shape[1]
-    j = next(j for j in itertools.count(1) if p**j >= n)
-    return n - _ranks_mod_p(_matpow(_frobenius_matrix(rows, p), j, p), p)
+    stages = [np.zeros(1, dtype=np.uint8)]
+    minf = [np.full(1, np.iinfo(np.int32).max, dtype=np.int32)]
+    pools = []  # (rank of the first member, monic rows) of degree 1, 2, ...
+    for d in range(1, n + 1):
+        irreducible = len(splitting_types(d)) - 1  # (d) sorts last
+        labels = np.full(p**d, irreducible, dtype=np.min_scalar_type(irreducible + 1))
+        low = np.empty(p**d, dtype=np.int32) if d < n else None
+        for k, (first, pool) in enumerate(pools, 1):
+            power = pool[:, :1]  # the rows' leading ones: g^0
+            for e in range(1, d // k + 1):
+                power = _convolve(power, pool, p).astype(pool.dtype)
+                m = d - k * e
+                pairs = np.flatnonzero(minf[m] - first > np.arange(len(pool))[:, None])
+                for at in range(0, len(pairs), DECIDE_CHUNK):
+                    g, h = np.divmod(pairs[at : at + DECIDE_CHUNK], p**m)
+                    f = _convolve(_monic_rows(h, m, p), power[g], p)[:, 1:] @ p ** np.arange(d - 1, -1, -1)
+                    labels[f] = join_tables(d)[k, e][stages[m][h]]
+                    if low is not None:
+                        low[f] = first + g
+        stages.append(labels)
+        if low is not None:
+            pool = np.flatnonzero(labels == irreducible)
+            first = pools[-1][0] + len(pools[-1][1]) if pools else 0
+            low[pool] = first + np.arange(len(pool))
+            minf.append(low)
+            pools.append((first, _monic_rows(pool, d, p).astype(np.min_scalar_type(p - 1))))
+    return stages
 
 
-def index_table(p: int, n: int) -> list[int]:
+def index_table(p: int, n: int) -> np.ndarray:
     """ind(f mod p) for every coefficient tuple (a_1..a_n), row-major, at any
-    prime p."""
-    tuples = itertools.product(range(p), repeat=n)
-    return [i for block in chunks(tuples) for i in frobenius_index(block, p).tolist()]
+    prime p: the index of each point's type in the sieve."""
+    inds = np.array([t.ind for t in splitting_types(n)], dtype=np.min_scalar_type(n))
+    return inds[splitting_sieve(p, n)[n]]
 
 
 # ---------------------------------------------------------------------------
@@ -826,8 +896,8 @@ def count_index_completions(p: int, n: int, k: int, prefix: tuple[int, ...]) -> 
         raise UsageError("need 1 <= k <= n-1")
     if len(prefix) != n - k:
         raise UsageError("prefix must have length n-k")
-    rows = ((*prefix, *suffix) for suffix in itertools.product(range(p), repeat=k))
-    return sum(int((frobenius_index(block, p) == k).sum()) for block in chunks(rows))
+    row = sum(a % p * p**i for i, a in enumerate(reversed(prefix)))
+    return int(np.count_nonzero(index_table(p, n).reshape(-1, p**k)[row] == k))
 
 
 def partition_count(k: int, r: int) -> int:

@@ -36,8 +36,8 @@ from .errors import SubsetSumZero
 def verify_prop33(ps=(5, 7, 11, 13), ns=(3, 4, 5)) -> dict:
     """Completions of a prefix to index >= k number at most q(k,n-k)(n-k)!.
 
-    Exhaustive over all prefixes; cells with p <= n are skipped, since the
-    proposition assumes p > n (as `count_index_completions` enforces).
+    Exhaustive over the prefixes of one `index_table` per (p, n); cells with
+    p <= n are skipped, as the proposition (and `count_index_completions`) needs p > n.
     """
     checked = 0
     violations = []
@@ -47,7 +47,7 @@ def verify_prop33(ps=(5, 7, 11, 13), ns=(3, 4, 5)) -> dict:
             if p <= n:
                 cells.append({"p": p, "n": n, "skipped": "needs p > n"})
                 continue
-            tab = np.array(index_table(p, n), dtype=np.int64)
+            tab = index_table(p, n)
             for k in range(1, n):
                 bound = partition_bound(k, n - k)
                 rows = tab.reshape(p ** (n - k), p**k)

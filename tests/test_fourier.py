@@ -10,7 +10,7 @@ import pytest
 
 from galcount import fourier as fr
 from galcount.errors import TooLarge
-from galcount.polyarith import PolyModP, SplittingType, factor_int, factor_mod_p
+from galcount.polyarith import MonicIntPoly, PolyModP, SplittingType, factor_int, factor_mod_p, splitting_type
 
 S = SplittingType.parse
 
@@ -180,21 +180,60 @@ def test_weight_array_matches_pointwise_weight(kind, p, n):
             assert arr[point] == weight(space, point, sigma, sels), (point, str(sigma))
 
 
-def test_type_map_never_enumerates_the_degree_n_pool(monkeypatch):
-    """The degree-n irreducibles are the points no product reaches, so the
-    pool of degree n is never listed."""
-    real = fr.enumerate_irreducibles
-    degrees = []
+def test_type_map_enumerates_no_irreducibles(monkeypatch):
+    """The sieve finds every pool as the points it leaves unreached, so the
+    type map never lists irreducibles."""
 
-    def spy(p, d):
-        degrees.append(d)
-        return real(p, d)
+    def refuse(p, d):
+        raise AssertionError(f"enumerate_irreducibles({p}, {d})")
 
-    monkeypatch.setattr(fr, "enumerate_irreducibles", spy)
+    monkeypatch.setattr(fr, "enumerate_irreducibles", refuse)
     for kind, p, n in [("monic", 5, 3), ("binary", 3, 4), ("monic", 2, 6), ("binary", 7, 1)]:
-        degrees.clear()
+        fr._type_map(fr.WeightSpace(kind, p, n))
         fr.fourier_table(fr.WeightSpace(kind, p, n), S("1"))
-        assert all(d < n for d in degrees), (kind, p, n, degrees)
+
+
+def reference_type(space: fr.WeightSpace, point: tuple[int, ...]) -> SplittingType | None:
+    """The splitting type of a point by `polyarith.splitting_type`, one
+    polynomial at a time; for a binary form c y^j F(x, y), F's type with one
+    more part (1, j) for y; None for the zero form."""
+    p = space.p
+    if space.kind == "monic":
+        return splitting_type(MonicIntPoly(point), p)
+    if not any(point):
+        return None
+    j = next(i for i, c in enumerate(point) if c)
+    inv = pow(point[j], -1, p)
+    tau = splitting_type(MonicIntPoly(tuple(c * inv % p for c in point[j + 1 :])), p)
+    return SplittingType.of((*tau.parts, (1, j))) if j else tau
+
+
+@pytest.mark.parametrize(
+    "kind, p, n",
+    [("monic", 2, 6), ("monic", 3, 5), ("monic", 5, 4), ("monic", 7, 3), ("binary", 2, 5), ("binary", 3, 4)],
+)
+def test_type_map_matches_splitting_type_at_every_point(kind, p, n):
+    """Multiplicities up to n, beyond what WEIGHT_CASES reaches."""
+    space = fr.WeightSpace(kind, p, n)
+    types, labels, _ = fr._type_map(space)
+    assert labels.shape == (p,) * space.dim
+    for point in itertools.product(range(p), repeat=space.dim):
+        tau = reference_type(space, point)
+        assert labels[point] == (len(types) if tau is None else types.index(tau)), point
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_type_map_pool_sizes_match_necklace_formula(p):
+    want = {d: irreducible_count_necklace(p, d) for d in range(1, 7)}
+    assert fr._type_map(fr.WeightSpace("monic", p, 6))[2] == want
+    assert fr._type_map(fr.WeightSpace("binary", p, 6))[2] == {**want, 1: want[1] + 1}  # and y
+
+
+def test_tables_equal_the_out_of_place_transform():
+    for kind, p, n in [("monic", 5, 3), ("binary", 3, 4)]:
+        space = fr.WeightSpace(kind, p, n)
+        for table in fr.fourier_tables(space, fr.sigmas_up_to(n)):
+            assert np.array_equal(table.values, np.fft.ifftn(table.weights.astype(np.complex128)))
 
 
 def test_fourier_tables_equal_one_table_per_sigma():

@@ -611,23 +611,18 @@ def test_nullity_table_is_a_smallest_separating_set(n, want):
             assert len({(*base[j], *(col[j] for col in cols)) for j in range(len(parts))}) < len(parts)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n, p", [(n, p) for p in (2, 3, 5, 7, 13) for n in range(1, 8) if p**n <= 13**6])
 def test_frobenius_index_matches_splitting_type(n, p):
+    """ind(f mod p), the index of Frobenius at p, read off `index_table` at
+    random rows and at rows with repeated factors mod p, against
+    `splitting_type`; p^n stops at 13^6, the largest table a test builds."""
     rng = random.Random(1000 * n + p)
     rows = [tuple(rng.randrange(-6, 7) for _ in range(n)) for _ in range(40)]
     if n >= 2:
         rows += [(0,) * n] + _nonsquarefree_rows(n, rng, 20)
-    want = [pa.splitting_type(pa.MonicIntPoly(r), p).ind for r in rows]
-    assert pa.frobenius_index(rows, p).tolist() == want
-    assert pa.frobenius_index(rows[-1:], p).tolist() == want[-1:]
-
-
-def test_frobenius_index_object_path():
-    # n p^2 >= 2^62 switches to Python ints; (x - 1)^2 (x^3 - x - 1) has index 1
-    p = 2**31 - 1
-    f = pa.MonicIntPoly(tuple(pa.pmul(pa.pmul([1, -1], [1, -1]), [1, 0, -1, -1])[1:]))
-    assert pa.frobenius_index([f.coeffs], p).tolist() == [pa.splitting_type(f, p).ind] == [1]
+    tab = pa.index_table(p, n)
+    got = [int(tab[np.ravel_multi_index([a % p for a in row], (p,) * n)]) for row in rows]
+    assert got == [pa.splitting_type(pa.MonicIntPoly(row), p).ind for row in rows]
 
 
 def test_splitting_type_index_examples():
@@ -748,15 +743,41 @@ def test_count_index_completions_examples():
     assert pa.count_index_completions(7, 4, 2, prefix) == scan
 
 
-@pytest.mark.parametrize("p,n", [(5, 3), (2, 4), (3, 3), (5, 5)])
+@pytest.mark.parametrize("p,n", [(5, 3), (7, 4), (2, 4), (3, 3), (5, 5)])
 def test_index_table_matches_pointwise(p, n):
+    """Row-major over (a_1, ..., a_n), at p > n and at p <= n, where the
+    index takes every value up to n - 1."""
     tab = pa.index_table(p, n)
-    assert len(tab) == p**n
-    import itertools
+    assert tab.shape == (p**n,)
+    want = [pa.splitting_type(pa.MonicIntPoly(tup), p).ind for tup in itertools.product(range(p), repeat=n)]
+    assert tab.tolist() == want
+    assert max(want) == n - 1
 
-    for idx, tup in enumerate(itertools.product(range(p), repeat=n)):
-        f = pa.MonicIntPoly(tup)
-        assert tab[idx] == pa.splitting_type(f, p).ind
+
+def test_splitting_types_are_every_multiset_once_sorted():
+    """Each degree's types, against a brute force over multisets of parts
+    (f, e), and `fourier.sigmas_up_to` as their union, sorted by parts."""
+    for d in range(8):
+        parts = [(f, e) for f in range(1, d + 1) for e in range(1, d // f + 1)]
+        brute = {
+            combo
+            for r in range(d + 1)
+            for combo in itertools.combinations_with_replacement(parts, r)
+            if sum(f * e for f, e in combo) == d
+        }
+        assert [t.parts for t in pa.splitting_types(d)] == sorted(brute)
+    union = [t for d in range(1, 8) for t in pa.splitting_types(d)]
+    assert fourier.sigmas_up_to(7) == sorted(union, key=lambda t: t.parts)
+
+
+def test_join_tables_add_one_part():
+    for d in range(1, 8):
+        types = pa.splitting_types(d)
+        for (k, e), table in pa.join_tables(d).items():
+            below = pa.splitting_types(d - k * e)
+            assert len(table) == len(below)
+            for t, at in zip(below, table.tolist()):
+                assert types[at] == pa.SplittingType.of((*t.parts, (k, e)))
 
 
 def test_partition_bound_examples():

@@ -22,6 +22,27 @@ def test_prop33_small_cell():
     assert not skipped  # p > n throughout this cell
 
 
+# (p, n, k, worst) of every cell of acceptance criterion 4, pinned from the
+# Berlekamp-rank index tables that the splitting-type sieve replaced
+PROP33_WORST = [
+    (5, 3, 1, 2), (5, 3, 2, 1), (5, 4, 1, 2), (5, 4, 2, 3), (5, 4, 3, 1),
+    (7, 3, 1, 2), (7, 3, 2, 1), (7, 4, 1, 3), (7, 4, 2, 3), (7, 4, 3, 1),
+    (7, 5, 1, 4), (7, 5, 2, 4), (7, 5, 3, 2), (7, 5, 4, 1),
+    (11, 3, 1, 2), (11, 3, 2, 1), (11, 4, 1, 3), (11, 4, 2, 3), (11, 4, 3, 1),
+    (11, 5, 1, 4), (11, 5, 2, 4), (11, 5, 3, 2), (11, 5, 4, 1),
+    (13, 3, 1, 2), (13, 3, 2, 1), (13, 4, 1, 3), (13, 4, 2, 3), (13, 4, 3, 1),
+    (13, 5, 1, 4), (13, 5, 2, 4), (13, 5, 3, 2), (13, 5, 4, 1),
+]
+
+
+def test_prop33_acceptance_report_pinned():
+    rep = vf.verify_prop33(ps=(5, 7, 11, 13), ns=(3, 4, 5))
+    assert rep["pass"] and rep["checked"] == 54640 and rep["violations"] == 0
+    cells = rep["details"]["cells"]
+    assert [(c["p"], c["n"], c["k"], c["worst"]) for c in cells if "k" in c] == PROP33_WORST
+    assert [c for c in cells if "k" not in c] == [{"p": 5, "n": 5, "skipped": "needs p > n"}]
+
+
 def test_prop33_skips_small_characteristic():
     rep = vf.verify_prop33(ps=(5,), ns=(5,))
     assert any("skipped" in c for c in rep["details"]["cells"])
