@@ -1,12 +1,14 @@
 """Exhaustive coefficient-box enumeration and the derived experiments.
 
-The box {max |a_i| <= H} is cut into slices along a_1.  Each slice is
-counted independently and the slice ledgers are merged in a fixed order,
-so the result is independent of the worker schedule.  The checksum of a
-merged ledger is the XOR of the per-slice checksums, hence also
-schedule-independent.  With a checkpoint directory each slice is stored as
-a file as soon as it is counted, and a stored slice is reused only if it
-re-seals (see `_load_slice`).
+The box {max |a_i| <= H} is cut into slices along a_1, each with its own
+ledger.  The unit of work is a run: consecutive slices still to be counted,
+closed once it holds at least DECIDE_CHUNK polynomials (`_runs`).  Every
+slice ledger depends only on its own slice, and the ledgers are merged in a
+fixed order, so the result is independent of the runs and of the worker
+schedule.  The checksum of a merged ledger is the XOR of the per-slice
+checksums, hence also schedule-independent.  With a checkpoint directory
+each slice is stored as a file when its run is counted, and a stored slice
+is reused only if it re-seals (see `_load_slice`).
 
 The quartic counter decides a whole slice with integer arrays, a block of
 a2 rows at a time.  Fujiwara's bound puts the resolvent roots at |y| <= Y
@@ -24,10 +26,12 @@ polynomial has such a factor, so at every degree the mask is exactly
 reducibility, and the box counters never factor over Z.  For degrees 5-7
 each polynomial still gets its own discriminant (`polyarith.disc`, a
 Hankel determinant of power sums).  The unmasked polynomials are
-irreducible: the quintics are decided together by `galois.quintic_groups`,
-the sextics and septics go to `galois.sn_certificates`, and those left
+irreducible; those of a whole run are tagged with their slice and decided
+together (`_run_counts`): the quintics by `galois.quintic_groups`, the
+sextics and septics by `galois.sn_certificates`, and those left
 uncertified are booked as unresolved.  Both batched Frobenius deciders are
-fed in `polyarith.chunks`, so their arrays stay O(DECIDE_CHUNK n^2) at any H.
+fed in `polyarith.chunks`, one walk per chunk, so their arrays stay
+O(DECIDE_CHUNK n^2) at any H.
 `case_partition` screens cubics, quartics and quintics with the same
 `_unmasked` slices and names the groups with `galois.irreducible_groups`.
 
@@ -59,7 +63,7 @@ from .errors import (
     ZeroCount,
 )
 from . import galois
-from .polyarith import MonicIntPoly, chunks, disc, factor_int, field_disc_valuation, pmul
+from .polyarith import DECIDE_CHUNK, MonicIntPoly, chunks, disc, factor_int, field_disc_valuation, pmul
 
 DEFAULT_BUDGET = 10**9
 FORMAT_VERSION = 1
@@ -387,58 +391,67 @@ def _unmasked(led, H, a1):
             yield f, delta
 
 
-def _decided(pairs, decide):
-    """(f, delta, verdict) for each (f, delta) of `pairs`, with the batched
-    decide(polys, deltas) fed `chunks` of pairs."""
-    for batch in chunks(pairs):
-        polys, deltas = map(list, zip(*batch))
-        yield from zip(polys, deltas, decide(polys, deltas))
+def _decided(items, decide):
+    """(tag, f, delta, verdict) for each (tag, f, delta) of `items`, with the
+    batched decide(polys, deltas) fed `chunks` of items."""
+    for batch in chunks(items):
+        tags, polys, deltas = map(list, zip(*batch))
+        yield from zip(tags, polys, deltas, decide(polys, deltas))
 
 
-def _slice_counts_n5(H, a1):
-    """Every unmasked quintic is irreducible and gets its exact group."""
-    led = CountLedger(n=5, H=H, total=(2 * H + 1) ** 4)
-    groups = _group_tally(5)
-    for _, _, name in _decided(_unmasked(led, H, a1), galois.quintic_groups):
-        groups[name] += 1
-        if name in ("C5", "D5", "A5"):
-            led.square_disc += 1
-    led.per_group = {k: v for k, v in groups.items() if v}
-    return led
+def _verdicts(n, polys, deltas):
+    """(group name, square discriminant) of each irreducible f of degree n =
+    5, 6 or 7: quintics get their exact group, sextics and septics S_n only
+    by certificate, and the name None (unresolved) otherwise."""
+    if n == 5:
+        return [(name, name in ("C5", "D5", "A5")) for name in galois.quintic_groups(polys, deltas)]
+    return [
+        (SN_NAME[n], False) if v.status == "certifiedSn" else (None, v.status == "certifiedSubsetAn")
+        for v in galois.sn_certificates(polys, deltas, prime_budget=25)
+    ]
 
 
-def _slice_counts_interval(n, H, a1):
-    """Degrees 6-7: S_n only by certificate.  Every unmasked polynomial is
-    irreducible, so one left uncertified is unresolved."""
-    led = CountLedger(n=n, H=H, total=(2 * H + 1) ** (n - 1))
-    certified = 0
-    for _, _, verdict in _decided(_unmasked(led, H, a1), partial(galois.sn_certificates, prime_budget=25)):
-        if verdict.status == "certifiedSn":
-            certified += 1
-        else:
-            led.square_disc += verdict.status == "certifiedSubsetAn"
+def _run_counts(n, H, a1s):
+    """Degrees 5-7: the ledgers of the slices a1s.  Every unmasked
+    polynomial is irreducible; each is tagged with its slice, and all of
+    them are decided together, one Frobenius walk per chunk.  A verdict
+    depends only on its own polynomial, so it goes back into its slice's
+    ledger unchanged by the grouping."""
+    leds = {a1: CountLedger(n=n, H=H, total=(2 * H + 1) ** (n - 1)) for a1 in a1s}
+    tagged = ((a1, f, delta) for a1 in a1s for f, delta in _unmasked(leds[a1], H, a1))
+    for a1, _, _, (name, square) in _decided(tagged, partial(_verdicts, n)):
+        led = leds[a1]
+        led.square_disc += square
+        if name is None:
             led.unresolved += 1
-    if certified:
-        led.per_group[SN_NAME[n]] = certified
-    return led
+        else:
+            led.per_group[name] = led.per_group.get(name, 0) + 1
+    return list(leds.values())
 
 
-def slice_ledger(n: int, H: int, a1: int) -> CountLedger:
-    """Ledger for the sub-box with the leading coefficient pinned to a1."""
-    if n == 2:
-        led = _slice_counts_n2(H, a1)
-    elif n == 3:
-        led = _slice_counts_n3(H, a1)
-    elif n == 4:
-        led = _slice_counts_n4(H, a1)
-    elif n == 5:
-        led = _slice_counts_n5(H, a1)
-    elif n in (6, 7):
-        led = _slice_counts_interval(n, H, a1)
+_ARRAY_COUNTERS = {2: _slice_counts_n2, 3: _slice_counts_n3, 4: _slice_counts_n4}
+
+
+def slice_ledger(n: int, H: int, a1s: list[int]) -> list[CountLedger]:
+    """The ledgers of the sub-boxes with the leading coefficient pinned to
+    each a1 of `a1s`, in that order.  Degrees 2-4 count each slice by
+    itself; degrees 5-7 decide the whole list (a run) together."""
+    if n in _ARRAY_COUNTERS:
+        leds = [_ARRAY_COUNTERS[n](H, a1) for a1 in a1s]
+    elif n in (5, 6, 7):
+        leds = _run_counts(n, H, a1s)
     else:
         raise DegreeOutOfRange("enumeration implemented for 2 <= n <= 7")
-    led.checksum = _slice_crc(a1, led)
-    return led
+    for a1, led in zip(a1s, leds):
+        led.checksum = _slice_crc(a1, led)
+    return leds
+
+
+def _runs(n, H, a1s):
+    """`a1s` cut into runs of consecutive entries, each closed once it holds
+    at least DECIDE_CHUNK polynomials (one slice if a slice holds that many)."""
+    per_run = -(-DECIDE_CHUNK // (2 * H + 1) ** (n - 1))
+    return [a1s[i : i + per_run] for i in range(0, len(a1s), per_run)]
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +498,12 @@ def _load_slice(root, n, H, a1) -> CountLedger | None:
 
 
 def _slice_worker(args):
-    n, H, a1, checkpoint = args
-    led = slice_ledger(n, H, a1)
+    n, H, a1s, checkpoint = args
+    leds = slice_ledger(n, H, a1s)
     if checkpoint:
-        _store_slice(checkpoint, n, H, a1, led)
-    return a1, led
+        for a1, led in zip(a1s, leds):
+            _store_slice(checkpoint, n, H, a1, led)
+    return list(zip(a1s, leds))
 
 
 def check_budget(n: int, H: int, budget: int) -> None:
@@ -508,9 +522,11 @@ def enumerate_box(
     """The merged ledger of the box and the number of slices computed.
 
     With a `checkpoint` directory, every stored slice that re-seals is
-    reused and every computed slice is stored as soon as it is done, by
-    the process that computed it.  The missing slices are computed in a
-    Pool of min(parallelism, missing slices, CPUs) processes, if above 1.
+    reused.  The missing slices are cut into runs (`_runs`), which may join
+    non-adjacent a1 where stored slices lie between, and the runs are
+    computed in a Pool of min(parallelism, missing runs, CPUs) processes,
+    if above 1.  Each slice of a run is stored when its run is done, by the
+    process that computed it.
     """
     if not 2 <= n <= 7 or H < 0:
         raise UsageError("need 2 <= n <= 7 and H >= 0")
@@ -525,13 +541,16 @@ def enumerate_box(
             led = _load_slice(checkpoint, n, H, a1)
             if led is not None:
                 results[a1] = led
-    todo = [(n, H, a1, checkpoint) for a1 in a1s if a1 not in results]
-    workers = min(parallelism, len(todo), os.cpu_count() or 1)
+    todo = [a1 for a1 in a1s if a1 not in results]
+    jobs = [(n, H, run, checkpoint) for run in _runs(n, H, todo)]
+    workers = min(parallelism, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with Pool(workers) as pool:
-            results.update(pool.map(_slice_worker, todo))
+            done = pool.map(_slice_worker, jobs)
     else:
-        results.update(map(_slice_worker, todo))
+        done = map(_slice_worker, jobs)
+    for pairs in done:
+        results.update(pairs)
     merged = CountLedger(n=n, H=H)
     for a1 in a1s:  # fixed order; checksum is order-free anyway
         merged = merged.merge(results[a1])
@@ -611,8 +630,8 @@ def case_partition(n: int, H: int, params: SieveParams | None = None) -> dict:
     targets = set(_PRIMITIVE_NON_SN[n])
     hist = {"I": 0, "II": 0, "III": 0, "unknownC": 0}
     scratch = CountLedger(n=n, H=H, total=0)  # takes the discZero and reducible counts
-    pairs = (pair for a1 in range(-H, H + 1) for pair in _unmasked(scratch, H, a1))
-    for f, delta_f, name in _decided(pairs, galois.irreducible_groups):
+    tagged = ((a1, f, d) for a1 in range(-H, H + 1) for f, d in _unmasked(scratch, H, a1))
+    for _, f, delta_f, name in _decided(tagged, galois.irreducible_groups):
         if name not in targets:
             continue
         C = 1

@@ -5,8 +5,8 @@ factor_over_Z is classical Zassenhaus: Yun splits off repeated factors only
 when disc(f) = 0; each squarefree part is factored deterministically by
 Berlekamp (`polyarith.factor_mod_p`) mod the least prime not dividing its
 discriminant, a small one, all modular factors are lifted together past the
-Mignotte bound by one linear Hensel lift (`_hensel_lift_list`, which also
-lifts the quintic split-prime roots), and subsets are recombined.
+Mignotte bound by one linear Hensel lift (`_hensel_lift_list`), and subsets
+are recombined.
 `classify` factors every input with it first and hands an irreducible one
 to `irreducible_groups`, with the discriminant that factoring computed, so
 no group test sees a reducible polynomial (disc(f) = 0 makes f reducible).
@@ -38,7 +38,7 @@ arithmetic only:
 - Otherwise its walk stops at the first p where f has five distinct roots
   mod p; Chebotarev guarantees such primes (density 1/|G|).
 
-At that prime the roots r_0..r_4 of f in Z_p are Hensel-lifted mod
+At that prime the roots r_0..r_4 of f in Z_p are lifted by Newton's step mod
 q = p^k > 2(1 + 10R^4)^6, where R = 1 + H(f) exceeds every complex |r_i|.
 G acts on these roots.  theta = sum x_i^2 (x_(i-1) x_(i+1) + x_(i-2) x_(i+2))
 (indices mod 5) has stabilizer F20 = AGL(1, 5) and six conjugates theta_o,
@@ -426,17 +426,29 @@ def _split_roots(f: MonicIntPoly, p: int) -> tuple[list[int], int]:
     """(roots, q): the five roots of f in Z/q, q = p^k > 2(1 + 10R^4)^6.
 
     f must have five distinct roots mod p; R = 1 + H(f) bounds every
-    complex root.
+    complex root.  Each root r mod p is simple, so f'(r) is a unit, and
+    Newton's step r <- r - f(r)/f'(r) mod m^2 takes a root mod m to the
+    unique one mod m^2 (capped at q): about log2(k) steps per root.  The
+    roots come in the order of their residues mod p.
     """
     R = 1 + f.height()
     q = p
     while q <= 2 * (1 + 10 * R**4) ** 6:
         q *= p
-    linear = [[-r % p, 1] for r in range(p) if f(r) % p == 0]
-    if len(linear) != 5:
+    roots = [r for r in range(p) if f(r) % p == 0]
+    if len(roots) != 5:
         raise UsageError(f"f does not split into distinct linear factors mod {p}")
-    lifted = _hensel_lift_list(list(reversed(f.full())), linear, p, q)
-    return [-g[0] % q for g in lifted], q
+    a = f.coeffs
+    for i, r in enumerate(roots):
+        m = p
+        while m < q:
+            m = min(m * m, q)
+            v, dv = 1, 0  # f(r) and f'(r) by Horner
+            for c in a:
+                v, dv = (v * r + c) % m, (dv * r + v) % m
+            r = (r - v * pow(dv, -1, m)) % m
+        roots[i] = r
+    return roots, q
 
 
 def quintic_resolvent_sextic(roots: list[int], q: int) -> list[int]:

@@ -37,8 +37,10 @@ One helper per operation, shared by every module:
   points to descending integer coefficients;
 - integer factorization: `factor_int`, by trial division;
 - discriminant: `disc` for monic f, the n x n Hankel determinant
-  det[s_(i+j)], 0 <= i, j < n, of the Newton power sums, by `_det_bareiss`;
-  it equals prod_(i<j) (alpha_i - alpha_j)^2.  The one non-monic
+  det[s_(i+j)], 0 <= i, j < n, of the Newton power sums; it equals
+  prod_(i<j) (alpha_i - alpha_j)^2.  For n <= 7 it runs as straight-line
+  Bareiss code generated once per degree, with the pivoting `_det_bareiss`
+  as the fallback at a zero pivot and for larger n.  The one non-monic
   discriminant, in `double_disc`, is the same determinant of a monic
   rescaling, divided exactly.
 """
@@ -210,6 +212,42 @@ def _det_bareiss(mat: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+STRAIGHT_MAX = 7  # degrees whose discriminant runs as generated straight-line code
+
+
+def _straight_source(n: int) -> str:
+    """Source of the straight-line discriminant of degree n: the power sums
+    s1 .. s(2n-2), then the Bareiss updates of the upper triangle m{i}_{j},
+    i <= j, of [s_(i+j)], returning None at a zero pivot."""
+    a = [f"a{i}" for i in range(1, n + 1)]
+    body = []
+    for k in range(1, 2 * n - 1):
+        terms = [f"{k} * a{k}" if k > 1 else "a1"] if k <= n else []
+        terms += [f"a{i} * s{k - i}" for i in range(1, min(k, n + 1))]
+        body.append(f"s{k} = -({' + '.join(terms)})")
+    m = {(i, j): f"s{i + j}" for i in range(n) for j in range(i, n)}
+    m[0, 0] = str(n)
+    for k in range(n - 1):
+        piv = m[k, k]
+        if k:
+            body.append(f"if not {piv}: return None")
+        for i in range(k + 1, n):
+            for j in range(i, n):
+                t = f"{m[i, j]} * {piv} - {m[k, i]} * {m[k, j]}"
+                body.append(f"m{i}_{j} = ({t}) // {m[k - 1, k - 1]}" if k else f"m{i}_{j} = {t}")
+                m[i, j] = f"m{i}_{j}"
+    body.append(f"return {m[n - 1, n - 1]}")
+    return f"def disc{n}({', '.join(a)}):\n" + "".join(f"    {line}\n" for line in body)
+
+
+@functools.cache
+def _straight_disc(n: int):
+    """The compiled straight-line discriminant of degree n, built on first use."""
+    ns: dict = {}
+    exec(compile(_straight_source(n), f"<straight-line disc, n = {n}>", "exec"), ns)
+    return ns[f"disc{n}"]
+
+
 def disc(f: MonicIntPoly) -> int:
     """disc of the monic f, as the Hankel determinant det[s_(i+j)], 0 <= i, j < n.
 
@@ -217,11 +255,27 @@ def disc(f: MonicIntPoly) -> int:
     and [s_(i+j)] = V V^T for the Vandermonde matrix V of the roots, so the
     determinant is prod_(i<j) (alpha_i - alpha_j)^2, from an n x n instead
     of the (2n-1) x (2n-1) Sylvester matrix of Res(f, f').
+
+    For n <= STRAIGHT_MAX the determinant is fraction-free Bareiss without
+    pivoting, run as straight-line code over locals (`_straight_source`,
+    compiled once per degree on first use).  After step k, entry (i, j)
+    is the minor of rows 0..k, i and columns 0..k, j, so by Sylvester's
+    identity each division by the previous pivot (the leading k x k minor)
+    is exact, and the last entry is the determinant (Bareiss, Math. Comp.
+    22, 1968).  The matrix is symmetric and so is every step, so only the
+    upper triangle is updated.  A zero pivot (a vanishing leading minor, as
+    for x^5 + c, whose s_1 .. s_4 vanish) makes it return None, and the
+    determinant then comes from the pivoting `_det_bareiss`, which also
+    serves every n above STRAIGHT_MAX.  Both give the same exact integer.
     """
     a = f.coeffs
     n = len(a)
     if n == 0:
         raise UsageError("disc needs degree >= 1")
+    if n <= STRAIGHT_MAX:
+        d = _straight_disc(n)(*a)
+        if d is not None:
+            return d
     s = [n]
     for k in range(1, 2 * n - 1):
         t = k * a[k - 1] if k <= n else 0

@@ -101,9 +101,10 @@ def test_golden_ledgers_pinned(box):
 
 def test_quartic_object_dtype_path_matches_int64(monkeypatch):
     H = 4
-    want = [ct.slice_ledger(4, H, a1).canonical() for a1 in range(-H, H + 1)]
+    a1s = list(range(-H, H + 1))
+    want = [led.canonical() for led in ct.slice_ledger(4, H, a1s)]
     monkeypatch.setattr(ct, "_quartic_dtype", lambda H: object)
-    assert [ct.slice_ledger(4, H, a1).canonical() for a1 in range(-H, H + 1)] == want
+    assert [led.canonical() for led in ct.slice_ledger(4, H, a1s)] == want
 
 
 def test_quartic_int64_bounds_hold_at_the_largest_int64_H():
@@ -156,7 +157,7 @@ def test_quartic_slice_matches_per_polynomial_count(H, a1):
             want.per_group[name] = want.per_group.get(name, 0) + 1
             want.square_disc += name in ("A4", "V4")
     want.per_group = dict(sorted(want.per_group.items()))
-    got = ct.slice_ledger(4, H, a1)
+    (got,) = ct.slice_ledger(4, H, [a1])
     got.checksum = 0
     assert got.to_json() == want.to_json()
 
@@ -187,9 +188,10 @@ def test_quartic_block_size_does_not_change_the_count(monkeypatch, H, dtype):
     at y0 = b - a^2/4 among them, lose and double-count nothing."""
     monkeypatch.setattr(ct, "_quartic_dtype", lambda H: dtype)
     monkeypatch.setattr(ct, "_kappe_warren_dtype", lambda H: dtype)
-    want = [ct.slice_ledger(4, H, a1).canonical() for a1 in range(-H, H + 1)]
+    a1s = list(range(-H, H + 1))
+    want = [led.canonical() for led in ct.slice_ledger(4, H, a1s)]
     monkeypatch.setattr(ct, "_quartic_block_rows", lambda H, Y: 1)
-    assert [ct.slice_ledger(4, H, a1).canonical() for a1 in range(-H, H + 1)] == want
+    assert [led.canonical() for led in ct.slice_ledger(4, H, a1s)] == want
 
 
 def test_kappe_warren_dtype_turns_to_object_where_its_bound_reaches_2_62():
@@ -280,17 +282,19 @@ def test_ledger_invariant_holds():
 
 
 def test_merge_equals_single_pass():
-    n, H = 3, 4
-    whole = ct.enumerate_box(n, H)[0]
-    merged = ct.CountLedger(n=n, H=H)
-    for a1 in range(-H, H + 1):
-        merged = merged.merge(ct.slice_ledger(n, H, a1))
-    assert merged.canonical() == whole.canonical()
-    # merging is order-insensitive
-    rev = ct.CountLedger(n=n, H=H)
-    for a1 in range(H, -H - 1, -1):
-        rev = rev.merge(ct.slice_ledger(n, H, a1))
-    assert rev.canonical() == whole.canonical()
+    for n, H in [(3, 4), (5, 1)]:
+        whole = ct.enumerate_box(n, H)[0]
+        merged = ct.CountLedger(n=n, H=H)
+        for a1 in range(-H, H + 1):
+            (led,) = ct.slice_ledger(n, H, [a1])
+            merged = merged.merge(led)
+        assert merged.canonical() == whole.canonical()
+        # merging is order-insensitive, and one list of every slice in
+        # reverse gives the ledgers that one slice per call gives
+        rev = ct.CountLedger(n=n, H=H)
+        for led in ct.slice_ledger(n, H, list(range(H, -H - 1, -1))):
+            rev = rev.merge(led)
+        assert rev.canonical() == whole.canonical()
 
 
 def test_ledger_json_roundtrip():
@@ -327,7 +331,7 @@ def test_checkpoint_slice_file_bytes_pinned(tmp_path):
 
 
 def test_stored_slice_is_the_sorted_json_record(tmp_path):
-    led = ct.slice_ledger(4, 3, -2)
+    (led,) = ct.slice_ledger(4, 3, [-2])
     ct._store_slice(str(tmp_path), 4, 3, -2, led)
     record = {"formatVersion": ct.FORMAT_VERSION, "n": 4, "H": 3, "a1": -2, "ledger": led.to_json()}
     assert _slice_file(tmp_path, 4, 3, -2).read_bytes() == json.dumps(record, sort_keys=True).encode()
@@ -389,8 +393,10 @@ def test_checkpoint_not_created_for_a_refused_box(tmp_path):
     assert not os.path.exists(ck)
 
 
-def test_pool_capped_at_slices_to_compute(tmp_path, monkeypatch):
-    sizes = []
+def test_pool_capped_at_runs_to_compute(tmp_path, monkeypatch):
+    """The Pool has min(parallelism, missing runs, CPUs) workers; a run
+    closes once it holds DECIDE_CHUNK polynomials, here 2 slices of 25."""
+    sizes, jobs = [], []
 
     class SerialPool:
         def __init__(self, processes):
@@ -403,19 +409,61 @@ def test_pool_capped_at_slices_to_compute(tmp_path, monkeypatch):
             return False
 
         def map(self, fn, items):
+            jobs.append([run for _, _, run, _ in items])
             return list(map(fn, items))
 
     monkeypatch.setattr(ct, "Pool", SerialPool)
+    monkeypatch.setattr(ct, "DECIDE_CHUNK", 50)
     direct = ct.enumerate_box(3, 2)[0]
     led, computed = ct.enumerate_box(3, 2, parallelism=10**6, checkpoint=str(tmp_path))
     assert computed == 5 and led.canonical() == direct.canonical()
-    workers = min(5, os.cpu_count() or 1)
+    workers = min(3, os.cpu_count() or 1)
     assert sizes == ([workers] if workers > 1 else [])
-    # one missing slice, or none, starts no Pool
-    _slice_file(tmp_path, 3, 2, 0).unlink()
-    assert ct.enumerate_box(3, 2, parallelism=10**6, checkpoint=str(tmp_path))[1] == 1
+    assert jobs == ([[[-2, -1], [0, 1], [2]]] if workers > 1 else [])
+    # the missing slices -2 and 2 make one run, and none starts no Pool
+    for a1 in (-2, 2):
+        _slice_file(tmp_path, 3, 2, a1).unlink()
+    assert ct.enumerate_box(3, 2, parallelism=10**6, checkpoint=str(tmp_path))[1] == 2
     assert ct.enumerate_box(3, 2, parallelism=10**6, checkpoint=str(tmp_path))[1] == 0
     assert sizes == ([workers] if workers > 1 else [])
+    assert ct._runs(3, 2, [-2, 2]) == [[-2, 2]]
+
+
+@pytest.mark.parametrize("n, H", [(5, 2), (6, 1), (7, 1)])
+def test_run_grouping_does_not_change_ledgers_or_slice_files(tmp_path, n, H):
+    """Serial, two workers, and a checkpoint holding every other slice (so
+    a run joins non-adjacent a1) give byte-identical ledgers and slice
+    files; slicesComputed counts slices, not runs."""
+    dirs = [tmp_path / name for name in ("serial", "par2", "gaps")]
+    serial, computed = ct.enumerate_box(n, H, checkpoint=str(dirs[0]))
+    assert computed == 2 * H + 1 and len(ct._runs(n, H, list(range(-H, H + 1)))) < computed
+    par2, computed = ct.enumerate_box(n, H, parallelism=2, checkpoint=str(dirs[1]))
+    assert computed == 2 * H + 1
+    dirs[2].mkdir()
+    stored = range(-H, H + 1, 2)
+    for a1 in stored:
+        _slice_file(dirs[2], n, H, a1).write_bytes(_slice_file(dirs[0], n, H, a1).read_bytes())
+    gaps, computed = ct.enumerate_box(n, H, checkpoint=str(dirs[2]))
+    assert computed == 2 * H + 1 - len(stored)
+    assert serial.canonical() == par2.canonical() == gaps.canonical()
+    files = [{p.name: p.read_bytes() for p in d.iterdir()} for d in dirs]
+    assert len(files[0]) == 2 * H + 1 and files[0] == files[1] == files[2]
+
+
+def test_counting_computes_one_disc_per_polynomial(monkeypatch):
+    """The degree 5-7 counters call `disc` through counting's own binding
+    exactly once per polynomial of the box, whatever the runs."""
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return disc(f)
+
+    monkeypatch.setattr(ct, "disc", counted)
+    for n, H in [(5, 2), (6, 1), (7, 1)]:
+        calls.clear()
+        ct.compute_E(n, H)
+        assert len(calls) == (2 * H + 1) ** n, (n, H)
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,46 @@ def test_hankel_disc_matches_sylvester_disc():
             assert k == 0 or pa.disc(f) == 0
 
 
+def test_straight_line_disc_matches_sylvester_on_small_boxes():
+    """The straight-line `disc` of degrees 1-7, with its pivoting fallback,
+    equals the Sylvester discriminant on every polynomial of five boxes, on
+    the families x^n + c and x^n + bx + c (many zero pivots), and on a
+    degree-8 polynomial, which takes the generic path."""
+    rows = [r for n, H in [(3, 3), (4, 2), (5, 1), (6, 1), (7, 1)] for r in itertools.product(range(-H, H + 1), repeat=n)]
+    for n in range(1, 8):
+        for b, c in itertools.product(range(-3, 4), repeat=2):
+            rows.append((0,) * (n - 1) + (c,))
+            if n >= 2:
+                rows.append((0,) * (n - 2) + (b, c))
+    rows.append((1, -2, 3, 0, -1, 4, 2, -5))
+    fallbacks = 0
+    for r in rows:
+        f = pa.MonicIntPoly(r)
+        assert pa.disc(f) == disc_general(f.full()), r
+        fallbacks += len(r) <= pa.STRAIGHT_MAX and pa._straight_disc(len(r))(*r) is None
+    assert fallbacks > 0
+
+
+def test_disc_falls_back_at_a_zero_pivot(monkeypatch):
+    """x^5 + 1 has s_1 = ... = s_4 = 0, so the second pivot 5 s_2 - s_1^2
+    vanishes: the straight-line code gives None and the pivoting Bareiss
+    gives disc = 5^5."""
+    f = pa.MonicIntPoly((0, 0, 0, 0, 1))
+    want = disc_general(f.full())
+    assert pa._straight_disc(5)(*f.coeffs) is None
+    det, calls = pa._det_bareiss, []
+
+    def counted(mat):
+        calls.append(mat)
+        return det(mat)
+
+    monkeypatch.setattr(pa, "_det_bareiss", counted)
+    assert pa.disc(f) == want == 5**5
+    assert calls == [[[5, 0, 0, 0, 0], [0, 0, 0, 0, -5], [0, 0, 0, -5, 0], [0, 0, -5, 0, 0], [0, -5, 0, 0, 0]]]
+    pa.disc(pa.MonicIntPoly((1, -2, 3, 0, -1)))
+    assert len(calls) == 1
+
+
 def test_disc_of_a_constant_is_a_usage_error():
     with pytest.raises(UsageError):
         pa.disc(pa.MonicIntPoly(()))
