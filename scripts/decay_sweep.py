@@ -23,12 +23,7 @@ def main():
 
     primes = [int(t) for t in args.primes.split(",")]
     sigmas = fourier.sigmas_up_to(args.n)
-    found = [[] for _ in sigmas]  # one report per prime for each sigma
-    for p in primes:
-        space = fourier.WeightSpace(args.space, p, args.n)
-        for reports, table in zip(found, fourier.fourier_tables(space, sigmas)):
-            reports.append(fourier.verify_decay(table))
-    for sigma, reports in zip(sigmas, found):
+    for sigma, reports in zip(sigmas, fourier.decay_reports(args.space, args.n, primes, sigmas)):
         maxima = [rep["maxNonzeroScaled"] for rep in reports]
         errs = [rep["mainTermError"] for rep in reports]
         regime = reports[-1]["regime"]

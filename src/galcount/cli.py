@@ -139,15 +139,8 @@ def cmd_fourier(args) -> list[dict]:
     if not primes or len(set(primes)) != len(primes):
         raise UsageError("need a nonempty list of distinct primes")
     sigmas = [SplittingType.parse(s) for s in args.sigma.split(",")]
-    found = [[] for _ in sigmas]  # one report per prime for each sigma
-    for p in primes:
-        space = fourier.WeightSpace(args.space, p, args.n)
-        for reports, table in zip(found, fourier.fourier_tables(space, sigmas)):
-            rep = fourier.verify_decay(table)
-            rep["parsevalGap"] = fourier.parseval_gap(table)
-            reports.append(rep)
     out = []
-    for reports in found:
+    for reports in fourier.decay_reports(args.space, args.n, primes, sigmas):
         trend_ok = not fourier.accelerating([r["maxNonzeroScaled"] for r in reports])
         for rep in reports:
             out.append(

@@ -162,12 +162,6 @@ def _slice_counts_n2(H, a1):
     return led
 
 
-def _factor_dtype(n, H):
-    """int64 while every intermediate of `_factor_mask` stays below 2^62."""
-    R = H + 1
-    return np.int64 if max(2 * R**n, (4 * R) ** (n - 1)) < 2**62 else object
-
-
 def _factor_tail(a1, head, q):
     """The last m coefficients of f = (x^m + q_1 x^(m-1) + ... + q_m) g for
     the monic g of degree n - m that makes f start x^n + a1 x^(n-1) + head,
@@ -205,11 +199,10 @@ def _factor_mask(n, H, a1):
     they lie in the box.  Factors are taken in blocks of (2H + 3)^m, so the
     temporaries hold about as many entries as the mask.  As |d_k| <= H +
     3R|d_(k-1)| + 3R^2|d_(k-2)| + H|d_(k-3)| < (4R)^k by induction, every
-    intermediate is below 2 R^n for m = 1 and (4R)^(n-1) above, so the mask
-    runs in int64 while both stay below 2^62 and on dtype=object above.
+    intermediate is below 2 R^n for m = 1 and (4R)^(n-1) above, and the mask
+    runs in int64, where `_int64_bound` keeps both below 2^62.
     """
     S = 2 * H + 1
-    dt = _factor_dtype(n, H)
     R = H + 1
     coef = np.arange(-H, H + 1, dtype=np.int64)
     mask = np.zeros((S,) * (n - 1), dtype=bool)
@@ -220,16 +213,16 @@ def _factor_mask(n, H, a1):
             qj = np.arange(-math.comb(m, j) * R**j, math.comb(m, j) * R**j + 1)
             factors = np.vstack([np.repeat(qj, factors.shape[1]), np.tile(factors, qj.size)])
         axes = n - m - 1  # head coefficients a_2 .. a_(n-m)
-        head = [coef.astype(dt).reshape((1,) * (k + 1) + (-1,) + (1,) * (axes - k - 1)) for k in range(axes)]
+        head = [coef.reshape((1,) * (k + 1) + (-1,) + (1,) * (axes - k - 1)) for k in range(axes)]
         block = (S + 2) ** m
         for i in range(0, factors.shape[1], block):
-            q = factors[:, i : i + block].astype(dt).reshape((m, -1) + (1,) * axes)
+            q = factors[:, i : i + block].reshape((m, -1) + (1,) * axes)
             tail = np.broadcast_arrays(*_factor_tail(a1, head, list(q)))
             ok = abs(tail[0]) <= H
             for t in tail[1:]:
                 ok &= abs(t) <= H
             hit = np.nonzero(ok)[1:]
-            mask[(*hit, *((t[ok] + H).astype(np.int64) for t in tail))] = True
+            mask[(*hit, *(t[ok] + H for t in tail))] = True
     return mask
 
 
@@ -512,6 +505,18 @@ def check_budget(n: int, H: int, budget: int) -> None:
         raise BudgetExceeded(f"(2H+1)^n = {(2*H+1)**n} exceeds budget {budget}")
 
 
+def _int64_bound(n: int, H: int) -> int:
+    """A bound on every int64 intermediate of the array counters for the box
+    (n, H), which `enumerate_box` requires below 2^62: |d| for the n = 2, 3
+    discriminants, whose `galois._square_mask` is exact there, and the
+    bounds 2R^n and (4R)^(n-1) of `_factor_mask` from n = 3 on.  The
+    quartic counter moves its own arithmetic to dtype=object instead."""
+    if n == 2:
+        return H * H + 4 * H
+    R = H + 1
+    return max(2 * R**n, (4 * R) ** (n - 1), 5 * H**4 + 22 * H**3 + 27 * H**2 if n == 3 else 0)
+
+
 def enumerate_box(
     n: int,
     H: int,
@@ -526,13 +531,17 @@ def enumerate_box(
     non-adjacent a1 where stored slices lie between, and the runs are
     computed in a Pool of min(parallelism, missing runs, CPUs) processes,
     if above 1.  Each slice of a run is stored when its run is done, by the
-    process that computed it.
+    process that computed it.  A box over budget, or one whose int64
+    arithmetic `_int64_bound` does not prove exact, is refused before
+    anything is made.
     """
     if not 2 <= n <= 7 or H < 0:
         raise UsageError("need 2 <= n <= 7 and H >= 0")
     if parallelism < 1:
         raise UsageError(f"need parallelism >= 1, got {parallelism}")
     check_budget(n, H, budget)
+    if _int64_bound(n, H) >= 2**62:
+        raise BudgetExceeded(f"H = {H} is past the int64 range the degree-{n} counter is proven exact in")
     a1s = range(-H, H + 1)
     results = {}
     if checkpoint:

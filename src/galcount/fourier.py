@@ -195,6 +195,16 @@ def parseval_gap(table: FourierTable) -> float:
     return abs(lhs - rhs) / rhs
 
 
+def decay_reports(kind: str, n: int, primes, sigmas) -> list[list[dict]]:
+    """For each sigma, its `verify_decay` report with its `parseval_gap` as
+    "parsevalGap" at each prime in turn, one type map per prime (`fourier_tables`)."""
+    found = [[] for _ in sigmas]
+    for p in primes:
+        for reports, table in zip(found, fourier_tables(WeightSpace(kind, p, n), sigmas)):
+            reports.append({**verify_decay(table), "parsevalGap": parseval_gap(table)})
+    return found
+
+
 def accelerating(xs, tol: float = 1e-9) -> bool:
     """Does the series grow by more than tol at every step, with increments
     that never shrink (up to a relative slack of 1e-6)?

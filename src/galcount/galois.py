@@ -1,12 +1,12 @@
 """Factorization over Z, exact Galois groups for degree <= 5 and S_n
 certificates beyond.
 
-factor_over_Z is classical Zassenhaus: Yun splits off repeated factors only
-when disc(f) = 0; each squarefree part is factored deterministically by
-Berlekamp (`polyarith.factor_mod_p`) mod the least prime not dividing its
-discriminant, a small one, all modular factors are lifted together past the
-Mignotte bound by one linear Hensel lift (`_hensel_lift_list`), and subsets
-are recombined.
+factor_over_Z is classical Zassenhaus: `polyarith._squarefree_chain`
+splits off repeated factors only when disc(f) = 0; each squarefree part is
+factored deterministically by Berlekamp (`polyarith.factor_mod_p`) mod the
+least prime not dividing its discriminant, a small one, all modular
+factors are lifted together past the Mignotte bound by one linear Hensel
+lift (`_hensel_lift_list`), and subsets are recombined.
 `classify` factors every input with it first and hands an irreducible one
 to `irreducible_groups`, with the discriminant that factoring computed, so
 no group test sees a reducible polynomial (disc(f) = 0 makes f reducible).
@@ -89,7 +89,9 @@ from .polyarith import (
     MonicIntPoly,
     PolyModP,
     _deriv,
-    _squarefree_decomposition_Q,
+    _divides,
+    _squarefree_chain,
+    _sym,
     disc,
     factor_mod_p,
     frobenius_cycle_types,
@@ -131,18 +133,6 @@ class GaloisVerdict:
     @property
     def transitivity_class(self) -> str | None:
         return GROUPS[self.group][1] if self.group else None
-
-    def to_json(self) -> dict:
-        out = {"status": self.status}
-        if self.group:
-            out["group"] = self.group
-            out["order"] = self.order
-            out["transitivityClass"] = self.transitivity_class
-        if self.factor_degrees:
-            out["factorDegrees"] = list(self.factor_degrees)
-        if self.evidence:
-            out["evidence"] = [[p, list(t)] for p, t in self.evidence]
-        return out
 
 
 def transitive_group(name: str) -> pg.PermGroup:
@@ -206,33 +196,9 @@ def _hensel_lift_list(f: list[int], factors: list[list[int]], p: int, target: in
     return lifted
 
 
-def _sym(c: int, q: int) -> int:
-    """The representative of c mod q in (-q/2, q/2]."""
-    c %= q
-    return c - q if c > q // 2 else c
-
-
-def _divides(f_desc: list[int], g_desc: list[int]) -> list[int] | None:
-    """Exact quotient f/g over Z if it divides (both monic, descending), else None."""
-    f = f_desc[:]
-    dg, df = len(g_desc) - 1, len(f_desc) - 1
-    if dg > df:
-        return None
-    q = [0] * (df - dg + 1)
-    for i in range(df - dg + 1):
-        c = f[i]
-        q[i] = c
-        if c:
-            for j in range(dg + 1):
-                f[i + j] -= c * g_desc[j]
-    if any(f[df - dg + 1 :]):
-        return None
-    return q
-
-
 def _zassenhaus(f: MonicIntPoly, delta: int) -> list[MonicIntPoly]:
     """Factor a squarefree monic integer polynomial with discriminant delta
-    into monic irreducibles."""
+    into monic irreducibles, unsorted."""
     n = f.degree
     if n == 1:
         return [f]
@@ -243,8 +209,7 @@ def _zassenhaus(f: MonicIntPoly, delta: int) -> list[MonicIntPoly]:
     if len(modular) == 1:
         return [f]
     # Mignotte-style bound on factor coefficients, lift past twice that
-    norm = math.isqrt(sum(c * c for c in fasc)) + 1
-    bound = 2**n * norm
+    bound = 2**n * (math.isqrt(sum(c * c for c in fasc)) + 1)
     target = p
     while target <= 2 * bound:
         target *= p
@@ -255,7 +220,6 @@ def _zassenhaus(f: MonicIntPoly, delta: int) -> list[MonicIntPoly]:
     found: list[MonicIntPoly] = []
     size = 1
     while 2 * size <= len(remaining):
-        hit = False
         for combo in itertools.combinations(remaining, size):
             prod = [1]
             for i in combo:
@@ -266,28 +230,25 @@ def _zassenhaus(f: MonicIntPoly, delta: int) -> list[MonicIntPoly]:
                 found.append(MonicIntPoly.from_full(cand))
                 rem_poly = q
                 remaining = [i for i in remaining if i not in combo]
-                hit = True
                 break
-        if not hit:
+        else:
             size += 1
     if len(rem_poly) > 1:
         found.append(MonicIntPoly.from_full(rem_poly))
-    found.sort(key=lambda g: (g.degree, g.coeffs))
     return found
 
 
 def _factor_and_disc(f: MonicIntPoly) -> tuple[list[tuple[MonicIntPoly, int]], int]:
     """`factor_over_Z` of a non-constant f, and disc(f).  A squarefree f
-    goes to Zassenhaus with its own discriminant; otherwise disc(f) = 0 and
-    each of Yun's parts goes with its own (1 for a linear part)."""
+    goes to Zassenhaus with its own discriminant; otherwise disc(f) = 0, each
+    part of `_squarefree_chain` goes with its own (1 for a linear part), and
+    a factor's multiplicity is the number of parts it lies in."""
     delta = disc(f)
-    out = [
-        (irr, mult)
-        for part, mult in _squarefree_decomposition_Q(f, delta)
-        for irr in _zassenhaus(part, delta or (disc(part) if part.degree > 1 else 1))
-    ]
-    out.sort(key=lambda t: (t[0].degree, t[0].coeffs, t[1]))
-    return out, delta
+    mult: dict[MonicIntPoly, int] = {}
+    for part in _squarefree_chain(f) if delta == 0 else [f]:
+        for irr in _zassenhaus(part, delta or (disc(part) if part.degree > 1 else 1)):
+            mult[irr] = mult.get(irr, 0) + 1
+    return sorted(mult.items(), key=lambda t: (t[0].degree, t[0].coeffs)), delta
 
 
 def factor_over_Z(f: MonicIntPoly) -> list[tuple[MonicIntPoly, int]]:

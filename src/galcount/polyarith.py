@@ -16,8 +16,11 @@ One helper per operation, shared by every module:
 - derivative: `_deriv` (descending, over Z or Q), `pderiv` (ascending, mod p);
 - division and gcd over F_p: `pdivmod` (also over Z/m by a monic divisor),
   `pgcd`, `pmonic`;
-- squarefree decomposition: `_squarefree_decomposition_Q` (Yun, over Q,
-  run only when disc(f) = 0) and `_squarefree_decomposition` (over F_p);
+- exact division and symmetric lift over Z: `_divides` (by a monic
+  polynomial, descending), `_sym` (the residue in (-q/2, q/2]);
+- squarefree decomposition: `_squarefree_chain` (over Z, the parts
+  f_k / f_(k+1) of f_(k+1) = gcd(f_k, f_k'), run only when disc(f) = 0)
+  and `_squarefree_decomposition` (over F_p);
 - the Frobenius layer, on arrays of many polynomials at once: companion
   matrices C (`_companion`), C^p and the Berlekamp matrices Q
   (`_frobenius_matrix`) by `_matpow`, reduced mod p by `_reduce`, ranked
@@ -146,6 +149,46 @@ def _deriv(c: list) -> list:
     """Descending coefficients of the derivative, over Z or Q; untrimmed."""
     d = len(c) - 1
     return [x * (d - i) for i, x in enumerate(c[:-1])]
+
+
+def _sym(c: int, q: int) -> int:
+    """The representative of c mod q in (-q/2, q/2]."""
+    c %= q
+    return c - q if c > q // 2 else c
+
+
+def _divides(f: list[int], g: list[int]) -> list[int] | None:
+    """The quotient f/g over Z if g divides f (both monic, descending), else None."""
+    f, q = f[:], []
+    for i in range(len(f) - len(g) + 1):
+        q.append(f[i])
+        for j, c in enumerate(g):
+            f[i + j] -= q[i] * c
+    return q if q and not any(f[len(q) :]) else None
+
+
+def _squarefree_chain(f: MonicIntPoly) -> list[MonicIntPoly]:
+    """The parts f_k / f_(k+1) of f_0 = f, f_(k+1) = gcd(f_k, f_k') over Q,
+    down to f_K = 1: part k is the product of f's distinct irreducible
+    factors of multiplicity greater than k, and the parts multiply to f.
+    Gauss's lemma makes every monic f_k integral, so only the gcd runs on
+    Fractions and each part is `_divides`' exact quotient over Z."""
+    parts = []
+    fk = f.full()
+    while len(fk) > 1:
+        a, b = [Fraction(c) for c in fk], [Fraction(c) for c in _deriv(fk)]
+        while any(b):  # Euclid: a, b <- b, a mod b
+            for i in range(len(a) - len(b) + 1):
+                c = a[i] / b[0]
+                for j, bc in enumerate(b):
+                    a[i + j] -= c * bc
+            a, b = b, _trim(a[len(a) - len(b) + 1 :])
+        if any(c % a[0] for c in a):
+            raise InternalError(f"gcd(f, f') of {f.coeffs} is not integral")
+        gk = [int(c / a[0]) for c in a]
+        parts.append(MonicIntPoly.from_full(_divides(fk, gk)))
+        fk = gk
+    return parts
 
 
 def factor_int(m: int) -> dict[int, int]:
@@ -913,9 +956,7 @@ def dedekind_p_maximal(f: MonicIntPoly, p: int) -> bool:
         for _ in range(j - 1):
             hstar = pmul(hstar, s, p)
     # integer lifts, monic, ascending
-    glift = [c if c <= p // 2 else c - p for c in gstar]
-    hlift = [c if c <= p // 2 else c - p for c in hstar]
-    prod = pmul(glift, hlift)
+    prod = pmul([_sym(c, p) for c in gstar], [_sym(c, p) for c in hstar])
     # g*h* == f mod p, so the difference is divisible by p coefficient-wise
     diff = [a - b for a, b in itertools.zip_longest(prod, fasc, fillvalue=0)]
     assert all(d % p == 0 for d in diff)
@@ -1010,60 +1051,6 @@ def power_sum_solution_count(p: int, weights: tuple[int, ...], targets: tuple[in
 # Mahler measure
 
 
-def _squarefree_decomposition_Q(f: MonicIntPoly, delta: int | None = None) -> list[tuple[MonicIntPoly, int]]:
-    """Yun's algorithm in characteristic 0: monic squarefree parts with
-    their multiplicities, in increasing multiplicity; a constant f is its
-    own single part.  Gauss's lemma keeps every part integer-coefficient.
-    Yun runs only when disc(f) = 0, i.e. when f has a repeated root; a
-    caller that has computed disc(f) passes it as delta."""
-    if not f.degree or (disc(f) if delta is None else delta):
-        return [(f, 1)]
-
-    def fdivmod(a, b):
-        a = list(a)
-        q = [Fraction(0)] * (len(a) - len(b) + 1)
-        for i in range(len(q)):
-            c = a[i] / b[0]
-            q[i] = c
-            for j, bc in enumerate(b):
-                a[i + j] -= c * bc
-        return q, a[len(q):]
-
-    def fgcd(a, b):
-        while b and (len(b) > 1 or b[0] != 0):
-            a, b = b, _trim(fdivmod(a, b)[1])
-        return [c / a[0] for c in a]
-
-    def to_poly(a):
-        assert all(c.denominator == 1 for c in a)
-        return MonicIntPoly(tuple(int(c) for c in a[1:]))
-
-    def fsub(a, b):
-        pad = len(a) - len(b)
-        if pad < 0:
-            a = [Fraction(0)] * (-pad) + list(a)
-        elif pad > 0:
-            b = [Fraction(0)] * pad + list(b)
-        return _trim([x - y for x, y in zip(a, b)])
-
-    fq = [Fraction(c) for c in f.full()]
-    a = fgcd(fq, _deriv(fq))
-    b, _ = fdivmod(fq, a)
-    c, _ = fdivmod(_deriv(fq), a)
-    d = fsub(c, _deriv(b))
-    out = []
-    i = 1
-    while len(b) > 1:
-        p = fgcd(b, d)
-        if len(p) > 1:
-            out.append((to_poly(p), i))
-        b, _ = fdivmod(b, p)
-        c, _ = fdivmod(d, p)
-        d = fsub(c, _deriv(b))
-        i += 1
-    return out
-
-
 def mahler_measure(f: MonicIntPoly, tol: float = 1e-9) -> float:
     """M(f) = prod max(1, |root|), as the midpoint of a proven enclosure of
     half-width at most tol.
@@ -1115,26 +1102,26 @@ def mahler_measure(f: MonicIntPoly, tol: float = 1e-9) -> float:
 
     The fast path is one eigenvalue solve in floats.  Only when its discs
     overlap or its enclosure is wider than tol does f take the fallback:
-    if disc(f) = 0, Yun's squarefree parts g^e are measured in one pass
-    and combined as prod [lo_g^e, hi_g^e].  While the product is still
-    wider than tol, every part is measured again from `mpmath.polyroots`
-    at 106, 212, ... bits by the same Smith test."""
+    if disc(f) = 0, the squarefree parts of `_squarefree_chain`, whose
+    product is f, are measured in one pass and their enclosures multiplied.
+    While the product is still wider than tol, every part is measured again
+    from `mpmath.polyroots` at 106, 212, ... bits by the same Smith test."""
     if tol < 1e-12:
         raise UsageError("tol too small to certify in double precision")
-    parts = [(f, 1)]
+    parts = [f]
     boxes = [_float_factors(f)]
-    lo, hi = _enclosure(parts, boxes)
+    lo, hi = _enclosure(boxes)
     if hi - lo + 8 * _U * hi > 2 * tol and disc(f) == 0:
-        parts = _squarefree_decomposition_Q(f, 0)
-        boxes = [_float_factors(g) for g, _ in parts]
-        lo, hi = _enclosure(parts, boxes)
+        parts = _squarefree_chain(f)
+        boxes = [_float_factors(g) for g in parts]
+        lo, hi = _enclosure(boxes)
     precisions = iter((106, 212, 424, 848, 1696))
     while hi - lo + 8 * _U * hi > 2 * tol:
         prec = next(precisions, None)
         if prec is None:
             raise ToleranceUnreachable(f"could not certify M(f) to {tol}")
-        boxes = [_mp_factors(g, prec) or box for (g, _), box in zip(parts, boxes)]
-        lo, hi = _enclosure(parts, boxes)
+        boxes = [_mp_factors(g, prec) or box for g, box in zip(parts, boxes)]
+        lo, hi = _enclosure(boxes)
     return (lo + hi) / 2
 
 
@@ -1142,13 +1129,13 @@ _U = 2.0**-53  # unit roundoff of a Python float
 _UNDERFLOW = 2.0**-1000  # exceeds every error gradual underflow adds to f(z)
 
 
-def _enclosure(parts: list[tuple[MonicIntPoly, int]], boxes: list) -> tuple[float, float]:
-    """[lo, hi] containing prod M(g)^e over the parts (g, e), from each
+def _enclosure(boxes: list) -> tuple[float, float]:
+    """[lo, hi] containing the product of the parts' measures, from each
     part's per-root factor bounds (`_smith_factors`); [1, inf] while some
     part has none."""
     if any(box is None for box in boxes):
         return 1.0, math.inf
-    factors = [bound for (_, e), box in zip(parts, boxes) for bound in box * e]
+    factors = [bound for box in boxes for bound in box]
     return math.prod(lo for lo, _ in factors), math.prod(hi for _, hi in factors)
 
 

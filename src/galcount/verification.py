@@ -237,9 +237,9 @@ def verify_decay(ns=(3, 4), ps=(3, 5, 7, 11), spaces=("monic", "binary"), tol=1e
     For each space, degree, and sigma, builds the full transform at every
     prime, checks Parseval to tolerance, and requires that neither the
     main-term error nor the scaled off-peak maximum increases monotonically
-    across the prime ladder (a proxy for p-uniform boundedness).  Each
-    space's tables come from one type map, prime by prime; the report lists
-    them sigma by sigma.
+    across the prime ladder (a proxy for p-uniform boundedness).  The
+    reports come from `fourier.decay_reports`, one type map per space and
+    prime; the report lists them sigma by sigma.
     """
     checked = 0
     violations = []
@@ -247,18 +247,15 @@ def verify_decay(ns=(3, 4), ps=(3, 5, 7, 11), spaces=("monic", "binary"), tol=1e
     for kind in spaces:
         for n in ns:
             sigmas = fourier.sigmas_up_to(n)
-            found = [[] for _ in sigmas]  # (p, Parseval gap, report) per sigma
-            for p in ps:
-                space = fourier.WeightSpace(kind, p, n)
-                for row, table in zip(found, fourier.fourier_tables(space, sigmas)):
-                    row.append((p, fourier.parseval_gap(table), fourier.verify_decay(table)))
-            for sigma, row in zip(sigmas, found):
-                for p, gap, _ in row:
-                    checked += 1
-                    if gap > tol:
-                        violations.append({"space": kind, "n": n, "p": p, "sigma": str(sigma), "parsevalGap": gap})
-                errs = [rep["mainTermError"] for _, _, rep in row]
-                maxima = [rep["maxNonzeroScaled"] for _, _, rep in row]
+            for sigma, reports in zip(sigmas, fourier.decay_reports(kind, n, ps, sigmas)):
+                checked += len(reports)
+                violations += [
+                    {"space": kind, "n": n, "p": r["p"], "sigma": r["sigma"], "parsevalGap": r["parsevalGap"]}
+                    for r in reports
+                    if r["parsevalGap"] > tol
+                ]
+                errs = [rep["mainTermError"] for rep in reports]
+                maxima = [rep["maxNonzeroScaled"] for rep in reports]
                 if fourier.accelerating(errs, tol) or fourier.accelerating(maxima, tol):
                     violations.append(
                         {"space": kind, "n": n, "sigma": str(sigma), "mainTermErrors": errs, "maxima": maxima}

@@ -233,24 +233,24 @@ def test_factor_mask_matches_factor_over_Z():
         assert ct._factor_mask(n, H, a1).ravel().tolist() == want, (n, H, a1)
 
 
-def test_factor_mask_object_dtype_path_matches_int64(monkeypatch):
-    boxes = [(3, 5), (4, 3), (5, 2), (6, 1), (7, 1)]
-    want = [ct._factor_mask(n, H, a1) for n, H in boxes for a1 in range(-H, H + 1)]
-    monkeypatch.setattr(ct, "_factor_dtype", lambda n, H: object)
-    got = [ct._factor_mask(n, H, a1) for n, H in boxes for a1 in range(-H, H + 1)]
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+def _largest_int64_H(n):
+    """The largest H whose box `enumerate_box` does not refuse by `_int64_bound`."""
+    lo, hi = 0, 2**32  # accepted at lo, refused at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if ct._int64_bound(n, mid) < 2**62 else (lo, mid)
+    return lo
 
 
 @pytest.mark.parametrize("n", range(3, 8))
-def test_factor_mask_int64_bounds_hold_at_the_largest_int64_H(n):
-    """At the largest H run in int64, `_factor_tail` on int64 arrays equals
-    the Python-int evaluation at every corner of the box and of the factor
-    ranges |q_j| <= C(m, j) R^j, |q_m| <= H of every m <= n/2."""
-    lo, hi = 0, 2**22  # int64 at lo, object at hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if ct._factor_dtype(n, mid) is np.int64 else (lo, mid)
-    H, R = lo, lo + 1
+def test_factor_mask_int64_bounds_hold_at_the_largest_int64_H(n, tmp_path):
+    """At the largest H that `enumerate_box` accepts, `_factor_tail` on
+    int64 arrays equals the Python-int evaluation at every corner of the box
+    and of the factor ranges |q_j| <= C(m, j) R^j, |q_m| <= H of every
+    m <= n/2.  At H + 1 the box is refused, even within its budget, before
+    the checkpoint directory is made."""
+    H = _largest_int64_H(n)
+    R = H + 1
     for m in range(1, n // 2 + 1):
         sides = [(-math.comb(m, j) * R**j, math.comb(m, j) * R**j) for j in range(1, m)] + [(-H, H)]
         corners = [(*a, *q) for a in itertools.product((-H, H), repeat=n - m) for q in itertools.product(*sides)]
@@ -258,6 +258,27 @@ def test_factor_mask_int64_bounds_hold_at_the_largest_int64_H(n):
         got = ct._factor_tail(cols[0], list(cols[1 : n - m]), list(cols[n - m :]))
         want = [ct._factor_tail(c[0], c[1 : n - m], c[n - m :]) for c in corners]
         assert [t.tolist() for t in got] == [list(w) for w in zip(*want)]
+    ckpt = tmp_path / "ckpt"
+    with pytest.raises(BudgetExceeded):
+        ct.enumerate_box(n, H + 1, budget=(2 * H + 3) ** n, checkpoint=str(ckpt))
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("n, refused", [(2, 2**31 - 1), (3, 30989)])
+def test_discriminant_counters_are_refused_where_the_square_test_ends(n, refused):
+    """The n = 2, 3 counters test int64 discriminants with
+    `galois._square_mask`, exact below 2^62, and |d| <= H^2 + 4H and
+    5H^4 + 22H^3 + 27H^2 reach 2^62 first at H = `refused`.  The bound
+    holds at the corners of the last accepted box, and the square test
+    still separates k^2 from its neighbours at its top."""
+    H = _largest_int64_H(n)
+    assert H + 1 == refused
+    bound = ct._int64_bound(n, H)
+    assert bound < 2**62 <= ct._int64_bound(n, H + 1)
+    assert all(abs(disc(MonicIntPoly(c))) <= bound for c in itertools.product((-H, H), repeat=n))
+    k = math.isqrt(bound)
+    near = np.array([k * k - 1, k * k, k * k + 1, bound], dtype=np.int64)
+    assert ga._square_mask(near).tolist() == [math.isqrt(v) ** 2 == v for v in near.tolist()]
 
 
 def test_counting_never_factors_over_Z(monkeypatch):

@@ -47,6 +47,26 @@ def test_factor_repeated():
     assert fac == {(-2,): 2, (1,): 1}
 
 
+def test_factor_matches_sympy_on_repeated_products():
+    """factor_over_Z equals sympy's factor_list, in its own order, on
+    seeded products g^k h of degree up to 12, most of them with disc 0."""
+    rng = random.Random(5)
+    zero = 0
+    for _ in range(400):
+        g = [1, *(rng.randrange(-4, 5) for _ in range(rng.randrange(1, 4)))]
+        full = [1, *(rng.randrange(-4, 5) for _ in range(rng.randrange(0, 4)))]
+        for _ in range(rng.randrange(1, 4)):
+            full = pmul(full, g)
+        f = MonicIntPoly.from_full(full)
+        zero += disc(f) == 0
+        _, found = sympy.factor_list(sympy.Poly(full, x))
+        want = sorted((tuple(int(c) for c in h.all_coeffs()[1:]), e) for h, e in found)
+        got = [(h.coeffs, e) for h, e in ga.factor_over_Z(f)]
+        assert sorted(got, key=lambda t: (len(t[0]), t[0])) == got
+        assert sorted(got) == want, full
+    assert zero >= 200
+
+
 @given(st.lists(small_coeff, min_size=1, max_size=7))
 @settings(max_examples=100, deadline=None)
 def test_factor_roundtrip_and_irreducibility(coeffs):
@@ -310,15 +330,15 @@ def test_classify_reducible_with_nonzero_disc():
 def test_classify_computes_each_discriminant_once(monkeypatch):
     """`classify` reuses the discriminant that factoring computed: one `disc`
     for each of the 81 quartics with coefficients in {-1, 0, 1}, then one
-    for each of Yun's parts of degree >= 2 (computing it three times for a
-    squarefree f made 193 calls)."""
+    for each part of degree >= 2 of `_squarefree_chain` (computing it three
+    times for a squarefree f made 193 calls)."""
     quartics = [poly(*c) for c in itertools.product((-1, 0, 1), repeat=4)]
     want = []
     for f in quartics:
         want.append(f)
         if disc(f) == 0:
-            want += [g for g, _ in pa._squarefree_decomposition_Q(f) if g.degree >= 2]
-    assert len(want) == 91
+            want += [g for g in pa._squarefree_chain(f) if g.degree >= 2]
+    assert len(want) == 93
     calls = []
 
     def counting_disc(f):

@@ -978,26 +978,30 @@ def _sympy_sqf(full):
     return sorted((tuple(int(c) for c in g.all_coeffs()), k) for g, k in parts)
 
 
-def test_squarefree_gate_falls_back_to_yun():
+def test_squarefree_gate_falls_back_to_the_chain():
     # x (x - m) is squarefree although it has a double root mod 2^31 - 1 and
-    # mod 2^61 - 1; only disc(f) = 0 sends f to Yun
+    # mod 2^61 - 1: the chain stops after one gcd over Q
     m = (2**31 - 1) * (2**61 - 1)
     f = pa.MonicIntPoly((-m, 0))
-    assert pa._squarefree_decomposition_Q(f) == [(f, 1)]
+    assert pa._squarefree_chain(f) == [f]
     g = pa.MonicIntPoly((-2 * m, m * m))  # (x - m)^2
-    assert pa._squarefree_decomposition_Q(g) == [(pa.MonicIntPoly((-m,)), 2)]
-    one = pa.MonicIntPoly(())
-    assert pa._squarefree_decomposition_Q(one) == [(one, 1)]
+    assert pa._squarefree_chain(g) == [pa.MonicIntPoly((-m,))] * 2
+    assert pa._squarefree_chain(pa.MonicIntPoly(())) == []
 
 
 def test_squarefree_decomposition_matches_sympy():
+    """Part k of the chain is the product of sympy's squarefree parts of
+    multiplicity greater than k."""
     repeated = 0
     for full in _sqf_cases():
         f = pa.MonicIntPoly.from_full(full)
         want = _sympy_sqf(full)
         repeated += any(k > 1 for _, k in want)
-        got = sorted((tuple(g.full()), k) for g, k in pa._squarefree_decomposition_Q(f))
-        assert got == want, full
+        parts = [g.full() for g in pa._squarefree_chain(f)]
+        assert len(parts) == max(k for _, k in want), full
+        for k, part in enumerate(parts):
+            expect = functools.reduce(pa.pmul, (list(g) for g, e in want if e > k), [1])
+            assert part == expect, (full, k)
         # factor_over_Z: the irreducibles of each multiplicity multiply out
         # to the squarefree part of that multiplicity
         by_mult: dict[int, list[int]] = {}
@@ -1022,7 +1026,7 @@ def test_mahler_measure_of_repeated_roots():
 def test_mahler_measure_computes_disc_only_for_repeated_roots(monkeypatch):
     """A quartic whose Smith discs separate is proven squarefree by them
     and makes no `disc` call; each of the 13 quartics with coefficients in
-    {-1, 0, 1} that has a repeated root makes one, then Yun's parts."""
+    {-1, 0, 1} that has a repeated root makes one, then measures its parts."""
     real_disc = pa.disc
     quartics = [pa.MonicIntPoly(c) for c in itertools.product((-1, 0, 1), repeat=4)]
     repeated = [q for q in quartics if real_disc(q) == 0]
@@ -1101,7 +1105,7 @@ def test_smith_enclosure_contains_a_60_digit_measure():
     for f in _sweep(2024, 150):
         box = pa._float_factors(f)
         assert box is not None, f
-        lo, hi = pa._enclosure([(f, 1)], [box])
+        lo, hi = pa._enclosure([box])
         want = _reference_measure(f)
         assert lo <= want <= hi, f
         assert (hi - lo) / 2 <= 1e-11 * hi, f
@@ -1142,8 +1146,8 @@ def _mignotte(n, a):
 
 def test_mahler_fallback_branches(monkeypatch):
     """Clustered roots send f to mpmath with disc(f) != 0; repeated roots
-    send it to Yun's parts, whose float discs separate or, for a clustered
-    part, go to mpmath in turn.  Every value stays within tol of a
+    send it to the parts of `_squarefree_chain`, whose float discs separate
+    or, for a clustered part, go to mpmath in turn.  Every value stays within tol of a
     60-digit reference."""
     counts = collections.Counter()
 
@@ -1156,22 +1160,22 @@ def test_mahler_fallback_branches(monkeypatch):
 
         monkeypatch.setattr(pa, name, call)
 
-    counted("_squarefree_decomposition_Q")
+    counted("_squarefree_chain")
     counted("_mp_factors")
     mignotte = _mignotte(8, 100)
     square = pa.MonicIntPoly.from_full([1, 0, -3])
     squared = pa.pmul(square.full(), square.full())
-    # (f, its squarefree parts, Yun runs, mpmath runs)
+    # (f, its squarefree parts, chain runs, mpmath runs)
     cases = [
         (mignotte, [(mignotte, 1)], False, True),
         (pa.MonicIntPoly.from_full(pa.pmul(squared, [1, 1])), [(square, 2), (pa.MonicIntPoly((1,)), 1)], True, False),
         (pa.MonicIntPoly.from_full(pa.pmul(mignotte.full(), mignotte.full())), [(mignotte, 2)], True, True),
     ]
-    for f, parts, yun, mp in cases:
+    for f, parts, chain, mp in cases:
         assert pa._float_factors(f) is None, f
         counts.clear()
         got = pa.mahler_measure(f, tol=1e-6)
-        assert (counts["_squarefree_decomposition_Q"], counts["_mp_factors"] > 0) == (yun, mp), f
+        assert (counts["_squarefree_chain"], counts["_mp_factors"] > 0) == (chain, mp), f
         want = mpmath.fprod(_reference_measure(g) ** e for g, e in parts)
         assert abs(got - want) <= 1e-6, f
 
