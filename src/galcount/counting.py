@@ -1,9 +1,14 @@
 """Exhaustive coefficient-box enumeration and the derived experiments.
 
 The box {max |a_i| <= H} is cut into slices along a_1, each with its own
-ledger.  The unit of work is a run: consecutive slices still to be counted,
-closed once it holds at least DECIDE_CHUNK polynomials (`_runs`).  Every
-slice ledger depends only on its own slice, and the ledgers are merged in a
+ledger.  The box is symmetric under f(x) -> (-1)^n f(-x), that is a_i ->
+(-1)^i a_i, which keeps the height, the discriminant, reducibility and the
+Galois group, so slice -a1 has exactly the ledger of slice a1.  The unit
+of work is a run: consecutive slices still to be counted, closed once it
+counts at least DECIDE_CHUNK polynomials (`_runs`).  For degrees 2-4 a run
+holds representatives |a1|, each counted once and sealed for both a1 and
+-a1 where they are missing; degrees 5-7 count every slice.  Every slice
+ledger depends only on its own slice, and the ledgers are merged in a
 fixed order, so the result is independent of the runs and of the worker
 schedule.  The checksum of a merged ledger is the XOR of the per-slice
 checksums, hence also schedule-independent.  With a checkpoint directory
@@ -47,7 +52,7 @@ import json
 import math
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from multiprocessing import Pool
@@ -440,11 +445,12 @@ def slice_ledger(n: int, H: int, a1s: list[int]) -> list[CountLedger]:
     return leds
 
 
-def _runs(n, H, a1s):
-    """`a1s` cut into runs of consecutive entries, each closed once it holds
-    at least DECIDE_CHUNK polynomials (one slice if a slice holds that many)."""
+def _runs(n, H, reps):
+    """`reps`, one entry per slice to count, cut into runs of consecutive
+    entries, each closed once it counts at least DECIDE_CHUNK polynomials
+    (one slice if a slice holds that many)."""
     per_run = -(-DECIDE_CHUNK // (2 * H + 1) ** (n - 1))
-    return [a1s[i : i + per_run] for i in range(0, len(a1s), per_run)]
+    return [reps[i : i + per_run] for i in range(0, len(reps), per_run)]
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +497,18 @@ def _load_slice(root, n, H, a1) -> CountLedger | None:
 
 
 def _slice_worker(args):
-    n, H, a1s, checkpoint = args
-    leds = slice_ledger(n, H, a1s)
-    if checkpoint:
-        for a1, led in zip(a1s, leds):
-            _store_slice(checkpoint, n, H, a1, led)
-    return list(zip(a1s, leds))
+    """Count a run of (a1, slices) pairs: each a1 once, its ledger sealed
+    for every slice it stands for, and each slice stored with a checkpoint.
+    Returns the (slice, ledger) pairs."""
+    n, H, run, checkpoint = args
+    pairs = []
+    for (a1, slices), led in zip(run, slice_ledger(n, H, [a1 for a1, _ in run])):
+        for s in slices:
+            copy = led if s == a1 else replace(led, per_group=dict(led.per_group), checksum=_slice_crc(s, led))
+            if checkpoint:
+                _store_slice(checkpoint, n, H, s, copy)
+            pairs.append((s, copy))
+    return pairs
 
 
 def check_budget(n: int, H: int, budget: int) -> None:
@@ -527,13 +539,16 @@ def enumerate_box(
     """The merged ledger of the box and the number of slices computed.
 
     With a `checkpoint` directory, every stored slice that re-seals is
-    reused.  The missing slices are cut into runs (`_runs`), which may join
-    non-adjacent a1 where stored slices lie between, and the runs are
-    computed in a Pool of min(parallelism, missing runs, CPUs) processes,
-    if above 1.  Each slice of a run is stored when its run is done, by the
-    process that computed it.  A box over budget, or one whose int64
-    arithmetic `_int64_bound` does not prove exact, is refused before
-    anything is made.
+    reused.  Degrees 2-4 count one representative |a1| for each missing
+    slice a1 or -a1, whose ledgers are equal (the module docstring), and
+    seal a copy for each; degrees 5-7 count every missing slice.  The
+    counted a1 are cut into runs (`_runs`), which may join non-adjacent a1
+    where stored slices lie between, and the runs are computed in a Pool of
+    min(parallelism, runs, CPUs) processes, if above 1.  Each slice of a
+    run, a mirrored one included, is stored when its run is done, by the
+    process that computed it, and counts as computed.  A box over budget,
+    or one whose int64 arithmetic `_int64_bound` does not prove exact, is
+    refused before anything is made.
     """
     if not 2 <= n <= 7 or H < 0:
         raise UsageError("need 2 <= n <= 7 and H >= 0")
@@ -551,7 +566,14 @@ def enumerate_box(
             if led is not None:
                 results[a1] = led
     todo = [a1 for a1 in a1s if a1 not in results]
-    jobs = [(n, H, run, checkpoint) for run in _runs(n, H, todo)]
+    # Degrees 5-7 are not mirrored: two checks pin one `disc` call per
+    # polynomial of their boxes until a results check replaces them.
+    if n in _ARRAY_COUNTERS:
+        missing = set(todo)
+        reps = [(r, sorted({-r, r} & missing)) for r in sorted({abs(a1) for a1 in todo})]
+    else:
+        reps = [(a1, [a1]) for a1 in todo]
+    jobs = [(n, H, run, checkpoint) for run in _runs(n, H, reps)]
     workers = min(parallelism, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with Pool(workers) as pool:
@@ -580,7 +602,9 @@ def compute_E(
     """E_n(H): polynomials in the box whose group is not S_n.
 
     Exact for n <= 5; a certified interval [lower, upper] for n in {6, 7}.
-    "slicesComputed" counts the slices not taken from `checkpoint`.
+    "slicesComputed" counts the slices not taken from `checkpoint`; a slice
+    of degree <= 4 sealed from the ledger of its mirror -a1 counts as
+    computed.
     """
     if n >= 1:
         check_budget(n, H, budget)

@@ -241,13 +241,15 @@ def _zassenhaus(f: MonicIntPoly, delta: int) -> list[MonicIntPoly]:
 def _factor_and_disc(f: MonicIntPoly) -> tuple[list[tuple[MonicIntPoly, int]], int]:
     """`factor_over_Z` of a non-constant f, and disc(f).  A squarefree f
     goes to Zassenhaus with its own discriminant; otherwise disc(f) = 0, each
-    part of `_squarefree_chain` goes with its own (1 for a linear part), and
-    a factor's multiplicity is the number of parts it lies in."""
+    distinct part of `_squarefree_chain` goes with its own (1 for a linear
+    part), once for its run of equal neighbours, and a factor's
+    multiplicity is the number of parts it lies in."""
     delta = disc(f)
     mult: dict[MonicIntPoly, int] = {}
-    for part in _squarefree_chain(f) if delta == 0 else [f]:
+    for part, run in itertools.groupby(_squarefree_chain(f) if delta == 0 else [f]):
+        k = len(list(run))
         for irr in _zassenhaus(part, delta or (disc(part) if part.degree > 1 else 1)):
-            mult[irr] = mult.get(irr, 0) + 1
+            mult[irr] = mult.get(irr, 0) + k
     return sorted(mult.items(), key=lambda t: (t[0].degree, t[0].coeffs)), delta
 
 

@@ -1103,25 +1103,26 @@ def mahler_measure(f: MonicIntPoly, tol: float = 1e-9) -> float:
     The fast path is one eigenvalue solve in floats.  Only when its discs
     overlap or its enclosure is wider than tol does f take the fallback:
     if disc(f) = 0, the squarefree parts of `_squarefree_chain`, whose
-    product is f, are measured in one pass and their enclosures multiplied.
-    While the product is still wider than tol, every part is measured again
-    from `mpmath.polyroots` at 106, 212, ... bits by the same Smith test."""
+    product is f, are measured in one pass, each run of equal neighbours
+    once, and their enclosures multiplied.  While the product is still
+    wider than tol, every distinct part is measured again from
+    `mpmath.polyroots` at 106, 212, ... bits by the same Smith test."""
     if tol < 1e-12:
         raise UsageError("tol too small to certify in double precision")
-    parts = [f]
+    parts, mults = [f], [1]
     boxes = [_float_factors(f)]
-    lo, hi = _enclosure(boxes)
+    lo, hi = _enclosure(boxes, mults)
     if hi - lo + 8 * _U * hi > 2 * tol and disc(f) == 0:
-        parts = _squarefree_chain(f)
+        parts, mults = zip(*[(g, len(list(run))) for g, run in itertools.groupby(_squarefree_chain(f))])
         boxes = [_float_factors(g) for g in parts]
-        lo, hi = _enclosure(boxes)
+        lo, hi = _enclosure(boxes, mults)
     precisions = iter((106, 212, 424, 848, 1696))
     while hi - lo + 8 * _U * hi > 2 * tol:
         prec = next(precisions, None)
         if prec is None:
             raise ToleranceUnreachable(f"could not certify M(f) to {tol}")
         boxes = [_mp_factors(g, prec) or box for g, box in zip(parts, boxes)]
-        lo, hi = _enclosure(boxes)
+        lo, hi = _enclosure(boxes, mults)
     return (lo + hi) / 2
 
 
@@ -1129,13 +1130,15 @@ _U = 2.0**-53  # unit roundoff of a Python float
 _UNDERFLOW = 2.0**-1000  # exceeds every error gradual underflow adds to f(z)
 
 
-def _enclosure(boxes: list) -> tuple[float, float]:
-    """[lo, hi] containing the product of the parts' measures, from each
-    part's per-root factor bounds (`_smith_factors`); [1, inf] while some
-    part has none."""
+def _enclosure(boxes: list, mults) -> tuple[float, float]:
+    """[lo, hi] containing the product of the parts' measures, each to the
+    power of its multiplicity, from each part's per-root factor bounds
+    (`_smith_factors`); [1, inf] while some part has none.  A part's bounds
+    are repeated, not raised to a power, so the rounding is that of the
+    product over every copy."""
     if any(box is None for box in boxes):
         return 1.0, math.inf
-    factors = [bound for box in boxes for bound in box]
+    factors = [bound for box, k in zip(boxes, mults) for _ in range(k) for bound in box]
     return math.prod(lo for lo, _ in factors), math.prod(hi for _, hi in factors)
 
 

@@ -1,5 +1,6 @@
 """Exact box enumeration ledgers, E_n and per-group counts, sieve cases, bound calculator."""
 
+import functools
 import itertools
 import json
 import math
@@ -9,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from galcount import counting as ct
 from galcount import galois as ga
@@ -20,7 +22,7 @@ from galcount.errors import (
     UsageError,
     ZeroCount,
 )
-from galcount.polyarith import MonicIntPoly, disc
+from galcount.polyarith import MonicIntPoly, disc, frobenius_cycle_types
 
 x = sympy.Symbol("x")
 
@@ -415,9 +417,15 @@ def test_checkpoint_not_created_for_a_refused_box(tmp_path):
 
 
 def test_pool_capped_at_runs_to_compute(tmp_path, monkeypatch):
-    """The Pool has min(parallelism, missing runs, CPUs) workers; a run
-    closes once it holds DECIDE_CHUNK polynomials, here 2 slices of 25."""
-    sizes, jobs = [], []
+    """The Pool has min(parallelism, runs, CPUs) workers; a cubic run holds
+    representatives |a1| and closes once it counts DECIDE_CHUNK
+    polynomials, here 2 slices of 25."""
+    sizes, runs = [], []
+    worker = ct._slice_worker
+
+    def recorded(job):
+        runs.append([a1 for a1, _ in job[2]])
+        return worker(job)
 
     class SerialPool:
         def __init__(self, processes):
@@ -430,24 +438,115 @@ def test_pool_capped_at_runs_to_compute(tmp_path, monkeypatch):
             return False
 
         def map(self, fn, items):
-            jobs.append([run for _, _, run, _ in items])
             return list(map(fn, items))
 
     monkeypatch.setattr(ct, "Pool", SerialPool)
     monkeypatch.setattr(ct, "DECIDE_CHUNK", 50)
+    monkeypatch.setattr(ct, "_slice_worker", recorded)
     direct = ct.enumerate_box(3, 2)[0]
+    runs.clear()
     led, computed = ct.enumerate_box(3, 2, parallelism=10**6, checkpoint=str(tmp_path))
     assert computed == 5 and led.canonical() == direct.canonical()
-    workers = min(3, os.cpu_count() or 1)
+    workers = min(2, os.cpu_count() or 1)
     assert sizes == ([workers] if workers > 1 else [])
-    assert jobs == ([[[-2, -1], [0, 1], [2]]] if workers > 1 else [])
-    # the missing slices -2 and 2 make one run, and none starts no Pool
+    assert runs == [[0, 1], [2]]
+    # the missing slices -2 and 2 share the one representative 2, and one run starts no Pool
     for a1 in (-2, 2):
         _slice_file(tmp_path, 3, 2, a1).unlink()
+    runs.clear()
     assert ct.enumerate_box(3, 2, parallelism=10**6, checkpoint=str(tmp_path))[1] == 2
+    assert runs == [[2]]
     assert ct.enumerate_box(3, 2, parallelism=10**6, checkpoint=str(tmp_path))[1] == 0
     assert sizes == ([workers] if workers > 1 else [])
-    assert ct._runs(3, 2, [-2, 2]) == [[-2, 2]]
+    assert ct._runs(3, 2, [(0, [0]), (2, [-2, 2])]) == [[(0, [0]), (2, [-2, 2])]]
+
+
+@pytest.mark.parametrize("n, H", [(2, 5), (3, 6), (4, 3)])
+def test_mirrored_slices_equal_the_direct_count(tmp_path, monkeypatch, n, H):
+    """Degrees 2-4 count only a1 >= 0, yet every slice file, the direct
+    ones included, is the stored direct `slice_ledger` of its own a1, and
+    checkpoints holding only a1 < 0, only a1 > 0 or every other slice
+    resume to the same directory and ledger."""
+    a1s = range(-H, H + 1)
+    oracle = tmp_path / "oracle"
+    oracle.mkdir()
+    for a1 in a1s:
+        ct._store_slice(str(oracle), n, H, a1, ct.slice_ledger(n, H, [a1])[0])
+    want = {p.name: p.read_bytes() for p in oracle.iterdir()}
+
+    counted = []
+    counter = ct._ARRAY_COUNTERS[n]
+
+    def recorded(H, a1):
+        counted.append(a1)
+        return counter(H, a1)
+
+    monkeypatch.setitem(ct._ARRAY_COUNTERS, n, recorded)
+    full, computed = ct.enumerate_box(n, H, checkpoint=str(tmp_path / "full"))
+    assert computed == 2 * H + 1 and sorted(counted) == list(range(H + 1))
+    assert {p.name: p.read_bytes() for p in (tmp_path / "full").iterdir()} == want
+    for name, stored in [("neg", range(-H, 0)), ("pos", range(1, H + 1)), ("odd", a1s[::2])]:
+        ck = tmp_path / name
+        ck.mkdir()
+        for a1 in stored:
+            _slice_file(ck, n, H, a1).write_bytes(_slice_file(oracle, n, H, a1).read_bytes())
+        counted.clear()
+        led, computed = ct.enumerate_box(n, H, checkpoint=str(ck))
+        assert computed == 2 * H + 1 - len(stored), name
+        assert min(counted) >= 0 and len(counted) == len(set(counted)), name
+        assert led.canonical() == full.canonical(), name
+        assert {p.name: p.read_bytes() for p in ck.iterdir()} == want, name
+
+
+# ---------------------------------------------------------------------------
+# the sign symmetry f(x) -> (-1)^n f(-x), a_i -> (-1)^i a_i
+
+
+def _mirror(coeffs):
+    return tuple(-a if i % 2 else a for i, a in enumerate(coeffs, start=1))
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_mask(n, H, a1):
+    return ct._factor_mask(n, H, a1)
+
+
+def _mask_verdict(f):
+    """`_factor_mask`'s verdict on f, from the slice of f's own height."""
+    H = f.height()
+    return bool(_cached_mask(f.degree, H, f.coeffs[0])[tuple(a + H for a in f.coeffs[1:])])
+
+
+@given(st.integers(2, 7).flatmap(lambda n: st.lists(st.integers(-6, 6), min_size=n, max_size=n)))
+@settings(max_examples=200, deadline=None)
+def test_sign_symmetry_keeps_disc_factors_groups_and_cycle_types(coeffs):
+    """The map keeps disc, the `_factor_mask` verdict, the group for n <= 5
+    and the Frobenius cycle types at the first three good primes for
+    n = 5-7.  The mask of a septic slice of height 4 or more takes seconds,
+    so degree 7 checks the verdict up to height 3 here, and
+    `test_sign_symmetry_maps_each_factor_mask_slice_onto_its_mirror`
+    checks whole slices."""
+    f, g = MonicIntPoly(tuple(coeffs)), MonicIntPoly(_mirror(coeffs))
+    n, delta = f.degree, disc(f)
+    assert disc(g) == delta
+    if n >= 3 and (n < 7 or f.height() <= 3):
+        assert _mask_verdict(f) == _mask_verdict(g)
+    if n <= 5:
+        assert ga.classify(f) == ga.classify(g)
+    if n >= 5 and delta:
+        rows = np.array([f.coeffs, g.coeffs], dtype=np.int64)
+        for p in itertools.islice((p for p in ga._ascending_primes() if delta % p), 3):
+            types = frobenius_cycle_types(rows, [delta, delta], p)
+            assert types[0] == types[1], p
+
+
+@pytest.mark.parametrize("n, H", [(3, 6), (4, 4), (5, 3), (6, 2), (7, 2)])
+def test_sign_symmetry_maps_each_factor_mask_slice_onto_its_mirror(n, H):
+    """The mask of slice -a1 is that of slice a1 reversed along the axes of
+    the odd-index coefficients a_3, a_5, a_7."""
+    odd = tuple(k for k in range(n - 1) if (k + 2) % 2)
+    for a1 in range(-H, H + 1):
+        assert np.array_equal(ct._factor_mask(n, H, -a1), np.flip(ct._factor_mask(n, H, a1), odd)), a1
 
 
 @pytest.mark.parametrize("n, H", [(5, 2), (6, 1), (7, 1)])

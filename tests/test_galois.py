@@ -47,6 +47,24 @@ def test_factor_repeated():
     assert fac == {(-2,): 2, (1,): 1}
 
 
+def test_pure_power_factored_once(monkeypatch):
+    """The chain of g^3 holds three equal parts g; Zassenhaus runs once
+    and the factors keep multiplicity 3."""
+    calls = []
+    zassenhaus = ga._zassenhaus
+
+    def counted(f, delta):
+        calls.append(f)
+        return zassenhaus(f, delta)
+
+    monkeypatch.setattr(ga, "_zassenhaus", counted)
+    g = poly(0, -2, 1)  # x^3 - 2x + 1 = (x - 1)(x^2 + x - 1)
+    f = MonicIntPoly.from_full(pmul(pmul(g.full(), g.full()), g.full()))
+    assert pa._squarefree_chain(f) == [g] * 3
+    assert ga.factor_over_Z(f) == [(poly(-1), 3), (poly(1, -1), 3)]
+    assert calls == [g]
+
+
 def test_factor_matches_sympy_on_repeated_products():
     """factor_over_Z equals sympy's factor_list, in its own order, on
     seeded products g^k h of degree up to 12, most of them with disc 0."""
@@ -330,14 +348,14 @@ def test_classify_reducible_with_nonzero_disc():
 def test_classify_computes_each_discriminant_once(monkeypatch):
     """`classify` reuses the discriminant that factoring computed: one `disc`
     for each of the 81 quartics with coefficients in {-1, 0, 1}, then one
-    for each part of degree >= 2 of `_squarefree_chain` (computing it three
+    for each distinct part of degree >= 2 of `_squarefree_chain` (computing it three
     times for a squarefree f made 193 calls)."""
     quartics = [poly(*c) for c in itertools.product((-1, 0, 1), repeat=4)]
     want = []
     for f in quartics:
         want.append(f)
         if disc(f) == 0:
-            want += [g for g in pa._squarefree_chain(f) if g.degree >= 2]
+            want += [g for g, _ in itertools.groupby(pa._squarefree_chain(f)) if g.degree >= 2]
     assert len(want) == 93
     calls = []
 

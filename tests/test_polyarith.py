@@ -1105,7 +1105,7 @@ def test_smith_enclosure_contains_a_60_digit_measure():
     for f in _sweep(2024, 150):
         box = pa._float_factors(f)
         assert box is not None, f
-        lo, hi = pa._enclosure([box])
+        lo, hi = pa._enclosure([box], [1])
         want = _reference_measure(f)
         assert lo <= want <= hi, f
         assert (hi - lo) / 2 <= 1e-11 * hi, f
@@ -1178,6 +1178,25 @@ def test_mahler_fallback_branches(monkeypatch):
         assert (counts["_squarefree_chain"], counts["_mp_factors"] > 0) == (chain, mp), f
         want = mpmath.fprod(_reference_measure(g) ** e for g, e in parts)
         assert abs(got - want) <= 1e-6, f
+
+
+def test_mahler_measure_of_a_pure_power_measures_its_part_once(monkeypatch):
+    """M^2 for the Mignotte polynomial M takes the chain [M, M] and mpmath
+    once, and its value is that of the product over both copies."""
+    calls = []
+    mp_factors = pa._mp_factors
+
+    def counted(f, prec):
+        calls.append((f, prec))
+        return mp_factors(f, prec)
+
+    monkeypatch.setattr(pa, "_mp_factors", counted)
+    mignotte = _mignotte(8, 100)
+    got = pa.mahler_measure(pa.MonicIntPoly.from_full(pa.pmul(mignotte.full(), mignotte.full())), tol=1e-6)
+    assert calls == [(mignotte, 106)]
+    box = mp_factors(mignotte, 106)
+    lo, hi = pa._enclosure([box, box], [1, 1])
+    assert got == (lo + hi) / 2 == 399999999.9999997
 
 
 def test_mahler_measure_refuses_unprovable_tolerances():
