@@ -2,18 +2,23 @@
 
 The box {max |a_i| <= H} is cut into slices along a_1, each with its own
 ledger.  The box is symmetric under f(x) -> (-1)^n f(-x), that is a_i ->
-(-1)^i a_i, which keeps the height, the discriminant, reducibility and the
-Galois group, so slice -a1 has exactly the ledger of slice a1.  The unit
-of work is a run: consecutive slices still to be counted, closed once it
-counts at least DECIDE_CHUNK polynomials (`_runs`).  For degrees 2-4 a run
-holds representatives |a1|, each counted once and sealed for both a1 and
--a1 where they are missing; degrees 5-7 count every slice.  Every slice
-ledger depends only on its own slice, and the ledgers are merged in a
-fixed order, so the result is independent of the runs and of the worker
-schedule.  The checksum of a merged ledger is the XOR of the per-slice
-checksums, hence also schedule-independent.  With a checkpoint directory
-each slice is stored as a file when its run is counted, and a stored slice
-is reused only if it re-seals (see `_load_slice`).
+(-1)^i a_i, which keeps the height, the discriminant, reducibility, the
+Galois group and every Frobenius cycle type (the roots are only negated),
+so slice -a1 has exactly the ledger of slice a1.  The unit of work is a
+run of representatives |a1| of the slices still to be counted, closed
+once it counts at least DECIDE_CHUNK polynomials (`_runs`).  Each
+representative is counted once and its ledger sealed for both a1 and -a1
+where they are missing (`_mirrored`).  Degrees 5-7 still give the slice
+-a1 its own discriminant and factor-mask pass, whose discZero and
+reducible must equal those of a1, and walk only the representatives;
+slice 0 is its own mirror, and its walk takes one of each pair of twins
+(`_walked`).  Every slice ledger depends only on its own slice, and the
+ledgers are merged in a fixed order, so the result is independent of the
+runs and of the worker schedule.  The checksum of a merged ledger is the
+XOR of the per-slice checksums, hence also schedule-independent.  With a
+checkpoint directory each slice is stored as a file when its run is
+counted, and a stored slice is reused only if it re-seals (see
+`_load_slice`).
 
 The quartic counter decides a whole slice with integer arrays, a block of
 a2 rows at a time.  Fujiwara's bound puts the resolvent roots at |y| <= Y
@@ -31,11 +36,12 @@ polynomial has such a factor, so at every degree the mask is exactly
 reducibility, and the box counters never factor over Z.  For degrees 5-7
 each polynomial still gets its own discriminant (`polyarith.disc`, a
 Hankel determinant of power sums).  The unmasked polynomials are
-irreducible; those of a whole run are tagged with their slice and decided
-together (`_run_counts`): the quintics by `galois.quintic_groups`, the
-sextics and septics by `galois.sn_certificates`, and those left
-uncertified are booked as unresolved.  Both batched Frobenius deciders are
-fed in `polyarith.chunks`, one walk per chunk, so their arrays stay
+irreducible; those of a whole run are tagged with their slice and number
+of copies and decided together (`_run_counts`): the quintics by
+`galois.quintic_groups`, the sextics and septics by
+`galois.sn_certificates`, and those left uncertified are booked as
+unresolved.  Both batched Frobenius deciders are fed in
+`polyarith.chunks`, one walk per chunk, so their arrays stay
 O(DECIDE_CHUNK n^2) at any H.
 `case_partition` screens cubics, quartics and quintics with the same
 `_unmasked` slices and names the groups with `galois.irreducible_groups`.
@@ -64,6 +70,7 @@ from .errors import (
     DegreeOutOfRange,
     DivisionByZero,
     InsufficientData,
+    InternalError,
     UsageError,
     ZeroCount,
 )
@@ -409,21 +416,49 @@ def _verdicts(n, polys, deltas):
     ]
 
 
+def _mirror(coeffs):
+    """The coefficients (a_1, ..., a_n) of (-1)^n f(-x): a_i -> (-1)^i a_i."""
+    return tuple(-a if i % 2 else a for i, a in enumerate(coeffs, start=1))
+
+
+def _walked(led, H, a1):
+    """(copies, f, delta) for the polynomials of the slice a1 that reach the
+    Frobenius walk, with `_unmasked` booking the rest into led.  Slice 0 is
+    its own mirror: of two twins f != mirror(f) only the lesser coefficient
+    tuple is walked, and it stands for 2 copies."""
+    skipped = doubled = 0
+    for f, delta in _unmasked(led, H, a1):
+        if a1:
+            yield 1, f, delta
+            continue
+        twin = _mirror(f.coeffs)
+        if f.coeffs > twin:
+            skipped += 1
+        elif f.coeffs == twin:
+            yield 1, f, delta
+        else:
+            doubled += 1
+            yield 2, f, delta
+    if skipped != doubled:
+        raise InternalError(f"slice 0 of ({led.n}, {H}) skips {skipped} twins but doubles {doubled}")
+
+
 def _run_counts(n, H, a1s):
     """Degrees 5-7: the ledgers of the slices a1s.  Every unmasked
-    polynomial is irreducible; each is tagged with its slice, and all of
-    them are decided together, one Frobenius walk per chunk.  A verdict
-    depends only on its own polynomial, so it goes back into its slice's
-    ledger unchanged by the grouping."""
+    polynomial is irreducible; each is tagged with its slice and its number
+    of copies (`_walked`), and all of them are decided together, one
+    Frobenius walk per chunk.  A verdict depends only on its own
+    polynomial, and a twin has the verdict of its mirror, so it goes back
+    into its slice's ledger, once per copy, unchanged by the grouping."""
     leds = {a1: CountLedger(n=n, H=H, total=(2 * H + 1) ** (n - 1)) for a1 in a1s}
-    tagged = ((a1, f, delta) for a1 in a1s for f, delta in _unmasked(leds[a1], H, a1))
-    for a1, _, _, (name, square) in _decided(tagged, partial(_verdicts, n)):
+    tagged = (((a1, k), f, delta) for a1 in a1s for k, f, delta in _walked(leds[a1], H, a1))
+    for (a1, k), _, _, (name, square) in _decided(tagged, partial(_verdicts, n)):
         led = leds[a1]
-        led.square_disc += square
+        led.square_disc += k * square
         if name is None:
-            led.unresolved += 1
+            led.unresolved += k
         else:
-            led.per_group[name] = led.per_group.get(name, 0) + 1
+            led.per_group[name] = led.per_group.get(name, 0) + k
     return list(leds.values())
 
 
@@ -432,8 +467,9 @@ _ARRAY_COUNTERS = {2: _slice_counts_n2, 3: _slice_counts_n3, 4: _slice_counts_n4
 
 def slice_ledger(n: int, H: int, a1s: list[int]) -> list[CountLedger]:
     """The ledgers of the sub-boxes with the leading coefficient pinned to
-    each a1 of `a1s`, in that order.  Degrees 2-4 count each slice by
-    itself; degrees 5-7 decide the whole list (a run) together."""
+    each a1 of `a1s`, in that order, each counted directly.  Degrees 2-4
+    count each slice by itself; degrees 5-7 decide the whole list (a run)
+    together."""
     if n in _ARRAY_COUNTERS:
         leds = [_ARRAY_COUNTERS[n](H, a1) for a1 in a1s]
     elif n in (5, 6, 7):
@@ -446,9 +482,9 @@ def slice_ledger(n: int, H: int, a1s: list[int]) -> list[CountLedger]:
 
 
 def _runs(n, H, reps):
-    """`reps`, one entry per slice to count, cut into runs of consecutive
-    entries, each closed once it counts at least DECIDE_CHUNK polynomials
-    (one slice if a slice holds that many)."""
+    """`reps`, one entry per representative to count, cut into runs of
+    consecutive entries, each closed once it counts at least DECIDE_CHUNK
+    polynomials (one slice if a slice holds that many)."""
     per_run = -(-DECIDE_CHUNK // (2 * H + 1) ** (n - 1))
     return [reps[i : i + per_run] for i in range(0, len(reps), per_run)]
 
@@ -496,15 +532,29 @@ def _load_slice(root, n, H, a1) -> CountLedger | None:
     return led if ok else None
 
 
+def _mirrored(led, s):
+    """The ledger of the slice s from `led`, that of its mirror -s, sealed
+    for s.  Degrees 5-7 first run the discriminant and factor-mask pass
+    (`_unmasked`) over the slice s itself, whose discZero and reducible
+    must be those of the mirror."""
+    if led.n not in _ARRAY_COUNTERS:
+        own = CountLedger(n=led.n, H=led.H)
+        for _ in _unmasked(own, led.H, s):
+            pass
+        if (own.disc_zero, own.reducible) != (led.disc_zero, led.reducible):
+            raise InternalError(f"slice {s} of ({led.n}, {led.H}) and its mirror differ in discZero or reducible")
+    return replace(led, per_group=dict(led.per_group), checksum=_slice_crc(s, led))
+
+
 def _slice_worker(args):
     """Count a run of (a1, slices) pairs: each a1 once, its ledger sealed
-    for every slice it stands for, and each slice stored with a checkpoint.
-    Returns the (slice, ledger) pairs."""
+    for every slice it stands for (`_mirrored` for -a1), and each slice
+    stored with a checkpoint.  Returns the (slice, ledger) pairs."""
     n, H, run, checkpoint = args
     pairs = []
     for (a1, slices), led in zip(run, slice_ledger(n, H, [a1 for a1, _ in run])):
         for s in slices:
-            copy = led if s == a1 else replace(led, per_group=dict(led.per_group), checksum=_slice_crc(s, led))
+            copy = led if s == a1 else _mirrored(led, s)
             if checkpoint:
                 _store_slice(checkpoint, n, H, s, copy)
             pairs.append((s, copy))
@@ -539,12 +589,14 @@ def enumerate_box(
     """The merged ledger of the box and the number of slices computed.
 
     With a `checkpoint` directory, every stored slice that re-seals is
-    reused.  Degrees 2-4 count one representative |a1| for each missing
-    slice a1 or -a1, whose ledgers are equal (the module docstring), and
-    seal a copy for each; degrees 5-7 count every missing slice.  The
-    counted a1 are cut into runs (`_runs`), which may join non-adjacent a1
-    where stored slices lie between, and the runs are computed in a Pool of
-    min(parallelism, runs, CPUs) processes, if above 1.  Each slice of a
+    reused.  One representative |a1| is counted for each missing slice a1
+    or -a1, whose ledgers are equal (the module docstring), and a copy is
+    sealed for each (`_mirrored`, which at degrees 5-7 checks the copy by
+    its own discriminant pass; only the representatives are walked).  The
+    representatives are cut into runs (`_runs`), which may join
+    non-adjacent a1 where stored slices lie between, and the runs are
+    computed in a Pool of min(parallelism, runs, CPUs) processes, if
+    above 1.  Each slice of a
     run, a mirrored one included, is stored when its run is done, by the
     process that computed it, and counts as computed.  A box over budget,
     or one whose int64 arithmetic `_int64_bound` does not prove exact, is
@@ -566,13 +618,8 @@ def enumerate_box(
             if led is not None:
                 results[a1] = led
     todo = [a1 for a1 in a1s if a1 not in results]
-    # Degrees 5-7 are not mirrored: two checks pin one `disc` call per
-    # polynomial of their boxes until a results check replaces them.
-    if n in _ARRAY_COUNTERS:
-        missing = set(todo)
-        reps = [(r, sorted({-r, r} & missing)) for r in sorted({abs(a1) for a1 in todo})]
-    else:
-        reps = [(a1, [a1]) for a1 in todo]
+    missing = set(todo)
+    reps = [(r, sorted({-r, r} & missing)) for r in sorted({abs(a1) for a1 in todo})]
     jobs = [(n, H, run, checkpoint) for run in _runs(n, H, reps)]
     workers = min(parallelism, len(jobs), os.cpu_count() or 1)
     if workers > 1:
@@ -603,8 +650,7 @@ def compute_E(
 
     Exact for n <= 5; a certified interval [lower, upper] for n in {6, 7}.
     "slicesComputed" counts the slices not taken from `checkpoint`; a slice
-    of degree <= 4 sealed from the ledger of its mirror -a1 counts as
-    computed.
+    sealed from the ledger of its mirror -a1 counts as computed.
     """
     if n >= 1:
         check_budget(n, H, budget)

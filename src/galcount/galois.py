@@ -90,6 +90,7 @@ from .polyarith import (
     PolyModP,
     _deriv,
     _divides,
+    _int_rows,
     _squarefree_chain,
     _sym,
     disc,
@@ -430,14 +431,16 @@ def _frobenius_walk(polys: list[MonicIntPoly], deltas: list[int], live: list[int
     """Walk the primes in ascending order with the polynomials polys[i],
     i in `live`, of discriminants deltas[i].  At each prime p, every live
     polynomial with p not dividing its discriminant gets its cycle type
-    from one batched `frobenius_cycle_types` call, and leaves the walk as
+    from one batched `frobenius_cycle_types` call, on the rows of one
+    coefficient array built for the whole walk, and leaves the walk as
     soon as step(i, p, cycle_type) returns True."""
+    rows = _int_rows([f.coeffs for f in polys])
     for p in _ascending_primes():
         if not live:
             return
         at = [i for i in live if deltas[i] % p]
         if at:
-            types = frobenius_cycle_types([polys[i].coeffs for i in at], [deltas[i] for i in at], p)
+            types = frobenius_cycle_types(rows[at], [deltas[i] for i in at], p)
             done = {i for i, t in zip(at, types) if step(i, p, t)}
             live = [i for i in live if i not in done]
 
@@ -446,15 +449,15 @@ def quintic_groups(polys: list[MonicIntPoly], deltas: list[int]) -> list[str]:
     """Galois group names of irreducible quintics with nonzero discriminants
     `deltas`, decided together as the module docstring says."""
     names: list[str | None] = [None] * len(polys)
+    square = [_is_square(d) for d in deltas]
 
     def step(i, p, t):
-        square = _is_square(deltas[i])
         if t in ((2, 1, 1, 1), (3, 2)):
             names[i] = "S5"
         elif t == (3, 1, 1):
-            names[i] = "A5" if square else "S5"
+            names[i] = "A5" if square[i] else "S5"
         elif t == (1, 1, 1, 1, 1):
-            names[i] = _split_prime_group(polys[i], p, square)
+            names[i] = _split_prime_group(polys[i], p, square[i])
         return names[i] is not None
 
     _frobenius_walk(polys, deltas, list(range(len(polys))), step)
@@ -522,12 +525,18 @@ def classify(f: MonicIntPoly) -> GaloisVerdict:
     return GaloisVerdict("reducible", factor_degrees=degs)
 
 
+_PRIMES = [2]  # every prime up to the largest any walk has reached
+
+
 def _ascending_primes():
-    p = 2
-    while True:
-        if is_prime(p):
-            yield p
-        p += 1
+    """The primes in ascending order, from `_PRIMES`, extended on demand."""
+    for i in itertools.count():
+        if i == len(_PRIMES):
+            p = _PRIMES[-1] + 1
+            while not is_prime(p):
+                p += 1
+            _PRIMES.append(p)
+        yield _PRIMES[i]
 
 
 @functools.lru_cache(maxsize=None)

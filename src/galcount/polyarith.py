@@ -775,6 +775,18 @@ def _root_counts(rows: np.ndarray, p: int) -> np.ndarray:
     return (_reduce(coeffs @ powers, p) == 0).sum(axis=1)
 
 
+def _int_rows(rows) -> np.ndarray:
+    """`rows` as an integer array: int64 where every entry fits, else
+    dtype=object.  (numpy infers float64 for a row holding 2^63 beside a
+    negative entry.)  An array is returned as it is."""
+    if isinstance(rows, np.ndarray):
+        return rows
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
 def frobenius_cycle_types(rows, deltas, p: int) -> list[tuple[int, ...]]:
     """The Frobenius cycle types at p, as descending tuples, of the monic
     polynomials given by the rows (a_1, ..., a_n) of an (N, n) integer
@@ -807,7 +819,7 @@ def frobenius_cycle_types(rows, deltas, p: int) -> list[tuple[int, ...]]:
     _require_prime(p)
     if len(rows) == 0:
         return []
-    rows = np.asarray(rows)
+    rows = _int_rows(rows)
     N, n = rows.shape
     if p == 2:  # the Kronecker symbol (delta | 2): +1 for delta = +-1 mod 8
         parity = [(None, 0, None, 1, None, 1, None, 0)[d % 8] for d in deltas]

@@ -12,6 +12,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from galcount import cli
 from galcount import counting as ct
 from galcount import galois as ga
 from galcount.errors import (
@@ -19,6 +20,7 @@ from galcount.errors import (
     DegreeOutOfRange,
     DivisionByZero,
     InsufficientData,
+    InternalError,
     UsageError,
     ZeroCount,
 )
@@ -92,6 +94,17 @@ GOLDEN = {
         "n": 7, "H": 1, "total": 2187, "discZero": 279, "reducible": 992,
         "perGroup": {"S7": 904}, "squareDisc": 0, "unresolved": 12,
         "caseHistogram": {}, "checksum": 672081037,
+    },
+    # slice 0 and the mirrored slices of these two carry many non-S_n verdicts
+    (5, 4): {  # E = 15585
+        "n": 5, "H": 4, "total": 59049, "discZero": 1079, "reducible": 14286,
+        "perGroup": {"A5": 56, "C5": 4, "D5": 116, "F20": 44, "S5": 43464}, "squareDisc": 176,
+        "unresolved": 0, "caseHistogram": {}, "checksum": 1276696869,
+    },
+    (6, 2): {  # E in [6425, 7043]
+        "n": 6, "H": 2, "total": 15625, "discZero": 805, "reducible": 5556,
+        "perGroup": {"S6": 8582}, "squareDisc": 64, "unresolved": 682,
+        "caseHistogram": {}, "checksum": 3209762289,
     },
 }
 
@@ -461,12 +474,13 @@ def test_pool_capped_at_runs_to_compute(tmp_path, monkeypatch):
     assert ct._runs(3, 2, [(0, [0]), (2, [-2, 2])]) == [[(0, [0]), (2, [-2, 2])]]
 
 
-@pytest.mark.parametrize("n, H", [(2, 5), (3, 6), (4, 3)])
+@pytest.mark.parametrize("n, H", [(2, 5), (3, 6), (4, 3), (5, 2), (6, 1), (7, 1)])
 def test_mirrored_slices_equal_the_direct_count(tmp_path, monkeypatch, n, H):
-    """Degrees 2-4 count only a1 >= 0, yet every slice file, the direct
+    """Only a1 >= 0 is counted (degrees 5-7 run a discriminant pass over
+    every slice, but walk only a1 >= 0), yet every slice file, the direct
     ones included, is the stored direct `slice_ledger` of its own a1, and
     checkpoints holding only a1 < 0, only a1 > 0 or every other slice
-    resume to the same directory and ledger."""
+    resume to the same directory and ledger at parallelism 1 and 2."""
     a1s = range(-H, H + 1)
     oracle = tmp_path / "oracle"
     oracle.mkdir()
@@ -475,27 +489,113 @@ def test_mirrored_slices_equal_the_direct_count(tmp_path, monkeypatch, n, H):
     want = {p.name: p.read_bytes() for p in oracle.iterdir()}
 
     counted = []
-    counter = ct._ARRAY_COUNTERS[n]
+    if n in ct._ARRAY_COUNTERS:
+        counter = ct._ARRAY_COUNTERS[n]
 
-    def recorded(H, a1):
-        counted.append(a1)
-        return counter(H, a1)
+        def recorded(H, a1):
+            counted.append(a1)
+            return counter(H, a1)
 
-    monkeypatch.setitem(ct._ARRAY_COUNTERS, n, recorded)
+        monkeypatch.setitem(ct._ARRAY_COUNTERS, n, recorded)
+    else:
+        run_counts = ct._run_counts
+
+        def recorded(n, H, a1s):
+            counted.extend(a1s)
+            return run_counts(n, H, a1s)
+
+        monkeypatch.setattr(ct, "_run_counts", recorded)
     full, computed = ct.enumerate_box(n, H, checkpoint=str(tmp_path / "full"))
     assert computed == 2 * H + 1 and sorted(counted) == list(range(H + 1))
     assert {p.name: p.read_bytes() for p in (tmp_path / "full").iterdir()} == want
     for name, stored in [("neg", range(-H, 0)), ("pos", range(1, H + 1)), ("odd", a1s[::2])]:
-        ck = tmp_path / name
-        ck.mkdir()
-        for a1 in stored:
-            _slice_file(ck, n, H, a1).write_bytes(_slice_file(oracle, n, H, a1).read_bytes())
-        counted.clear()
-        led, computed = ct.enumerate_box(n, H, checkpoint=str(ck))
-        assert computed == 2 * H + 1 - len(stored), name
-        assert min(counted) >= 0 and len(counted) == len(set(counted)), name
-        assert led.canonical() == full.canonical(), name
-        assert {p.name: p.read_bytes() for p in ck.iterdir()} == want, name
+        for workers in (1, 2):
+            ck = tmp_path / f"{name}{workers}"
+            ck.mkdir()
+            for a1 in stored:
+                _slice_file(ck, n, H, a1).write_bytes(_slice_file(oracle, n, H, a1).read_bytes())
+            counted.clear()
+            led, computed = ct.enumerate_box(n, H, parallelism=workers, checkpoint=str(ck))
+            assert computed == 2 * H + 1 - len(stored), ck.name
+            if workers == 1:  # a Pool worker's calls are not recorded here
+                assert min(counted) >= 0 and len(counted) == len(set(counted)), ck.name
+            assert led.canonical() == full.canonical(), ck.name
+            assert {p.name: p.read_bytes() for p in ck.iterdir()} == want, ck.name
+
+
+@pytest.mark.parametrize("n, H", [(5, 2), (6, 1), (7, 1)])
+def test_the_walk_takes_one_of_each_mirrored_pair(monkeypatch, n, H):
+    """Brute force over the box, with irreducibility from `factor_over_Z`:
+    the rows passed to `frobenius_cycle_types` by `enumerate_box` are those
+    of walking the irreducible f with a1 > 0, and in slice 0 the lesser of
+    f and its mirror, which is half the box's walk but for the slice-0
+    polynomials that are their own mirror.  Every slice ledger, slice 0
+    included, is the one that walking each of its polynomials gives."""
+    rows = []
+    cycle_types = ga.frobenius_cycle_types
+
+    def counted(r, deltas, p):
+        rows.append(len(r))
+        return cycle_types(r, deltas, p)
+
+    def rows_walked(polys):
+        rows.clear()
+        verdicts = ct._verdicts(n, polys, [disc(f) for f in polys]) if polys else []
+        return sum(rows), verdicts
+
+    monkeypatch.setattr(ga, "frobenius_cycle_types", counted)
+    S = 2 * H + 1
+    leds = {a1: ct.CountLedger(n=n, H=H, total=S ** (n - 1)) for a1 in range(-H, H + 1)}
+    irreducible = []
+    for c in itertools.product(range(-H, H + 1), repeat=n):
+        f = MonicIntPoly(c)
+        if disc(f) == 0:
+            leds[c[0]].disc_zero += 1
+        elif len(ga.factor_over_Z(f)) > 1:
+            leds[c[0]].reducible += 1
+        else:
+            irreducible.append(f)
+    every, verdicts = rows_walked(irreducible)
+    for f, (name, square) in zip(irreducible, verdicts):
+        led = leds[f.coeffs[0]]
+        led.square_disc += square
+        if name is None:
+            led.unresolved += 1
+        else:
+            led.per_group[name] = led.per_group.get(name, 0) + 1
+    for a1, led in leds.items():
+        led.checksum = ct._slice_crc(a1, led)
+    own = rows_walked([f for f in irreducible if f.coeffs[0] == 0 and f.coeffs == _mirror(f.coeffs)])[0]
+    half = rows_walked([f for f in irreducible if f.coeffs[0] > 0 or f.coeffs[0] == 0 and f.coeffs < _mirror(f.coeffs)])[0]
+    assert every == 2 * half + own
+    rows.clear()
+    led = ct.enumerate_box(n, H)[0]
+    assert sum(rows) == half + own
+    merged = ct.CountLedger(n=n, H=H)
+    for a1 in range(-H, H + 1):
+        merged = merged.merge(leds[a1])
+    assert led.canonical() == merged.canonical()
+    direct = ct.slice_ledger(n, H, list(range(-H, H + 1)))
+    assert [d.canonical() for d in direct] == [leds[a1].canonical() for a1 in range(-H, H + 1)]
+
+
+@pytest.mark.parametrize("n, H", [(5, 2), (6, 1), (7, 1)])
+def test_a_mirrored_slice_that_disagrees_with_its_mirror_raises(monkeypatch, tmp_path, n, H):
+    """Slice -1 gets its own discriminant and factor-mask pass, so one
+    flipped mask entry there raises InternalError, and the CLI exits 3."""
+    mask = ct._factor_mask
+
+    def flipped(n, H, a1):
+        m = mask(n, H, a1)
+        if a1 == -1:
+            at = next(i for i in np.ndindex(m.shape) if disc(MonicIntPoly((-1, *(j - H for j in i)))))
+            m[at] = not m[at]
+        return m
+
+    monkeypatch.setattr(ct, "_factor_mask", flipped)
+    with pytest.raises(InternalError):
+        ct.enumerate_box(n, H)
+    assert cli.main(["count", "--n", str(n), "--H", str(H), "--out", str(tmp_path / "out.jsonl")]) == 3
 
 
 # ---------------------------------------------------------------------------

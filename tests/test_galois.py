@@ -394,6 +394,15 @@ def test_sn_certificate_degree_7():
     assert v.status == "certifiedSn"
 
 
+@pytest.mark.parametrize("c", [2**70 + 1, -(2**63 + 1)], ids=["2^70+1", "-(2^63+1)"])
+def test_frobenius_walk_takes_coefficients_beyond_int64(c):
+    """x^5 - x - c and x^6 - x - c, with a coefficient past int64, go
+    through the walk's coefficient array as dtype=object.  A row holding
+    2^63 + 1 beside -1 is one numpy would infer as float64."""
+    assert ga.quintic_group_irreducible(poly(0, 0, 0, -1, -c)) == "S5"
+    assert ga.sn_certificate(poly(0, 0, 0, 0, -1, -c), 25).status == "certifiedSn"
+
+
 def test_sn_certificate_rejects_zero_disc():
     with pytest.raises(UsageError):
         ga.sn_certificate(poly(-2, 1))
