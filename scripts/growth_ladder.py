@@ -40,7 +40,7 @@ def main():
         if out["mode"] == "exact":
             points.append((H, out["value"]))
 
-    if len(points) >= 3:
+    if len({h for h, _ in points}) >= 3:
         fit = counting.exponent_fit(points)
         print(json.dumps({"slope": fit["slope"], "expected": args.n - 1}))
 

@@ -5,20 +5,19 @@ ledger.  The box is symmetric under f(x) -> (-1)^n f(-x), that is a_i ->
 (-1)^i a_i, which keeps the height, the discriminant, reducibility, the
 Galois group and every Frobenius cycle type (the roots are only negated),
 so slice -a1 has exactly the ledger of slice a1.  The unit of work is a
-run of representatives |a1| of the slices still to be counted, closed
-once it counts at least DECIDE_CHUNK polynomials (`_runs`).  Each
-representative is counted once and its ledger sealed for both a1 and -a1
-where they are missing (`_mirrored`).  Degrees 5-7 still give the slice
--a1 its own discriminant and factor-mask pass, whose discZero and
-reducible must equal those of a1, and walk only the representatives;
-slice 0 is its own mirror, and its walk takes one of each pair of twins
-(`_walked`).  Every slice ledger depends only on its own slice, and the
-ledgers are merged in a fixed order, so the result is independent of the
-runs and of the worker schedule.  The checksum of a merged ledger is the
-XOR of the per-slice checksums, hence also schedule-independent.  With a
-checkpoint directory each slice is stored as a file when its run is
-counted, and a stored slice is reused only if it re-seals (see
-`_load_slice`).
+run of the slices still to be counted, closed once it counts at least
+DECIDE_CHUNK polynomials (`_runs`), and a run never splits a pair of
+twin slices a1, -a1.  `slice_ledger` alone uses the symmetry: degrees 2-4
+count one slice of each pair in a run and copy its ledger to the other;
+degrees 5-7 give every slice its own discriminant and factor-mask pass
+but walk one of each pair of twin polynomials whose slices are both in
+the run, slice 0 being its own mirror (`_walked`).  Every slice ledger
+depends only on its own slice, and the ledgers are merged in a fixed
+order, so the result is independent of the runs and of the worker
+schedule.  The checksum of a merged ledger is the XOR of the per-slice
+checksums, hence also schedule-independent.  With a checkpoint directory
+each slice is stored as a file when its run is counted, and a stored
+slice is reused only if it re-seals (see `_load_slice`).
 
 The quartic counter decides a whole slice with integer arrays, a block of
 a2 rows at a time.  Fujiwara's bound puts the resolvent roots at |y| <= Y
@@ -36,9 +35,9 @@ polynomial has such a factor, so at every degree the mask is exactly
 reducibility, and the box counters never factor over Z.  For degrees 5-7
 each polynomial still gets its own discriminant (`polyarith.disc`, a
 Hankel determinant of power sums).  The unmasked polynomials are
-irreducible; those of a whole run are tagged with their slice and number
-of copies and decided together (`_run_counts`): the quintics by
-`galois.quintic_groups`, the sextics and septics by
+irreducible; those of a whole run that are walked are tagged with the
+slices their verdict goes to and decided together (`_run_counts`): the
+quintics by `galois.quintic_groups`, the sextics and septics by
 `galois.sn_certificates`, and those left uncertified are booked as
 unresolved.  Both batched Frobenius deciders are fed in
 `polyarith.chunks`, one walk per chunk, so their arrays stay
@@ -58,6 +57,7 @@ import json
 import math
 import os
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
@@ -421,44 +421,54 @@ def _mirror(coeffs):
     return tuple(-a if i % 2 else a for i, a in enumerate(coeffs, start=1))
 
 
-def _walked(led, H, a1):
-    """(copies, f, delta) for the polynomials of the slice a1 that reach the
-    Frobenius walk, with `_unmasked` booking the rest into led.  Slice 0 is
-    its own mirror: of two twins f != mirror(f) only the lesser coefficient
-    tuple is walked, and it stands for 2 copies."""
-    skipped = doubled = 0
-    for f, delta in _unmasked(led, H, a1):
-        if a1:
-            yield 1, f, delta
-            continue
-        twin = _mirror(f.coeffs)
-        if f.coeffs > twin:
-            skipped += 1
-        elif f.coeffs == twin:
-            yield 1, f, delta
+def _walked(leds, H, a1s):
+    """(slices, f, delta) for the polynomials of the run a1s that reach the
+    Frobenius walk, with `_unmasked` booking the rest into leds.  Of two
+    twins f != mirror(f) whose slices are both in the run only one is
+    walked, and `slices` names both: slice a1 > 0 is walked for the pair
+    a1, -a1, and slice 0, its own mirror, walks the lesser coefficient
+    tuple, booked twice into slice 0.  A lone slice is walked whole."""
+    for a1 in a1s:
+        polys = _unmasked(leds[a1], H, a1)
+        if a1 == 0:
+            for f, delta in polys:
+                twin = _mirror(f.coeffs)
+                if f.coeffs < twin:
+                    yield (0, 0), f, delta
+                elif f.coeffs == twin:
+                    yield (0,), f, delta
+        elif a1 < 0 and -a1 in leds:
+            for _ in polys:  # its own disc and mask pass; slice -a1 walks the pair
+                pass
         else:
-            doubled += 1
-            yield 2, f, delta
-    if skipped != doubled:
-        raise InternalError(f"slice 0 of ({led.n}, {H}) skips {skipped} twins but doubles {doubled}")
+            slices = (a1, -a1) if -a1 in leds else (a1,)
+            for f, delta in polys:
+                yield slices, f, delta
 
 
 def _run_counts(n, H, a1s):
-    """Degrees 5-7: the ledgers of the slices a1s.  Every unmasked
-    polynomial is irreducible; each is tagged with its slice and its number
-    of copies (`_walked`), and all of them are decided together, one
+    """Degrees 5-7: the ledgers of the run a1s.  Every unmasked polynomial
+    is irreducible; those that `_walked` keeps are decided together, one
     Frobenius walk per chunk.  A verdict depends only on its own
-    polynomial, and a twin has the verdict of its mirror, so it goes back
-    into its slice's ledger, once per copy, unchanged by the grouping."""
+    polynomial, and a twin has the verdict of its mirror, so the (slices,
+    verdict) pairs are tallied and each is booked into every slice it
+    names, unchanged by the grouping.  A slice must then account for
+    (2H+1)^(n-1) polynomials, that is, book as many twins as it skipped;
+    else InternalError."""
     leds = {a1: CountLedger(n=n, H=H, total=(2 * H + 1) ** (n - 1)) for a1 in a1s}
-    tagged = (((a1, k), f, delta) for a1 in a1s for k, f, delta in _walked(leds[a1], H, a1))
-    for (a1, k), _, _, (name, square) in _decided(tagged, partial(_verdicts, n)):
-        led = leds[a1]
-        led.square_disc += k * square
-        if name is None:
-            led.unresolved += k
-        else:
-            led.per_group[name] = led.per_group.get(name, 0) + k
+    walked = _decided(_walked(leds, H, a1s), partial(_verdicts, n))
+    tally = Counter((slices, verdict) for slices, _, _, verdict in walked)
+    for (slices, (name, square)), k in tally.items():
+        for a1 in slices:
+            led = leds[a1]
+            led.square_disc += k * square
+            if name is None:
+                led.unresolved += k
+            else:
+                led.per_group[name] = led.per_group.get(name, 0) + k
+    for a1, led in leds.items():
+        if led.disc_zero + led.reducible + sum(led.per_group.values()) + led.unresolved != led.total:
+            raise InternalError(f"slice {a1} of ({n}, {H}) books a different number of twins than it skips")
     return list(leds.values())
 
 
@@ -467,11 +477,15 @@ _ARRAY_COUNTERS = {2: _slice_counts_n2, 3: _slice_counts_n3, 4: _slice_counts_n4
 
 def slice_ledger(n: int, H: int, a1s: list[int]) -> list[CountLedger]:
     """The ledgers of the sub-boxes with the leading coefficient pinned to
-    each a1 of `a1s`, in that order, each counted directly.  Degrees 2-4
-    count each slice by itself; degrees 5-7 decide the whole list (a run)
-    together."""
+    each a1 of `a1s`, in that order, each sealed for its own a1.  Slice -a1
+    has the ledger of slice a1 (the module docstring): degrees 2-4 count
+    each slice once, except that for a1 > 0 slice -a1 takes a copy of the
+    ledger of a1 when both are in the list; degrees 5-7 decide the whole
+    list (a run) together, walking one of each pair of twins
+    (`_run_counts`)."""
     if n in _ARRAY_COUNTERS:
-        leds = [_ARRAY_COUNTERS[n](H, a1) for a1 in a1s]
+        own = {a1: _ARRAY_COUNTERS[n](H, a1) for a1 in a1s if a1 >= 0 or -a1 not in a1s}
+        leds = [own[a1] if a1 in own else replace(own[-a1], per_group=dict(own[-a1].per_group)) for a1 in a1s]
     elif n in (5, 6, 7):
         leds = _run_counts(n, H, a1s)
     else:
@@ -481,12 +495,12 @@ def slice_ledger(n: int, H: int, a1s: list[int]) -> list[CountLedger]:
     return leds
 
 
-def _runs(n, H, reps):
-    """`reps`, one entry per representative to count, cut into runs of
-    consecutive entries, each closed once it counts at least DECIDE_CHUNK
-    polynomials (one slice if a slice holds that many)."""
+def _runs(n, H, units):
+    """`units`, one entry per slice or twin pair to count, cut into runs of
+    consecutive entries, each closed once it holds at least DECIDE_CHUNK /
+    (2H+1)^(n-1) entries (one if a slice holds DECIDE_CHUNK polynomials)."""
     per_run = -(-DECIDE_CHUNK // (2 * H + 1) ** (n - 1))
-    return [reps[i : i + per_run] for i in range(0, len(reps), per_run)]
+    return [units[i : i + per_run] for i in range(0, len(units), per_run)]
 
 
 # ---------------------------------------------------------------------------
@@ -532,32 +546,14 @@ def _load_slice(root, n, H, a1) -> CountLedger | None:
     return led if ok else None
 
 
-def _mirrored(led, s):
-    """The ledger of the slice s from `led`, that of its mirror -s, sealed
-    for s.  Degrees 5-7 first run the discriminant and factor-mask pass
-    (`_unmasked`) over the slice s itself, whose discZero and reducible
-    must be those of the mirror."""
-    if led.n not in _ARRAY_COUNTERS:
-        own = CountLedger(n=led.n, H=led.H)
-        for _ in _unmasked(own, led.H, s):
-            pass
-        if (own.disc_zero, own.reducible) != (led.disc_zero, led.reducible):
-            raise InternalError(f"slice {s} of ({led.n}, {led.H}) and its mirror differ in discZero or reducible")
-    return replace(led, per_group=dict(led.per_group), checksum=_slice_crc(s, led))
-
-
 def _slice_worker(args):
-    """Count a run of (a1, slices) pairs: each a1 once, its ledger sealed
-    for every slice it stands for (`_mirrored` for -a1), and each slice
-    stored with a checkpoint.  Returns the (slice, ledger) pairs."""
+    """Count a run of slices (`slice_ledger`) and store each with a
+    checkpoint.  Returns the (slice, ledger) pairs."""
     n, H, run, checkpoint = args
-    pairs = []
-    for (a1, slices), led in zip(run, slice_ledger(n, H, [a1 for a1, _ in run])):
-        for s in slices:
-            copy = led if s == a1 else _mirrored(led, s)
-            if checkpoint:
-                _store_slice(checkpoint, n, H, s, copy)
-            pairs.append((s, copy))
+    pairs = list(zip(run, slice_ledger(n, H, run)))
+    if checkpoint:
+        for a1, led in pairs:
+            _store_slice(checkpoint, n, H, a1, led)
     return pairs
 
 
@@ -589,15 +585,12 @@ def enumerate_box(
     """The merged ledger of the box and the number of slices computed.
 
     With a `checkpoint` directory, every stored slice that re-seals is
-    reused.  One representative |a1| is counted for each missing slice a1
-    or -a1, whose ledgers are equal (the module docstring), and a copy is
-    sealed for each (`_mirrored`, which at degrees 5-7 checks the copy by
-    its own discriminant pass; only the representatives are walked).  The
-    representatives are cut into runs (`_runs`), which may join
-    non-adjacent a1 where stored slices lie between, and the runs are
-    computed in a Pool of min(parallelism, runs, CPUs) processes, if
-    above 1.  Each slice of a
-    run, a mirrored one included, is stored when its run is done, by the
+    reused.  The missing slices are cut into runs (`_runs`, one slice or
+    pair of twin slices a1, -a1 as a unit), which may join non-adjacent
+    a1 where stored slices lie between, and each run is counted by
+    `slice_ledger`, so a lone missing slice is counted directly.  The runs
+    are computed in a Pool of min(parallelism, runs, CPUs) processes, if
+    above 1.  Each slice of a run is stored when its run is done, by the
     process that computed it, and counts as computed.  A box over budget,
     or one whose int64 arithmetic `_int64_bound` does not prove exact, is
     refused before anything is made.
@@ -619,8 +612,8 @@ def enumerate_box(
                 results[a1] = led
     todo = [a1 for a1 in a1s if a1 not in results]
     missing = set(todo)
-    reps = [(r, sorted({-r, r} & missing)) for r in sorted({abs(a1) for a1 in todo})]
-    jobs = [(n, H, run, checkpoint) for run in _runs(n, H, reps)]
+    units = [sorted({-r, r} & missing) for r in sorted({abs(a1) for a1 in todo})]
+    jobs = [(n, H, sum(run, []), checkpoint) for run in _runs(n, H, units)]
     workers = min(parallelism, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with Pool(workers) as pool:
@@ -650,7 +643,7 @@ def compute_E(
 
     Exact for n <= 5; a certified interval [lower, upper] for n in {6, 7}.
     "slicesComputed" counts the slices not taken from `checkpoint`; a slice
-    sealed from the ledger of its mirror -a1 counts as computed.
+    that copies the ledger of its twin -a1 counts as computed.
     """
     if n >= 1:
         check_budget(n, H, budget)
@@ -855,10 +848,11 @@ def _product(factors) -> MonicIntPoly:
 
 
 def exponent_fit(counts) -> dict:
-    """Least-squares slope of log(count) against log(H)."""
+    """Least-squares slope of log(count) against log(H), from at least 3
+    distinct H (fewer leave the slope undetermined)."""
     counts = list(counts)
-    if len(counts) < 3:
-        raise InsufficientData("need at least 3 points")
+    if len({h for h, _ in counts}) < 3:
+        raise InsufficientData("need at least 3 distinct H")
     for h, c in counts:
         if c <= 0:
             raise ZeroCount(f"count {c} at H={h}")

@@ -6,6 +6,7 @@ import os
 import time
 import tracemalloc
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +41,13 @@ def test_count_ladder_emits_fit(tmp_path):
     kinds = [o["type"] for o in objs]
     assert kinds == ["ledger", "ledger", "ledger", "fit"]
     assert 0.5 <= objs[-1]["slope"] <= 1.5  # E_2(H) grows like H
+
+
+@pytest.mark.parametrize("ladder", ["2,2,2", "2,4,2,4"])
+def test_count_fit_needs_three_distinct_heights(tmp_path, ladder):
+    code, objs = run(["count", "--n", "3", "--H", ladder], tmp_path)
+    assert code == 0
+    assert [o["type"] for o in objs] == ["ledger"] * len(ladder.split(","))
 
 
 def test_count_interval_degree6(tmp_path):

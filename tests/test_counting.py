@@ -431,13 +431,13 @@ def test_checkpoint_not_created_for_a_refused_box(tmp_path):
 
 def test_pool_capped_at_runs_to_compute(tmp_path, monkeypatch):
     """The Pool has min(parallelism, runs, CPUs) workers; a cubic run holds
-    representatives |a1| and closes once it counts DECIDE_CHUNK
-    polynomials, here 2 slices of 25."""
+    slices, never splits a twin pair a1, -a1, and closes once it counts
+    DECIDE_CHUNK polynomials, here 2 units (a slice or twin pair) of 25."""
     sizes, runs = [], []
     worker = ct._slice_worker
 
     def recorded(job):
-        runs.append([a1 for a1, _ in job[2]])
+        runs.append(job[2])
         return worker(job)
 
     class SerialPool:
@@ -462,25 +462,27 @@ def test_pool_capped_at_runs_to_compute(tmp_path, monkeypatch):
     assert computed == 5 and led.canonical() == direct.canonical()
     workers = min(2, os.cpu_count() or 1)
     assert sizes == ([workers] if workers > 1 else [])
-    assert runs == [[0, 1], [2]]
-    # the missing slices -2 and 2 share the one representative 2, and one run starts no Pool
+    assert runs == [[0, -1, 1], [-2, 2]]
+    # the missing slices -2 and 2 are one twin pair, and one run starts no Pool
     for a1 in (-2, 2):
         _slice_file(tmp_path, 3, 2, a1).unlink()
     runs.clear()
     assert ct.enumerate_box(3, 2, parallelism=10**6, checkpoint=str(tmp_path))[1] == 2
-    assert runs == [[2]]
+    assert runs == [[-2, 2]]
     assert ct.enumerate_box(3, 2, parallelism=10**6, checkpoint=str(tmp_path))[1] == 0
     assert sizes == ([workers] if workers > 1 else [])
-    assert ct._runs(3, 2, [(0, [0]), (2, [-2, 2])]) == [[(0, [0]), (2, [-2, 2])]]
+    assert ct._runs(3, 2, [[0], [-2, 2]]) == [[[0], [-2, 2]]]
 
 
 @pytest.mark.parametrize("n, H", [(2, 5), (3, 6), (4, 3), (5, 2), (6, 1), (7, 1)])
 def test_mirrored_slices_equal_the_direct_count(tmp_path, monkeypatch, n, H):
-    """Only a1 >= 0 is counted (degrees 5-7 run a discriminant pass over
-    every slice, but walk only a1 >= 0), yet every slice file, the direct
-    ones included, is the stored direct `slice_ledger` of its own a1, and
-    checkpoints holding only a1 < 0, only a1 > 0 or every other slice
-    resume to the same directory and ledger at parallelism 1 and 2."""
+    """One slice of each twin pair a1, -a1 is counted (degrees 2-4) or
+    walked (degrees 5-7, which call `disc` once per polynomial of every
+    missing slice), a lone missing slice is counted itself and no stored
+    slice is counted, yet every slice file is the stored direct
+    `slice_ledger` of its own a1, and checkpoints holding only a1 < 0,
+    only a1 > 0 or every other slice resume to the same directory and
+    ledger at parallelism 1 and 2."""
     a1s = range(-H, H + 1)
     oracle = tmp_path / "oracle"
     oracle.mkdir()
@@ -488,7 +490,7 @@ def test_mirrored_slices_equal_the_direct_count(tmp_path, monkeypatch, n, H):
         ct._store_slice(str(oracle), n, H, a1, ct.slice_ledger(n, H, [a1])[0])
     want = {p.name: p.read_bytes() for p in oracle.iterdir()}
 
-    counted = []
+    counted, discs = [], []
     if n in ct._ARRAY_COUNTERS:
         counter = ct._ARRAY_COUNTERS[n]
 
@@ -498,15 +500,27 @@ def test_mirrored_slices_equal_the_direct_count(tmp_path, monkeypatch, n, H):
 
         monkeypatch.setitem(ct._ARRAY_COUNTERS, n, recorded)
     else:
-        run_counts = ct._run_counts
+        walked = ct._walked
 
-        def recorded(n, H, a1s):
-            counted.extend(a1s)
-            return run_counts(n, H, a1s)
+        def recorded(leds, H, a1s):
+            for slices, f, delta in walked(leds, H, a1s):
+                if slices[0] not in counted:
+                    counted.append(slices[0])
+                yield slices, f, delta
 
-        monkeypatch.setattr(ct, "_run_counts", recorded)
+        monkeypatch.setattr(ct, "_walked", recorded)
+        monkeypatch.setattr(ct, "disc", lambda f: discs.append(f) or disc(f))
+
+    def one_per_pair(stored):
+        missing = [a1 for a1 in a1s if a1 not in stored]
+        assert set(counted) <= set(missing)  # no stored slice is counted
+        # each twin pair once, a lone missing slice included
+        assert sorted(abs(a1) for a1 in counted) == sorted({abs(a1) for a1 in missing})
+        assert len(discs) == (n not in ct._ARRAY_COUNTERS) * len(missing) * (2 * H + 1) ** (n - 1)
+
     full, computed = ct.enumerate_box(n, H, checkpoint=str(tmp_path / "full"))
-    assert computed == 2 * H + 1 and sorted(counted) == list(range(H + 1))
+    assert computed == 2 * H + 1
+    one_per_pair([])
     assert {p.name: p.read_bytes() for p in (tmp_path / "full").iterdir()} == want
     for name, stored in [("neg", range(-H, 0)), ("pos", range(1, H + 1)), ("odd", a1s[::2])]:
         for workers in (1, 2):
@@ -515,10 +529,11 @@ def test_mirrored_slices_equal_the_direct_count(tmp_path, monkeypatch, n, H):
             for a1 in stored:
                 _slice_file(ck, n, H, a1).write_bytes(_slice_file(oracle, n, H, a1).read_bytes())
             counted.clear()
+            discs.clear()
             led, computed = ct.enumerate_box(n, H, parallelism=workers, checkpoint=str(ck))
             assert computed == 2 * H + 1 - len(stored), ck.name
             if workers == 1:  # a Pool worker's calls are not recorded here
-                assert min(counted) >= 0 and len(counted) == len(set(counted)), ck.name
+                one_per_pair(stored)
             assert led.canonical() == full.canonical(), ck.name
             assert {p.name: p.read_bytes() for p in ck.iterdir()} == want, ck.name
 
@@ -579,16 +594,27 @@ def test_the_walk_takes_one_of_each_mirrored_pair(monkeypatch, n, H):
     assert [d.canonical() for d in direct] == [leds[a1].canonical() for a1 in range(-H, H + 1)]
 
 
-@pytest.mark.parametrize("n, H", [(5, 2), (6, 1), (7, 1)])
-def test_a_mirrored_slice_that_disagrees_with_its_mirror_raises(monkeypatch, tmp_path, n, H):
-    """Slice -1 gets its own discriminant and factor-mask pass, so one
-    flipped mask entry there raises InternalError, and the CLI exits 3."""
+@pytest.mark.parametrize(
+    "n, H, a1",
+    [
+        pytest.param(n, H, a1, id=f"{n}-{H}" + ("-slice0" if a1 == 0 else ""))
+        for a1 in (-1, 0)
+        for n, H in [(5, 2), (6, 1), (7, 1)]
+    ],
+)
+def test_a_mirrored_slice_that_disagrees_with_its_mirror_raises(monkeypatch, tmp_path, n, H, a1):
+    """Every slice gets its own discriminant and factor-mask pass, so one
+    flipped mask entry in slice -1, or in slice 0 at a polynomial that is
+    not its own mirror, makes a slice book a different number of twins
+    than it skips: InternalError, and the CLI exits 3."""
     mask = ct._factor_mask
 
-    def flipped(n, H, a1):
-        m = mask(n, H, a1)
-        if a1 == -1:
-            at = next(i for i in np.ndindex(m.shape) if disc(MonicIntPoly((-1, *(j - H for j in i)))))
+    def flipped(n, H, s):
+        m = mask(n, H, s)
+        if s == a1:
+            polys = (MonicIntPoly((a1, *(j - H for j in i))) for i in np.ndindex(m.shape))
+            f = next(f for f in polys if disc(f) and f.coeffs != _mirror(f.coeffs))
+            at = tuple(c + H for c in f.coeffs[1:])
             m[at] = not m[at]
         return m
 
@@ -887,5 +913,8 @@ def test_exponent_fit_exact_power_law():
 def test_exponent_fit_errors():
     with pytest.raises(InsufficientData):
         ct.exponent_fit([(1, 1), (2, 4)])
+    for repeated in ([(2, 5)] * 3, [(2, 5), (4, 9), (2, 5)]):  # fewer than 3 distinct H
+        with pytest.raises(InsufficientData):
+            ct.exponent_fit(repeated)
     with pytest.raises(ZeroCount):
         ct.exponent_fit([(1, 1), (2, 0), (3, 9)])
