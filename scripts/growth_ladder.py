@@ -9,10 +9,12 @@ Usage: python3 scripts/growth_ladder.py --n 3 --ladder 10,20,40,80
 """
 
 import argparse
+import contextlib
 import json
 import time
 
 from galcount import counting
+from galcount.errors import InsufficientData
 
 
 def main():
@@ -40,7 +42,7 @@ def main():
         if out["mode"] == "exact":
             points.append((H, out["value"]))
 
-    if len({h for h, _ in points}) >= 3:
+    with contextlib.suppress(InsufficientData):
         fit = counting.exponent_fit(points)
         print(json.dumps({"slope": fit["slope"], "expected": args.n - 1}))
 

@@ -126,7 +126,7 @@ def cmd_count(args) -> list[dict]:
             if result["slicesComputed"] == 0:
                 obj["status"] = "up to date"
         out.append(obj)
-    if len({h for h, _ in counts}) >= 3 and all(h > 0 and c > 0 for h, c in counts):
+    with contextlib.suppress(UsageError):  # under 3 distinct H, or an H or count of 0: no fit
         fit = counting.exponent_fit(counts)
         out.append(
             {"formatVersion": FORMAT_VERSION, "config": _config_echo(args), "type": "fit", **fit}

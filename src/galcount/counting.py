@@ -57,7 +57,6 @@ import json
 import math
 import os
 import zlib
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
@@ -450,25 +449,24 @@ def _run_counts(n, H, a1s):
     """Degrees 5-7: the ledgers of the run a1s.  Every unmasked polynomial
     is irreducible; those that `_walked` keeps are decided together, one
     Frobenius walk per chunk.  A verdict depends only on its own
-    polynomial, and a twin has the verdict of its mirror, so the (slices,
-    verdict) pairs are tallied and each is booked into every slice it
-    names, unchanged by the grouping.  A slice must then account for
-    (2H+1)^(n-1) polynomials, that is, book as many twins as it skipped;
-    else InternalError."""
+    polynomial, and a twin has the verdict of its mirror, so each verdict
+    is booked into every slice it names, unchanged by the grouping.  A
+    slice must then account for (2H+1)^(n-1) polynomials, and twin slices
+    a1, -a1 must agree in discZero and reducible; else InternalError."""
     leds = {a1: CountLedger(n=n, H=H, total=(2 * H + 1) ** (n - 1)) for a1 in a1s}
-    walked = _decided(_walked(leds, H, a1s), partial(_verdicts, n))
-    tally = Counter((slices, verdict) for slices, _, _, verdict in walked)
-    for (slices, (name, square)), k in tally.items():
+    for slices, _, _, (name, square) in _decided(_walked(leds, H, a1s), partial(_verdicts, n)):
         for a1 in slices:
             led = leds[a1]
-            led.square_disc += k * square
+            led.square_disc += square
             if name is None:
-                led.unresolved += k
+                led.unresolved += 1
             else:
-                led.per_group[name] = led.per_group.get(name, 0) + k
+                led.per_group[name] = led.per_group.get(name, 0) + 1
     for a1, led in leds.items():
-        if led.disc_zero + led.reducible + sum(led.per_group.values()) + led.unresolved != led.total:
-            raise InternalError(f"slice {a1} of ({n}, {H}) books a different number of twins than it skips")
+        twin = leds.get(-a1, led)
+        booked = led.disc_zero + led.reducible + sum(led.per_group.values()) + led.unresolved
+        if booked != led.total or (led.disc_zero, led.reducible) != (twin.disc_zero, twin.reducible):
+            raise InternalError(f"slice {a1} of ({n}, {H}) misses polynomials or disagrees with its twin")
     return list(leds.values())
 
 

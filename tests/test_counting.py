@@ -114,12 +114,17 @@ def test_golden_ledgers_pinned(box):
     assert ct.enumerate_box(*box)[0].to_json() == GOLDEN[box]
 
 
+def _each_slice(n, H):
+    """Every slice ledger of the box, each slice counted by itself: a run
+    holding both twins would copy slice -a1 from slice a1."""
+    return [ct.slice_ledger(n, H, [a1])[0].canonical() for a1 in range(-H, H + 1)]
+
+
 def test_quartic_object_dtype_path_matches_int64(monkeypatch):
     H = 4
-    a1s = list(range(-H, H + 1))
-    want = [led.canonical() for led in ct.slice_ledger(4, H, a1s)]
+    want = _each_slice(4, H)
     monkeypatch.setattr(ct, "_quartic_dtype", lambda H: object)
-    assert [led.canonical() for led in ct.slice_ledger(4, H, a1s)] == want
+    assert _each_slice(4, H) == want
 
 
 def test_quartic_int64_bounds_hold_at_the_largest_int64_H():
@@ -203,10 +208,9 @@ def test_quartic_block_size_does_not_change_the_count(monkeypatch, H, dtype):
     at y0 = b - a^2/4 among them, lose and double-count nothing."""
     monkeypatch.setattr(ct, "_quartic_dtype", lambda H: dtype)
     monkeypatch.setattr(ct, "_kappe_warren_dtype", lambda H: dtype)
-    a1s = list(range(-H, H + 1))
-    want = [led.canonical() for led in ct.slice_ledger(4, H, a1s)]
+    want = _each_slice(4, H)
     monkeypatch.setattr(ct, "_quartic_block_rows", lambda H, Y: 1)
-    assert [led.canonical() for led in ct.slice_ledger(4, H, a1s)] == want
+    assert _each_slice(4, H) == want
 
 
 def test_kappe_warren_dtype_turns_to_object_where_its_bound_reaches_2_62():
@@ -622,6 +626,23 @@ def test_a_mirrored_slice_that_disagrees_with_its_mirror_raises(monkeypatch, tmp
     with pytest.raises(InternalError):
         ct.enumerate_box(n, H)
     assert cli.main(["count", "--n", str(n), "--H", str(H), "--out", str(tmp_path / "out.jsonl")]) == 3
+
+
+@pytest.mark.parametrize("n, H", [(5, 2), (6, 1), (7, 1)])
+def test_twin_slices_that_split_disc_zero_and_reducible_differently_raise(monkeypatch, n, H):
+    """Moving one polynomial of slice -1 from reducible to discZero keeps its
+    total, but no longer matches slice 1: InternalError."""
+    unmasked = ct._unmasked
+
+    def moved(led, H, a1):
+        yield from unmasked(led, H, a1)
+        if a1 == -1:
+            led.reducible -= 1
+            led.disc_zero += 1
+
+    monkeypatch.setattr(ct, "_unmasked", moved)
+    with pytest.raises(InternalError):
+        ct.enumerate_box(n, H)
 
 
 # ---------------------------------------------------------------------------
