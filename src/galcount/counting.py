@@ -6,18 +6,19 @@ ledger.  The box is symmetric under f(x) -> (-1)^n f(-x), that is a_i ->
 Galois group and every Frobenius cycle type (the roots are only negated),
 so slice -a1 has exactly the ledger of slice a1.  The unit of work is a
 run of the slices still to be counted, closed once it counts at least
-DECIDE_CHUNK polynomials (`_runs`), and a run never splits a pair of
-twin slices a1, -a1.  `slice_ledger` alone uses the symmetry: degrees 2-4
-count one slice of each pair in a run and copy its ledger to the other;
-degrees 5-7 give every slice its own discriminant and factor-mask pass
-but walk one of each pair of twin polynomials whose slices are both in
-the run, slice 0 being its own mirror (`_walked`).  Every slice ledger
-depends only on its own slice, and the ledgers are merged in a fixed
-order, so the result is independent of the runs and of the worker
-schedule.  The checksum of a merged ledger is the XOR of the per-slice
-checksums, hence also schedule-independent.  With a checkpoint directory
-each slice is stored as a file when its run is counted, and a stored
-slice is reused only if it re-seals (see `_load_slice`).
+DECIDE_CHUNK polynomials, a shorter last run joining the one before it
+(`_runs`), and a run never splits a pair of twin slices a1, -a1.
+`slice_ledger` alone uses the symmetry: degrees 2-4 count one slice of
+each pair in a run and copy its ledger to the other; degrees 5-7 give
+every slice its own discriminant and factor-mask pass but walk one of
+each pair of twin polynomials whose slices are both in the run, slice 0
+being its own mirror (`_walked`).  Every slice ledger depends only on its
+own slice, and the ledgers are merged in a fixed order, so the result is
+independent of the runs and of the worker schedule.  The checksum of a
+merged ledger is the XOR of the per-slice checksums, hence also
+schedule-independent.  With a checkpoint directory each slice is stored
+as a file when its run is counted, and a stored slice is reused only if
+it re-seals (see `_load_slice`).
 
 The quartic counter decides a whole slice with integer arrays, a block of
 a2 rows at a time.  Fujiwara's bound puts the resolvent roots at |y| <= Y
@@ -496,9 +497,13 @@ def slice_ledger(n: int, H: int, a1s: list[int]) -> list[CountLedger]:
 def _runs(n, H, units):
     """`units`, one entry per slice or twin pair to count, cut into runs of
     consecutive entries, each closed once it holds at least DECIDE_CHUNK /
-    (2H+1)^(n-1) entries (one if a slice holds DECIDE_CHUNK polynomials)."""
+    (2H+1)^(n-1) entries (one if a slice holds DECIDE_CHUNK polynomials).
+    A shorter last run joins the run before it."""
     per_run = -(-DECIDE_CHUNK // (2 * H + 1) ** (n - 1))
-    return [units[i : i + per_run] for i in range(0, len(units), per_run)]
+    runs = [units[i : i + per_run] for i in range(0, len(units), per_run)]
+    if len(runs) > 1 and len(runs[-1]) < per_run:
+        runs[-2:] = [runs[-2] + runs[-1]]
+    return runs
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ order, each polynomial skips the primes dividing its own discriminant, all
 live polynomials get their cycle types at p from one
 `polyarith.frobenius_cycle_types` call (the roots mod p, the sign of the
 discriminants the walk already holds by Stickelberger, and for n = 6, 7
-one Berlekamp nullity), and a polynomial leaves the walk once it is
-decided.  `quintic_group_irreducible` and `sn_certificate` run
-the same walk on a batch of one.  A quintic is decided with integer
-arithmetic only:
+where those two are shared, the order of Frobenius on x), and a
+polynomial leaves the walk once it is decided.
+`quintic_group_irreducible` and `sn_certificate` run the same walk on a
+batch of one.  A quintic is decided with integer arithmetic only:
 
 - A Frobenius of type 2+1+1+1 or 3+2 gives a transposition (after cubing)
   and one of type 3+1+1 a 3-cycle.  The group G is transitive of prime

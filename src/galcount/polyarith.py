@@ -25,11 +25,13 @@ One helper per operation, shared by every module:
   matrices C (`_companion`), C^p and the Berlekamp matrices Q
   (`_frobenius_matrix`) by `_matpow`, reduced mod p by `_reduce`, ranked
   by `_ranks_mod_p`.  `frobenius_cycle_types` reads cycle types from the
-  roots mod p, the sign of the discriminant by Stickelberger and for
-  n = 6, 7 one nullity of Q^d - I; callers over a slice feed it `chunks`
-  of DECIDE_CHUNK rows.  Whole spaces need no matrices: `splitting_sieve`
-  types every monic point of degree up to n over F_p from its smallest
-  irreducible factor, for `index_table` and the Fourier type maps;
+  roots mod p and the sign of the discriminant by Stickelberger, and only
+  where those two leave two partitions of n = 6, 7, from the order of
+  Frobenius on x, x^(p^k) = x mod f, by powers of Q (`_x_orders`);
+  callers over a slice feed it `chunks` of DECIDE_CHUNK rows.  Whole
+  spaces need no matrices: `splitting_sieve` types every monic point of
+  degree up to n over F_p from its smallest irreducible factor, for
+  `index_table` and the Fourier type maps;
 - factorization over F_p, on the same matrices: `factor_mod_p` is the
   squarefree decomposition, then Berlekamp (`_berlekamp`) on each part's
   `_frobenius_matrix`, for small p; `splitting_type` takes the
@@ -42,8 +44,10 @@ One helper per operation, shared by every module:
 - discriminant: `disc` for monic f, the n x n Hankel determinant
   det[s_(i+j)], 0 <= i, j < n, of the Newton power sums; it equals
   prod_(i<j) (alpha_i - alpha_j)^2.  For n <= 7 it runs as straight-line
-  Bareiss code generated once per degree, with the pivoting `_det_bareiss`
-  as the fallback at a zero pivot and for larger n.  The one non-monic
+  Bareiss code generated once per degree, on the reversed Hankel matrix
+  where a leading minor vanishes, and on f / x where that meets a zero
+  pivot too and x divides f.  The pivoting `_det_bareiss` is the fallback
+  where all of these fail and for larger n.  The one non-monic
   discriminant, in `double_disc`, is the same determinant of a monic
   rescaling, divided exactly.
 """
@@ -258,29 +262,47 @@ def _det_bareiss(mat: list[list[int]]) -> int:
 STRAIGHT_MAX = 7  # degrees whose discriminant runs as generated straight-line code
 
 
-def _straight_source(n: int) -> str:
-    """Source of the straight-line discriminant of degree n: the power sums
-    s1 .. s(2n-2), then the Bareiss updates of the upper triangle m{i}_{j},
-    i <= j, of [s_(i+j)], returning None at a zero pivot."""
-    a = [f"a{i}" for i in range(1, n + 1)]
+def _bareiss_lines(n: int, m: dict, first: int, zero: str) -> list[str]:
+    """Straight-line fraction-free Bareiss without pivoting on the symmetric
+    n x n matrix whose upper-triangle entries are the expressions m[i, j],
+    i <= j: the updates of m{i}_{j}, a test of every pivot from step
+    `first` on that returns the expression `zero` where one vanishes, and
+    the return of the determinant."""
     body = []
-    for k in range(1, 2 * n - 1):
-        terms = [f"{k} * a{k}" if k > 1 else "a1"] if k <= n else []
-        terms += [f"a{i} * s{k - i}" for i in range(1, min(k, n + 1))]
-        body.append(f"s{k} = -({' + '.join(terms)})")
-    m = {(i, j): f"s{i + j}" for i in range(n) for j in range(i, n)}
-    m[0, 0] = str(n)
     for k in range(n - 1):
         piv = m[k, k]
-        if k:
-            body.append(f"if not {piv}: return None")
+        if k >= first:
+            body.append(f"if not {piv}: return {zero}")
         for i in range(k + 1, n):
             for j in range(i, n):
                 t = f"{m[i, j]} * {piv} - {m[k, i]} * {m[k, j]}"
                 body.append(f"m{i}_{j} = ({t}) // {m[k - 1, k - 1]}" if k else f"m{i}_{j} = {t}")
                 m[i, j] = f"m{i}_{j}"
     body.append(f"return {m[n - 1, n - 1]}")
-    return f"def disc{n}({', '.join(a)}):\n" + "".join(f"    {line}\n" for line in body)
+    return body
+
+
+def _straight_source(n: int) -> str:
+    """Source of the straight-line discriminant of degree n, disc{n}: the
+    power sums s1 .. s(2n-2), then Bareiss on H = [s_(i+j)], whose first
+    pivot is s_0 = n.  At a zero pivot it returns rev{n} of the power sums:
+    Bareiss on J H J = [s_(2n-2-i-j)], J the reversal, testing every pivot
+    and returning None at a zero one."""
+    a = [f"a{i}" for i in range(1, n + 1)]
+    sums = [f"s{k}" for k in range(1, 2 * n - 1)]
+    body = []
+    for k in range(1, 2 * n - 1):
+        terms = [f"{k} * a{k}" if k > 1 else "a1"] if k <= n else []
+        terms += [f"a{i} * s{k - i}" for i in range(1, min(k, n + 1))]
+        body.append(f"s{k} = -({' + '.join(terms)})")
+    hankel = {(i, j): f"s{i + j}" if i + j else str(n) for i in range(n) for j in range(i, n)}
+    body += _bareiss_lines(n, hankel, 1, f"rev{n}({', '.join(sums)})")
+    flipped = {(i, j): f"s{2 * n - 2 - i - j}" if i + j < 2 * n - 2 else str(n) for i in range(n) for j in range(i, n)}
+    rev = _bareiss_lines(n, flipped, 0, "None")
+    return "".join(
+        f"def {name}({', '.join(args)}):\n" + "".join(f"    {line}\n" for line in lines)
+        for name, args, lines in [(f"disc{n}", a, body), (f"rev{n}", sums, rev)]
+    )
 
 
 @functools.cache
@@ -306,10 +328,17 @@ def disc(f: MonicIntPoly) -> int:
     identity each division by the previous pivot (the leading k x k minor)
     is exact, and the last entry is the determinant (Bareiss, Math. Comp.
     22, 1968).  The matrix is symmetric and so is every step, so only the
-    upper triangle is updated.  A zero pivot (a vanishing leading minor, as
-    for x^5 + c, whose s_1 .. s_4 vanish) makes it return None, and the
-    determinant then comes from the pivoting `_det_bareiss`, which also
-    serves every n above STRAIGHT_MAX.  Both give the same exact integer.
+    upper triangle is updated.  At a zero pivot (a vanishing leading minor,
+    as for x^5 + c, whose s_1 .. s_4 vanish) the same code runs on J H J =
+    [s_(2n-2-i-j)], J the reversal of rows and columns: det J^2 = 1, so it
+    has the same determinant, and its leading minors are the trailing
+    principal minors of H.  Every one of its pivots is tested, the first
+    s_(2n-2) too, and a zero one there makes it return None.  Most such f
+    have a_n = 0, so f = x g with g(0) = a_(n-1), and the roots of f are 0
+    and those of g: disc(f) = disc(g) g(0)^2, from g's straight-line code,
+    and 0 when a_(n-1) = 0 too.  Where that also fails, the determinant
+    comes from the pivoting `_det_bareiss`, which also serves every n above
+    STRAIGHT_MAX.  All of them give the same exact integer.
     """
     a = f.coeffs
     n = len(a)
@@ -317,6 +346,9 @@ def disc(f: MonicIntPoly) -> int:
         raise UsageError("disc needs degree >= 1")
     if n <= STRAIGHT_MAX:
         d = _straight_disc(n)(*a)
+        if d is None and n > 1 and a[-1] == 0:  # f = x g with g(0) = a_(n-1)
+            g = _straight_disc(n - 1)(*a[:-1]) if a[-2] else 0
+            d = None if g is None else g * a[-2] ** 2
         if d is not None:
             return d
     s = [n]
@@ -633,7 +665,7 @@ def splitting_type(f: MonicIntPoly, p: int) -> SplittingType:
 
 # ---------------------------------------------------------------------------
 # The batched Frobenius layer: cycle types from root counts, Stickelberger's
-# sign and at most one Berlekamp nullity
+# sign and, where those two are shared, the order of Frobenius on x
 
 
 def _partitions(n: int, top: int | None = None):
@@ -647,24 +679,20 @@ def _partitions(n: int, top: int | None = None):
             yield (first, *rest)
 
 
-@functools.lru_cache(maxsize=None)
-def _nullity_table(n: int) -> tuple[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]]:
-    """(ds, table): a smallest set ds of exponents, first in lexicographic
-    order, such that the keys of the partitions (d_1, ..., d_r) of n tell
-    them apart, and the table from the key to the partition.  The key is
-    the number of parts 1 (the fixed points), the sign parity n - r mod 2
-    and, for each d in ds, the nullity sum_i gcd(d, d_i).  The search runs
-    over d = 1..n; for n <= 7 no exponent above n gives a smaller set, and
-    ds is () for n <= 5, (2,) for n = 6 and (4,) for n = 7."""
-    parts = list(_partitions(n))
-    for r in range(n + 1):
-        for ds in itertools.combinations(range(1, n + 1), r):
-            table = {
-                (lam.count(1), (n - len(lam)) % 2, *(sum(math.gcd(d, m) for m in lam) for d in ds)): lam
-                for lam in parts
-            }
-            if len(table) == len(parts):
-                return ds, table
+@functools.cache
+def _cycle_keys(n: int) -> dict:
+    """The partitions of n by key.  The key (r_1, s) of a partition is its
+    number of parts 1 and its sign parity n - r mod 2.  Where (r_1, s)
+    names one partition it maps to it; where it is shared, it maps to None
+    and each sharing partition is keyed by (r_1, s, the lcm of its parts).
+    For n <= 5 no key is shared; for n = 6, 7 the shared ones are those of
+    {(6), (2,2,2)}, {(4,2), (3,3)} and {(7), (3,2,2)}, {(6,1), (2,2,2,1)},
+    {(5,2), (4,3)}, {(4,2,1), (3,3,1)}, and the lcm tells each pair apart."""
+    by_key: dict = {}
+    for lam in _partitions(n):
+        by_key.setdefault((lam.count(1), (n - len(lam)) % 2), []).append(lam)
+    table = {key: lams[0] if len(lams) == 1 else None for key, lams in by_key.items()}
+    return table | {(*key, math.lcm(*lam)): lam for key, lams in by_key.items() if len(lams) > 1 for lam in lams}
 
 
 DECIDE_CHUNK = 1024  # rows per batched Frobenius call over a slice, pairs per block of the sieve
@@ -787,6 +815,20 @@ def _int_rows(rows) -> np.ndarray:
         return np.array(rows, dtype=object)
 
 
+def _x_orders(Q: np.ndarray, p: int, top: int) -> list[int]:
+    """For each Berlekamp matrix Q of a stack, the order of Frobenius on x:
+    the least k <= top with x^(p^k) = x mod f, else 0.  Row 1 of Q is
+    v_1 = x^p mod f, and v_(k+1) = v_k Q is the image x^(p^(k+1)) of
+    x^(p^k) under the F_p-linear Frobenius g -> g^p, whose matrix is Q."""
+    vs = [Q[:, 1:2]]
+    for _ in range(top - 1):
+        vs.append(_reduce(vs[-1] @ Q, p))
+    x = np.zeros(Q.shape[1], dtype=np.int64)
+    x[1] = 1
+    fixed = (np.concatenate(vs, axis=1) == x).all(axis=2)  # (M, top): x^(p^k) = x
+    return np.where(fixed.any(axis=1), fixed.argmax(axis=1) + 1, 0).tolist()
+
+
 def frobenius_cycle_types(rows, deltas, p: int) -> list[tuple[int, ...]]:
     """The Frobenius cycle types at p, as descending tuples, of the monic
     polynomials given by the rows (a_1, ..., a_n) of an (N, n) integer
@@ -795,7 +837,7 @@ def frobenius_cycle_types(rows, deltas, p: int) -> list[tuple[int, ...]]:
     f is squarefree mod p iff p does not divide disc(f), since disc(f mod
     p) = disc(f) mod p for a monic f; a row with p | delta raises
     NotSquarefreeModP.  For the others, let f = g_1 ... g_r mod p with
-    irreducible g_i of degrees d_i.  The key of `_nullity_table` reads:
+    irreducible g_i of degrees d_i.  The key of `_cycle_keys` reads:
 
     - the fixed points r_1, the number of roots of f in F_p.  When
       N p <= DECIDE_CHUNK n^2, the number of entries a chunk's matrix stack
@@ -809,12 +851,17 @@ def frobenius_cycle_types(rows, deltas, p: int) -> list[tuple[int, ...]]:
       delta = 1 or 5 mod 8 as n - r is even or odd, since every
       discriminant is 0 or 1 mod 4.  Any monic integer lift of f mod p
       with p not dividing its discriminant serves.
-    - for n = 6 and 7, dim ker(Q^d - I) = sum_i gcd(d, d_i) at the one
-      exponent d = 2 or 4, since A is the product of the fields F_(p^d_i).
-      For n <= 5 the first two already tell the partitions apart.
+    - only where (r_1, n - r mod 2) is shared by two partitions, which
+      happens for n = 6 and 7 alone, the order of Frobenius phi on x, the
+      least k >= 1 with x^(p^k) = x mod f (`_x_orders`, up to the largest
+      lcm of a shared key, 6 for n = 6 and 12 for n = 7).  It is
+      lcm(d_1, ..., d_r): A is the product of the fields F_(p^d_i), so
+      phi^k = id exactly when every d_i divides k, and as phi^k is an
+      algebra map and x generates A, phi^k = id exactly when phi^k fixes x.
 
-    Every rank comes from one batched elimination.  A key that names no
-    partition, which only a wrong delta can give, raises InternalError.
+    The scan path ranks nothing; the nullity of C^p - C above its bound is
+    one batched elimination.  A key that names no partition, which only a
+    wrong delta can give, raises InternalError.
     """
     _require_prime(p)
     if len(rows) == 0:
@@ -828,22 +875,22 @@ def frobenius_cycle_types(rows, deltas, p: int) -> list[tuple[int, ...]]:
         parity = [sign.get(pow(d, (p - 1) // 2, p)) for d in deltas]
     if None in parity:
         raise NotSquarefreeModP(f"row {rows[parity.index(None)].tolist()} is not squarefree mod {p}")
-    ds, table = _nullity_table(n)
-    scan = N * p <= DECIDE_CHUNK * n * n
-    mats = []  # Q^d - I for d in ds, then C^p - C unless scan
-    if ds or not scan:
+    Cp = None
+    if N * p <= DECIDE_CHUNK * n * n:
+        r1 = _root_counts(rows, p).tolist()
+    else:
         C = _companion(rows, p)
         Cp = _matpow(C, p, p)
-        if ds:
-            Q = _berlekamp_matrix(Cp, p)
-            mats = [_reduce(_matpow(Q, d, p) - np.eye(n, dtype=np.int64), p) for d in ds]
-        if not scan:
-            mats.append(_reduce(Cp - C, p))
-    nullities = []  # one list per matrix of mats
-    if mats:
-        nullities = (n - _ranks_mod_p(np.stack(mats, axis=1).reshape(-1, n, n), p).reshape(N, -1)).T.tolist()
-    r1 = _root_counts(rows, p).tolist() if scan else nullities.pop()
-    types = [table.get(key) for key in zip(r1, parity, *nullities)]
+        r1 = (n - _ranks_mod_p(_reduce(Cp - C, p), p)).tolist()
+    keys = list(zip(r1, parity))
+    table = _cycle_keys(n)
+    types = [table.get(key) for key in keys]
+    shared = [i for i, (t, key) in enumerate(zip(types, keys)) if t is None and key in table]
+    if shared:
+        Cp = _matpow(_companion(rows[shared], p), p, p) if Cp is None else Cp[shared]
+        top = max(key[2] for key in table if len(key) == 3)
+        for i, k in zip(shared, _x_orders(_berlekamp_matrix(Cp, p), p, top)):
+            types[i] = table.get((*keys[i], k))
     if None in types:
         i = types.index(None)
         raise InternalError(f"row {rows[i].tolist()} with discriminant {deltas[i]} has no cycle type mod {p}")

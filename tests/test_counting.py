@@ -436,7 +436,8 @@ def test_checkpoint_not_created_for_a_refused_box(tmp_path):
 def test_pool_capped_at_runs_to_compute(tmp_path, monkeypatch):
     """The Pool has min(parallelism, runs, CPUs) workers; a cubic run holds
     slices, never splits a twin pair a1, -a1, and closes once it counts
-    DECIDE_CHUNK polynomials, here 2 units (a slice or twin pair) of 25."""
+    DECIDE_CHUNK polynomials, here 2 units (a slice or twin pair) of 81,
+    except that a shorter last run joins the run before it."""
     sizes, runs = [], []
     worker = ct._slice_worker
 
@@ -458,24 +459,26 @@ def test_pool_capped_at_runs_to_compute(tmp_path, monkeypatch):
             return list(map(fn, items))
 
     monkeypatch.setattr(ct, "Pool", SerialPool)
-    monkeypatch.setattr(ct, "DECIDE_CHUNK", 50)
+    monkeypatch.setattr(ct, "DECIDE_CHUNK", 150)
     monkeypatch.setattr(ct, "_slice_worker", recorded)
-    direct = ct.enumerate_box(3, 2)[0]
+    direct = ct.enumerate_box(3, 4)[0]
     runs.clear()
-    led, computed = ct.enumerate_box(3, 2, parallelism=10**6, checkpoint=str(tmp_path))
-    assert computed == 5 and led.canonical() == direct.canonical()
+    led, computed = ct.enumerate_box(3, 4, parallelism=10**6, checkpoint=str(tmp_path))
+    assert computed == 9 and led.canonical() == direct.canonical()
     workers = min(2, os.cpu_count() or 1)
     assert sizes == ([workers] if workers > 1 else [])
-    assert runs == [[0, -1, 1], [-2, 2]]
+    assert runs == [[0, -1, 1], [-2, 2, -3, 3, -4, 4]]  # the last run, [-4, 4], joined the one before
     # the missing slices -2 and 2 are one twin pair, and one run starts no Pool
     for a1 in (-2, 2):
-        _slice_file(tmp_path, 3, 2, a1).unlink()
+        _slice_file(tmp_path, 3, 4, a1).unlink()
     runs.clear()
-    assert ct.enumerate_box(3, 2, parallelism=10**6, checkpoint=str(tmp_path))[1] == 2
+    assert ct.enumerate_box(3, 4, parallelism=10**6, checkpoint=str(tmp_path))[1] == 2
     assert runs == [[-2, 2]]
-    assert ct.enumerate_box(3, 2, parallelism=10**6, checkpoint=str(tmp_path))[1] == 0
+    assert ct.enumerate_box(3, 4, parallelism=10**6, checkpoint=str(tmp_path))[1] == 0
     assert sizes == ([workers] if workers > 1 else [])
-    assert ct._runs(3, 2, [[0], [-2, 2]]) == [[[0], [-2, 2]]]
+    assert ct._runs(3, 4, [[0], [-2, 2]]) == [[[0], [-2, 2]]]
+    assert ct._runs(3, 4, list(range(4))) == [[0, 1], [2, 3]]
+    assert ct._runs(3, 4, list(range(5))) == [[0, 1], [2, 3, 4]]
 
 
 @pytest.mark.parametrize("n, H", [(2, 5), (3, 6), (4, 3), (5, 2), (6, 1), (7, 1)])

@@ -277,8 +277,12 @@ def test_straight_line_disc_matches_sylvester_on_small_boxes():
 
 def test_disc_falls_back_at_a_zero_pivot(monkeypatch):
     """x^5 + 1 has s_1 = ... = s_4 = 0, so the second pivot 5 s_2 - s_1^2
-    vanishes: the straight-line code gives None and the pivoting Bareiss
-    gives disc = 5^5."""
+    vanishes, and s_8 = 0, the first pivot of the reversed Hankel matrix:
+    the straight-line code gives None and the pivoting Bareiss gives disc
+    = 5^5.  x^5 - 2x^2 - x - 1 also has s_1 = s_2 = 0, but the reversed
+    matrix serves it without the fallback.  Both matrices of x Phi_5(x) =
+    x^5 + x^4 + x^3 + x^2 + x meet a zero pivot, and disc(Phi_5) Phi_5(0)^2
+    = 5^3 serves it, as 0 serves x^3 (x^2 - 2x - 1)."""
     f = pa.MonicIntPoly((0, 0, 0, 0, 1))
     want = disc_general(f.full())
     assert pa._straight_disc(5)(*f.coeffs) is None
@@ -292,7 +296,13 @@ def test_disc_falls_back_at_a_zero_pivot(monkeypatch):
     assert pa.disc(f) == want == 5**5
     assert calls == [[[5, 0, 0, 0, 0], [0, 0, 0, 0, -5], [0, 0, 0, -5, 0], [0, 0, -5, 0, 0], [0, -5, 0, 0, 0]]]
     pa.disc(pa.MonicIntPoly((1, -2, 3, 0, -1)))
+    g = pa.MonicIntPoly((0, 0, -2, -1, -1))
+    assert pa._straight_disc(5)(*g.coeffs) == pa.disc(g) == 93
+    h, h0 = pa.MonicIntPoly((1, 1, 1, 1, 0)), pa.MonicIntPoly((-2, -1, 0, 0, 0))
+    assert pa._straight_disc(5)(*h.coeffs) is None and pa._straight_disc(5)(*h0.coeffs) is None
+    assert (pa.disc(h), pa.disc(h0)) == (5**3, 0)
     assert len(calls) == 1
+    assert (disc_general(g.full()), disc_general(h.full()), disc_general(h0.full())) == (93, 5**3, 0)
 
 
 def test_disc_of_a_constant_is_a_usage_error():
@@ -510,6 +520,27 @@ def test_frobenius_cycle_types_reject_a_wrong_discriminant_sign(p, cubic, unit):
         pa.frobenius_cycle_types([row], [delta * unit], p)
 
 
+@pytest.mark.parametrize("p", [2, 7, 97])
+@pytest.mark.parametrize("n", [6, 7])
+def test_frobenius_cycle_types_reject_a_wrong_sign_at_a_shared_key(n, p):
+    """An f irreducible mod p has type (n).  Its discriminant times a
+    non-residue claims the other sign parity, and (0, other parity) is
+    shared by (4, 2) and (3, 3) for n = 6, by (5, 2) and (4, 3) for n = 7;
+    the order of Frobenius on x is n, so the key (0, parity, n) names no
+    partition."""
+    rng = random.Random(f"wrong-sign-{n}-{p}")
+    while True:
+        row = tuple(rng.randrange(-6, 7) for _ in range(n))
+        if _factor_degrees(row, p) == [n]:
+            break
+    delta = pa.disc(pa.MonicIntPoly(row))
+    unit = 5 if p == 2 else next(u for u in range(2, p) if pow(u, (p - 1) // 2, p) == p - 1)
+    assert pa.frobenius_cycle_types([row], [delta], p) == [(n,)]
+    assert (0, n % 2, n) not in pa._cycle_keys(n) and pa._cycle_keys(n)[0, n % 2] is None
+    with pytest.raises(InternalError, match=re.escape(f"row {list(row)} with discriminant {delta * unit} has")):
+        pa.frobenius_cycle_types([row], [delta * unit], p)
+
+
 def _nonsquarefree_rows(n, rng, count):
     """Rows (a_1..a_n) of g^e h with g, h monic and e >= 2: not squarefree
     at any prime."""
@@ -631,24 +662,59 @@ def test_frobenius_matrix_rows_are_powers_of_x(n, p):
     assert pa._frobenius_matrix(np.array(rows[:1]), p).tolist() == Q[:1].tolist()
 
 
-@pytest.mark.parametrize("n, want", [(1, ()), (2, ()), (3, ()), (4, ()), (5, ()), (6, (2,)), (7, (4,))])
-def test_nullity_table_is_a_smallest_separating_set(n, want):
-    """The fixed points, the sign parity n - r mod 2 and the nullities
-    sum_i gcd(d, d_i) for d in ds tell the partitions of n apart, and no
-    fewer exponents do, even above n: a nullity depends on d only through
-    gcd(d, m) for m <= n, so d = 1..lcm(1..n) covers all."""
+SHARED_KEYS = {
+    6: [{(6,), (2, 2, 2)}, {(4, 2), (3, 3)}],
+    7: [{(7,), (3, 2, 2)}, {(6, 1), (2, 2, 2, 1)}, {(5, 2), (4, 3)}, {(4, 2, 1), (3, 3, 1)}],
+}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cycle_keys_share_six_pairs_that_the_lcm_separates(n):
+    """The fixed points and the sign parity n - r mod 2 name every partition
+    of n but the six pairs of SHARED_KEYS, and adding the lcm of the parts
+    names every partition; `_cycle_keys` maps each key to its partition
+    and a shared (r_1, s) to None."""
     parts = list(pa._partitions(n))
-    ds, table = pa._nullity_table(n)
-    assert ds == want
+    by_key = collections.defaultdict(set)
     for lam in parts:
-        key = (lam.count(1), (n - len(lam)) % 2, *(sum(math.gcd(d, m) for m in lam) for d in ds))
-        assert table[key] == lam
-    assert len(table) == len(parts)
-    base = [(lam.count(1), (n - len(lam)) % 2) for lam in parts]
-    columns = {tuple(sum(math.gcd(d, m) for m in lam) for lam in parts) for d in range(1, math.lcm(*range(1, n + 1)) + 1)}
-    for r in range(len(ds)):
-        for cols in itertools.combinations(columns, r):
-            assert len({(*base[j], *(col[j] for col in cols)) for j in range(len(parts))}) < len(parts)
+        by_key[lam.count(1), (n - len(lam)) % 2].add(lam)
+    assert sorted(map(sorted, (v for v in by_key.values() if len(v) > 1))) == sorted(map(sorted, SHARED_KEYS.get(n, [])))
+    full = {(lam.count(1), (n - len(lam)) % 2, math.lcm(*lam)): lam for lam in parts}
+    assert len(full) == len(parts)
+    table = pa._cycle_keys(n)
+    for key, lams in by_key.items():
+        assert table[key] == (next(iter(lams)) if len(lams) == 1 else None)
+        if len(lams) > 1:
+            for lam in lams:
+                assert table[(*key, math.lcm(*lam))] == lam
+    assert len(table) == len(by_key) + sum(len(v) for v in by_key.values() if len(v) > 1)
+
+
+def _factor_degrees(coeffs, p):
+    """The degrees of the irreducible factors of x^n + a_1 x^(n-1) + ... +
+    a_n mod p, with multiplicity: `factor_mod_p`, or sympy at a prime too
+    large for its Berlekamp splits."""
+    if p < 1000:
+        return [g.degree for g, e in pa.factor_mod_p(pa.PolyModP.of(p, [*reversed(coeffs), 1])) for _ in range(e)]
+    _, ref = sympy.factor_list(to_sympy([1, *coeffs]).as_expr(), modulus=p)
+    return [sympy.degree(g, x) for g, e in ref for _ in range(e)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 97, 2**31 - 1])
+def test_frobenius_order_on_x_is_the_lcm_of_the_factor_degrees(p):
+    """The least k with x^(p^k) = x mod f, from `_x_orders` on the Berlekamp
+    matrices, is the lcm of the degrees of the factors of f mod p on
+    seeded squarefree rows of degrees 2-7; p = 2^31 - 1 takes the
+    dtype=object path."""
+    rng = random.Random(f"order-{p}")
+    for n in range(2, 8):
+        rows, want = [], []
+        while len(rows) < (3 if p > 2**30 else 25):
+            coeffs = tuple(rng.randrange(-6, 7) for _ in range(n))
+            if pa.disc(pa.MonicIntPoly(coeffs)) % p:
+                rows.append(coeffs)
+                want.append(math.lcm(*_factor_degrees(coeffs, p)))
+        assert pa._x_orders(pa._frobenius_matrix(np.array(rows), p), p, 12) == want, n
 
 
 @pytest.mark.parametrize("n, p", [(n, p) for p in (2, 3, 5, 7, 13) for n in range(1, 8) if p**n <= 13**6])
