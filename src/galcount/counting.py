@@ -25,9 +25,10 @@ a2 rows at a time.  Fujiwara's bound puts the resolvent roots at |y| <= Y
 = O(H), so a slice tries O(Y S^2) candidates for S = 2H+1, and a block
 temporary holds at most max(S^3, 2^16) entries, or one a2 row where that is
 more.  The discriminant terms are at most 1069 H^6 in size and the resolvent
-values at most Y^3 + H Y^2 + H^2 Y + H^2, so it runs in int64 while both stay
-below 2^62 (H <= 403, beyond the default budget) and on dtype=object above;
-the Kappe-Warren entries move to dtype=object from H = 76 on.
+values at most Y^3 + H Y^2 + H^2 Y + H^2, so it runs in int64, and
+`enumerate_box` refuses a quartic box where these reach 2^62 (H >= 404, far
+beyond the default budget); the Kappe-Warren entries move to dtype=object
+from H = 76 on.
 
 Degrees 2-4 are decided entirely with integer arrays.  From degree 3 up,
 `_factor_mask` marks the polynomials of a slice with a monic integer factor
@@ -285,21 +286,10 @@ def _quartic_block_rows(H, Y):
     return min(S, max(1, max(S**3, BLOCK_ENTRIES) // (S * (2 * Y + 1))))
 
 
-def _quartic_dtype(H):
-    """int64 while every intermediate of `_slice_counts_n4` stays below 2^62.
-
-    The discriminant terms are at most 1069 H^6 in size; the resolvent value
-    N(y, b, c) is at most Y^3 + H Y^2 + H^2 Y + H^2, with Y = 2t the root
-    bound of `_resolvent_root_bound` at |a| = H, where it is largest.
-    """
-    Y = 2 * _resolvent_root_bound(H, H)
-    bound = max(1069 * H**6, Y**3 + H * Y * Y + H * H * Y + H * H)
-    return np.int64 if bound < 2**62 else object
-
-
 def _kappe_warren_dtype(H):
     """int64 while q * delta < 2^62 for q = beta^2 - 4d and a^2 - 4(b - beta),
-    so |q| <= max(Y^2 + 4H, H^2 + 4H + 4Y), with Y as in `_quartic_dtype`."""
+    so |q| <= max(Y^2 + 4H, H^2 + 4H + 4Y), with Y = 2t the root bound of
+    `_resolvent_root_bound` at |a| = H, where it is largest."""
     Y = 2 * _resolvent_root_bound(H, H)
     return np.int64 if max(Y * Y + 4 * H, H * H + 4 * H + 4 * Y) * 1069 * H**6 < 2**62 else object
 
@@ -321,12 +311,12 @@ def _slice_counts_n4(H, a1):
     `_quartic_block_rows`.
     """
     S = 2 * H + 1
-    dt, kdt = _quartic_dtype(H), _kappe_warren_dtype(H)
+    kdt = _kappe_warren_dtype(H)
     a = a1
     red = _factor_mask(4, H, a1)
-    coef = np.arange(-H, H + 1, dtype=np.int64).astype(dt)
+    coef = np.arange(-H, H + 1, dtype=np.int64)
     Y = 2 * _resolvent_root_bound(H, a)
-    y = np.arange(-Y, Y + 1, dtype=np.int64).astype(dt)[:, None]
+    y = np.arange(-Y, Y + 1, dtype=np.int64)[:, None]
     yy = y * y
     N0 = (yy + a * coef) * y - coef * coef  # the b-free part y^3 + acy - c^2 of N, (y, c)
     led = CountLedger(n=4, H=H, total=S**3)
@@ -334,23 +324,23 @@ def _slice_counts_n4(H, a1):
 
     def count_rows(lo, hi):  # the block of b rows lo <= b < hi; its temporaries end with the call
         r = hi - lo
-        b = np.arange(lo, hi, dtype=np.int64).astype(dt)[:, None, None]
+        b = np.arange(lo, hi, dtype=np.int64)[:, None, None]
         # integer roots of the resolvent per (b, c, d)
         N = N0 - b * yy
         D = 4 * y + (a * a - 4 * b)
         d = N // np.where(D == 0, 1, D)
         bi, yi, ci = np.nonzero((d * D == N) & (D != 0) & (d >= -H) & (d <= H))
-        idx = (bi * S + ci) * S + (d[bi, yi, ci] + H).astype(np.int64)
+        idx = (bi * S + ci) * S + d[bi, yi, ci] + H
         del d
         roots = np.bincount(idx, minlength=r * S * S).reshape(r, S, S)
-        beta = np.zeros(r * S * S, dtype=dt)
+        beta = np.zeros(r * S * S, dtype=np.int64)
         beta[idx] = y[yi, 0]
         beta = beta.reshape(r, S, S)
         if a % 2 == 0:  # D = 0 at y0 = b - a^2/4
             y0 = b[:, 0, 0] - a * a // 4
             (i,) = np.nonzero(abs(y0) <= Y)
             hit = np.zeros((r, S, 1), dtype=bool)
-            hit[i, :, 0] = N[i, (y0[i] + Y).astype(np.int64)] == 0
+            hit[i, :, 0] = N[i, y0[i] + Y] == 0
             roots += hit
             beta = np.where(hit, y0[:, None, None], beta)
         del N
@@ -570,12 +560,21 @@ def _int64_bound(n: int, H: int) -> int:
     """A bound on every int64 intermediate of the array counters for the box
     (n, H), which `enumerate_box` requires below 2^62: |d| for the n = 2, 3
     discriminants, whose `galois._square_mask` is exact there, and the
-    bounds 2R^n and (4R)^(n-1) of `_factor_mask` from n = 3 on.  The
-    quartic counter moves its own arithmetic to dtype=object instead."""
+    bounds 2R^n and (4R)^(n-1) of `_factor_mask` from n = 3 on.  For n = 4
+    also the quartic discriminant terms, at most 1069 H^6, and the
+    resolvent values of `_slice_counts_n4`, at most Y^3 + H Y^2 + H^2 Y +
+    H^2 with Y = 2t the root bound of `_resolvent_root_bound` at |a| = H,
+    where it is largest."""
     if n == 2:
         return H * H + 4 * H
     R = H + 1
-    return max(2 * R**n, (4 * R) ** (n - 1), 5 * H**4 + 22 * H**3 + 27 * H**2 if n == 3 else 0)
+    bound = max(2 * R**n, (4 * R) ** (n - 1))
+    if n == 3:
+        return max(bound, 5 * H**4 + 22 * H**3 + 27 * H**2)
+    if n == 4:
+        Y = 2 * _resolvent_root_bound(H, H)
+        return max(bound, 1069 * H**6, Y**3 + H * Y * Y + H * H * Y + H * H)
+    return bound
 
 
 def enumerate_box(

@@ -23,9 +23,9 @@ One helper per operation, shared by every module:
   and `_squarefree_decomposition` (over F_p);
 - the Frobenius layer, on arrays of many polynomials at once: companion
   matrices C (`_companion`), C^p and the Berlekamp matrices Q
-  (`_frobenius_matrix`) by `_matpow`, reduced mod p by `_reduce`, ranked
-  by `_ranks_mod_p`.  `frobenius_cycle_types` reads cycle types from the
-  roots mod p and the sign of the discriminant by Stickelberger, and only
+  (`_frobenius_matrix`) by `_matpow`, reduced mod p by `_reduce`.
+  `frobenius_cycle_types` reads cycle types from the roots mod p and the
+  sign of the discriminant by Stickelberger, and only
   where those two leave two partitions of n = 6, 7, from the order of
   Frobenius on x, x^(p^k) = x mod f, by powers of Q (`_x_orders`);
   callers over a slice feed it `chunks` of DECIDE_CHUNK rows.  Whole
@@ -728,33 +728,6 @@ def _matpow(A: np.ndarray, e: int, p: int) -> np.ndarray:
     return R
 
 
-def _ranks_mod_p(A: np.ndarray, p: int) -> np.ndarray:
-    """Ranks over F_p of a stack of square matrices with reduced entries, by
-    one fraction-free Gaussian elimination run on all of them at once.
-    Scaling a row by its pivot (a unit) keeps the rank and every entry
-    below p^2 before reduction.  The elimination runs on the transposes,
-    which have the same ranks, so that step j reads row j of each A and
-    rewrites only the rows below it, one contiguous block per matrix.  A is
-    overwritten."""
-    M, n, _ = A.shape
-    free = np.ones((M, n), dtype=bool)  # columns of A not yet used as a pivot
-    at = np.arange(M)
-    for j in range(n):
-        row = A[:, j, :]
-        cand = free & (row != 0)
-        has = cand.any(axis=1)
-        piv = cand.argmax(axis=1)
-        free[at[has], piv[has]] = False
-        if j + 1 == n:
-            break
-        pivcol = A[at, j + 1:, piv]  # a copy, read before the scaling
-        rest = A[:, j + 1:]  # a view: the column operations run in place
-        rest *= np.where(has, row[at, piv], 1)[:, None, None]
-        rest -= pivcol[:, :, None] * np.where(free & has[:, None], row, 0)[:, None, :]
-        _reduce(rest, p)
-    return n - free.sum(axis=1)
-
-
 def _companion(rows: np.ndarray, p: int) -> np.ndarray:
     """The (N, n, n) companion matrices C mod p of the monic x^n + a_1
     x^(n-1) + ... + a_n given by the rows (a_1, ..., a_n): row j holds
@@ -792,7 +765,8 @@ def _root_counts(rows: np.ndarray, p: int) -> np.ndarray:
     at all p residues at once: the (N, n + 1) residue coefficients times
     the (n + 1, p) table of the powers x^k mod p.  Every value is a sum of
     n + 1 products below p^2, exact in int64 while (n + 1) p^2 < 2^63,
-    far above the p <= DECIDE_CHUNK n^2 of `frobenius_cycle_types`."""
+    far above the p <= DECIDE_CHUNK n^2 that `frobenius_cycle_types` feeds
+    it, in blocks of N <= DECIDE_CHUNK n^2 / p rows."""
     N, n = rows.shape
     xs = np.arange(p, dtype=np.int64)
     powers = np.ones((n + 1, p), dtype=np.int64)  # row k holds x^(n-k)
@@ -839,12 +813,12 @@ def frobenius_cycle_types(rows, deltas, p: int) -> list[tuple[int, ...]]:
     NotSquarefreeModP.  For the others, let f = g_1 ... g_r mod p with
     irreducible g_i of degrees d_i.  The key of `_cycle_keys` reads:
 
-    - the fixed points r_1, the number of roots of f in F_p.  When
-      N p <= DECIDE_CHUNK n^2, the number of entries a chunk's matrix stack
-      may hold anyway, they are counted by evaluating every row at every
-      residue (`_root_counts`).  Above that bound r_1 is the nullity of
-      C^p - C, which multiplies A = F_p[x]/(f) by x^p - x, so its kernel
-      has dimension deg gcd(f, x^p - x); this route serves any p.
+    - the fixed points r_1, the number of roots of f in F_p.  For p <=
+      DECIDE_CHUNK n^2 they are counted by evaluating every row at every
+      residue (`_root_counts`), in blocks of DECIDE_CHUNK n^2 // p rows, so
+      that a block holds no more entries than a chunk's matrix stack may.
+      Above that bound r_1 is deg gcd(f, x^p - x) (`pgcd`), one row at a
+      time, with x^p mod f read from row 0 of the companion power C^p.
     - the sign parity n - r mod 2, from Stickelberger's theorem (R. G.
       Swan, "Factorization of polynomials over finite fields", Pacific J.
       Math. 12, 1962): (delta | p) = (-1)^(n - r).  At p = 2 this reads
@@ -859,8 +833,7 @@ def frobenius_cycle_types(rows, deltas, p: int) -> list[tuple[int, ...]]:
       phi^k = id exactly when every d_i divides k, and as phi^k is an
       algebra map and x generates A, phi^k = id exactly when phi^k fixes x.
 
-    The scan path ranks nothing; the nullity of C^p - C above its bound is
-    one batched elimination.  A key that names no partition, which only a
+    No matrix is ranked.  A key that names no partition, which only a
     wrong delta can give, raises InternalError.
     """
     _require_prime(p)
@@ -876,12 +849,16 @@ def frobenius_cycle_types(rows, deltas, p: int) -> list[tuple[int, ...]]:
     if None in parity:
         raise NotSquarefreeModP(f"row {rows[parity.index(None)].tolist()} is not squarefree mod {p}")
     Cp = None
-    if N * p <= DECIDE_CHUNK * n * n:
-        r1 = _root_counts(rows, p).tolist()
+    if p <= DECIDE_CHUNK * n * n:
+        block = DECIDE_CHUNK * n * n // p
+        r1 = [r for at in range(0, N, block) for r in _root_counts(rows[at : at + block], p).tolist()]
     else:
-        C = _companion(rows, p)
-        Cp = _matpow(C, p, p)
-        r1 = (n - _ranks_mod_p(_reduce(Cp - C, p), p)).tolist()
+        Cp = _matpow(_companion(rows, p), p, p)
+        r1 = []
+        for row, xp in zip(rows.tolist(), Cp[:, 0].tolist()):  # row 0 of C^p is x^p mod f
+            xp.append(0)
+            xp[1] = (xp[1] - 1) % p
+            r1.append(len(pgcd([c % p for c in row[::-1]] + [1], xp, p)) - 1)
     keys = list(zip(r1, parity))
     table = _cycle_keys(n)
     types = [table.get(key) for key in keys]

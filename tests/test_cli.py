@@ -62,20 +62,23 @@ def test_count_budget_exit_2(tmp_path):
 
 
 def test_count_past_the_int64_proof_exit_2(tmp_path, capsys):
-    """A cubic box beyond the int64 proof of its discriminants is refused
-    even with a budget that admits it: exit 2, no traceback, no checkpoint
-    directory and no slice array (a slice of it holds 3.8e9 entries)."""
-    ckpt = tmp_path / "ckpt"
-    tracemalloc.start()
-    try:
-        code = cli.main(["count", "--n", "3", "--H", "30989", "--budget", str(10**15), "--checkpoint", str(ckpt)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    err = capsys.readouterr().err
-    assert code == 2 and err.startswith("resource error: ") and "Traceback" not in err
-    assert not ckpt.exists()
-    assert peak < 2**20
+    """A cubic box beyond the int64 proof of its discriminants, and a
+    quartic one beyond that of its discriminants and resolvent values, are
+    refused even with a budget that admits them: exit 2, no traceback, no
+    checkpoint directory and no slice array (a slice of the cubic box holds
+    3.8e9 entries)."""
+    for n, H, budget in [(3, 30989, 10**15), (4, 404, 10**12)]:
+        ckpt = tmp_path / f"ckpt{n}"
+        tracemalloc.start()
+        try:
+            code = cli.main(["count", "--n", str(n), "--H", str(H), "--budget", str(budget), "--checkpoint", str(ckpt)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("resource error: ") and "Traceback" not in err, n
+        assert not ckpt.exists()
+        assert peak < 2**20
 
 
 def test_count_bad_ladder_exit_1(tmp_path, capsys):

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from galcount import cli
 from galcount import counting as ct
 from galcount import galois as ga
+from galcount import polyarith as pa
 from galcount.errors import (
     BudgetExceeded,
     DegreeOutOfRange,
@@ -114,25 +115,54 @@ def test_golden_ledgers_pinned(box):
     assert ct.enumerate_box(*box)[0].to_json() == GOLDEN[box]
 
 
+def test_golden_ledgers_do_not_depend_on_the_chunk_size(monkeypatch):
+    """With DECIDE_CHUNK = 3 the runs, the walk chunks and the root-count
+    blocks are all cut differently, and the root-count bound DECIDE_CHUNK
+    n^2 is 75 for n = 5, so the quintic walks at larger primes count their
+    roots by gcd(f, x^p - x); the ledgers stay the golden ones."""
+    monkeypatch.setattr(pa, "DECIDE_CHUNK", 3)
+    monkeypatch.setattr(ct, "DECIDE_CHUNK", 3)
+    gcds = []
+    pgcd = pa.pgcd
+    monkeypatch.setattr(pa, "pgcd", lambda *args: gcds.append(args[2]) or pgcd(*args))
+    for box in [(5, 3), (6, 1), (7, 1)]:
+        assert ct.compute_E(*box)["ledger"].to_json() == GOLDEN[box]
+    assert gcds and min(gcds) > 75
+
+
 def _each_slice(n, H):
     """Every slice ledger of the box, each slice counted by itself: a run
     holding both twins would copy slice -a1 from slice a1."""
     return [ct.slice_ledger(n, H, [a1])[0].canonical() for a1 in range(-H, H + 1)]
 
 
-def test_quartic_object_dtype_path_matches_int64(monkeypatch):
-    H = 4
-    want = _each_slice(4, H)
-    monkeypatch.setattr(ct, "_quartic_dtype", lambda H: object)
-    assert _each_slice(4, H) == want
-
-
 def test_quartic_int64_bounds_hold_at_the_largest_int64_H():
-    H = max(h for h in range(1000) if ct._quartic_dtype(h) is np.int64)
-    assert ct._quartic_dtype(H + 1) is object
-    assert (2 * H + 1) ** 4 > ct.DEFAULT_BUDGET  # dtype=object needs a raised budget
-    corners = np.array(list(itertools.product((-H, H), repeat=4)), dtype=np.int64)
-    assert ga.quartic_disc(*corners.T).tolist() == [ga.quartic_disc(*map(int, row)) for row in corners]
+    """`enumerate_box` takes quartic boxes up to H = 403, far beyond the
+    default budget, and refuses H = 404 by `_int64_bound` (checked with the
+    other degrees in `test_factor_mask_int64_bounds_hold_at_the_largest_int64_H`).
+    At H = 403, in Python ints at the corners of the box, the 16
+    discriminant terms sum to at most 1069 H^6 in size, and the resolvent
+    values N(y, b, c) and d D(y, b) at y = +-Y stay within the bound, below
+    2^62; the int64 discriminants equal the Python ones there."""
+    H = _largest_int64_H(4)
+    assert H == 403 and (2 * H + 1) ** 4 > ct.DEFAULT_BUDGET
+    bound = ct._int64_bound(4, H)
+    assert 1069 * H**6 <= bound < 2**62
+    Y = 2 * ct._resolvent_root_bound(H, H)
+    syms = sympy.symbols("a b c d")
+    quartic = x**4 + sum(s * x ** (3 - k) for k, s in enumerate(syms))
+    terms = sympy.Poly(sympy.discriminant(quartic, x), *syms).terms()
+    assert len(terms) == 16
+    corners = list(itertools.product((-H, H), repeat=4))
+    for a, b, c, d in corners:
+        values = [int(k) * a**i * b**j * c**l * d**m for (i, j, l, m), k in terms]
+        assert sum(map(abs, values)) <= 1069 * H**6
+        assert ga.quartic_disc(a, b, c, d) == sum(values)
+        for y in (-Y, Y):
+            assert abs(y**3 - b * y * y + a * c * y - c * c) <= bound
+            assert abs(d * (4 * y + a * a - 4 * b)) <= bound
+    cols = np.array(corners, dtype=np.int64)
+    assert ga.quartic_disc(*cols.T).tolist() == [ga.quartic_disc(*row) for row in corners]
 
 
 def test_resolvent_roots_lie_within_the_fujiwara_bound():
@@ -205,8 +235,8 @@ def test_quartic_blocks_stay_within_the_entry_bound():
 def test_quartic_block_size_does_not_change_the_count(monkeypatch, H, dtype):
     """One b row per block gives every slice ledger that the default blocks
     (one per slice at these H) give, so the block edges, and the D = 0 rows
-    at y0 = b - a^2/4 among them, lose and double-count nothing."""
-    monkeypatch.setattr(ct, "_quartic_dtype", lambda H: dtype)
+    at y0 = b - a^2/4 among them, lose and double-count nothing; with the
+    Kappe-Warren test on int64 and on dtype=object entries."""
     monkeypatch.setattr(ct, "_kappe_warren_dtype", lambda H: dtype)
     want = _each_slice(4, H)
     monkeypatch.setattr(ct, "_quartic_block_rows", lambda H, Y: 1)
@@ -215,14 +245,13 @@ def test_quartic_block_size_does_not_change_the_count(monkeypatch, H, dtype):
 
 def test_kappe_warren_dtype_turns_to_object_where_its_bound_reaches_2_62():
     """int64 exactly while (max |q|) * (max |delta|) < 2^62; that ends at
-    H = 76, inside the default budget (H <= 88), long before the slice's own
-    dtype turns to object."""
+    H = 76, inside the default budget (H <= 88), long before `enumerate_box`
+    refuses a quartic box (H = 404)."""
     for H in range(200):
         Y = 2 * ct._resolvent_root_bound(H, H)
         bound = max(Y * Y + 4 * H, H * H + 4 * H + 4 * Y) * 1069 * H**6
         assert (ct._kappe_warren_dtype(H) is np.int64) == (bound < 2**62), H
     assert ct._kappe_warren_dtype(75) is np.int64 and ct._kappe_warren_dtype(76) is object
-    assert ct._quartic_dtype(76) is np.int64
 
 
 def test_degree_2_to_4_counters_run_no_scalar_classifier(monkeypatch):

@@ -485,26 +485,36 @@ def test_frobenius_cycle_types_at_2_do_not_depend_on_the_lift(n):
 
 @pytest.mark.parametrize("n, p", [(n, p) for p in (97, 1009) for n in range(2, 8)] + [(2, 2), (7, 7)])
 def test_frobenius_cycle_types_agree_across_the_root_count_bound(n, p, monkeypatch):
-    """A batch of N rows counts the roots by evaluation while N p <=
-    DECIDE_CHUNK n^2, and as the nullity of C^p - C above; the same rows
-    get the same types either way.  At p = 2 and 7 the largest scanned
-    batch meets the bound exactly."""
+    """For p <= DECIDE_CHUNK n^2 the roots are counted by evaluation in
+    blocks of B = DECIDE_CHUNK n^2 // p rows, and as deg gcd(f, x^p - x)
+    above.  B rows are one block and B + 1 rows two, and the same rows get
+    the same types either way; so they do with DECIDE_CHUNK set to put p
+    just below the bound (blocks of a few rows) and just above it (no
+    evaluation).  At p = 2 and 7 the block meets the bound exactly."""
     scans = []
     root_counts = pa._root_counts
     monkeypatch.setattr(pa, "_root_counts", lambda rows, p: scans.append(len(rows)) or root_counts(rows, p))
     rng = random.Random(f"bound-{n}-{p}")
-    below = pa.DECIDE_CHUNK * n * n // p
+    block = pa.DECIDE_CHUNK * n * n // p
     rows, deltas = [], []
-    while len(rows) < below + 1:
+    while len(rows) < block + 1:
         row = tuple(rng.randrange(-50, 51) for _ in range(n))
         if (delta := pa.disc(pa.MonicIntPoly(row))) % p:
             rows.append(row)
             deltas.append(delta)
-    above = pa.frobenius_cycle_types(rows, deltas, p)
+    types = pa.frobenius_cycle_types(rows, deltas, p)
+    assert pa.frobenius_cycle_types(rows[:block], deltas[:block], p) == types[:block]
+    assert pa.frobenius_cycle_types(rows[1:], deltas[1:], p) == types[1:]
+    assert scans == [block, 1, block, block]
+    below = -(-p // (n * n))
+    monkeypatch.setattr(pa, "DECIDE_CHUNK", below)
+    scans.clear()
+    assert pa.frobenius_cycle_types(rows, deltas, p) == types
+    assert sum(scans) == len(rows) and set(scans[:-1]) == {below * n * n // p}
+    monkeypatch.setattr(pa, "DECIDE_CHUNK", (p - 1) // (n * n))
+    scans.clear()
+    assert pa.frobenius_cycle_types(rows, deltas, p) == types
     assert scans == []
-    assert pa.frobenius_cycle_types(rows[:below], deltas[:below], p) == above[:below]
-    assert pa.frobenius_cycle_types(rows[1:], deltas[1:], p) == above[1:]
-    assert scans == [below, below]
 
 
 @pytest.mark.parametrize("p, cubic, unit", [(2, (0, 1, 1), 5), (7, (0, 0, -2), 3), (2**31 - 1, (0, 0, -5), 3)])
@@ -586,52 +596,27 @@ def test_frobenius_cycle_types_rejects_a_ramified_row():
                     )
 
 
-def _rank_mod_p(rows, p):
-    """Rank over F_p by Gauss-Jordan elimination with inverses, one matrix."""
-    rows = [[a % p for a in row] for row in rows]
-    rank = 0
-    for j in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][j], -1, p)
-        rows[rank] = [a * inv % p for a in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][j]:
-                c = rows[i][j]
-                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-@pytest.mark.parametrize("p", [2, 3, 97, 2**31 - 1])
-@pytest.mark.parametrize("n", [1, 2, 5, 7])
-def test_ranks_mod_p_match_a_scalar_elimination(n, p):
-    """Zero, full-rank (a permuted unit triangle) and rank-deficient (a
-    product through k < n) matrices in one stack; p = 2^31 - 1 takes the
-    dtype=object path, as in `_frobenius_matrix`."""
-    rng = random.Random(f"ranks-{n}-{p}")
-    big = n * p * p >= 2**62
-    mats, want = [], []
-    for i in range(60):
-        kind = i % 3
-        if kind == 0:
-            m = [[0] * n for _ in range(n)]
-        elif kind == 1:
-            tri = [[(1 if a == b else rng.randrange(p)) if b >= a else 0 for b in range(n)] for a in range(n)]
-            m = rng.sample(tri, n)
-        else:
-            k = rng.randrange(n)
-            u = [[rng.randrange(p) for _ in range(k)] for _ in range(n)]
-            v = [[rng.randrange(p) for _ in range(n)] for _ in range(k)]
-            m = [[sum(u[a][t] * v[t][b] for t in range(k)) % p for b in range(n)] for a in range(n)]
-        mats.append(m)
-        want.append(_rank_mod_p(m, p))
-        if kind < 2:
-            assert want[-1] == (0 if kind == 0 else n)
-    A = np.array(mats, dtype=object if big else np.int64).reshape(len(mats), n, n)
-    assert pa._ranks_mod_p(A, p).tolist() == want
+@pytest.mark.parametrize("p", ["next", 2**31 - 1])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_frobenius_cycle_types_above_the_root_count_bound_match_sympy(n, p):
+    """Above p = DECIDE_CHUNK n^2 the fixed points are deg gcd(f, x^p - x)
+    with x^p mod f from C^p.  At the first prime past the bound and at
+    2^31 - 1, where the matrices are dtype=object, seeded squarefree rows
+    get the degrees of sympy's factorization mod p.  For n = 6, 7 some rows
+    have a shared (r_1, parity) key, so their x-orders come from that C^p."""
+    if p == "next":
+        p = sympy.nextprime(pa.DECIDE_CHUNK * n * n)
+    rng = random.Random(f"gcd-{n}-{p}")
+    rows, deltas, want = [], [], []
+    while len(rows) < 24:
+        row = tuple(rng.randrange(-50, 51) for _ in range(n))
+        if (delta := pa.disc(pa.MonicIntPoly(row))) % p:
+            rows.append(row)
+            deltas.append(delta)
+            want.append(tuple(sorted(_factor_degrees(row, p), reverse=True)))
+    keys = pa._cycle_keys(n)
+    assert any(keys[t.count(1), (n - len(t)) % 2] is None for t in want) == (n >= 6)
+    assert pa.frobenius_cycle_types(rows, deltas, p) == want
 
 
 def ppow_mod(base, e, mod, p):
