@@ -2,7 +2,8 @@
 """E_n(H) over a doubling ladder of box sizes, with the fitted exponent.
 
 The non-S_n count should grow like H^(n-1); the slope of the log-log fit
-is printed together with the per-ledger breakdown.
+is printed together with the per-ledger breakdown.  The boxes share one
+worker Pool, and each row's seconds time its own box.
 
 Usage: python3 scripts/growth_ladder.py --n 3 --ladder 10,20,40,80
        python3 scripts/growth_ladder.py --n 4 --ladder 8,16,32
@@ -25,13 +26,13 @@ def main():
     args = ap.parse_args()
 
     points = []
-    for H in [int(t) for t in args.ladder.split(",")]:
-        t0 = time.time()
-        out = counting.compute_E(args.n, H, parallelism=args.parallelism)
-        dt = time.time() - t0
+    ladder = [int(t) for t in args.ladder.split(",")]
+    t0 = time.perf_counter()
+    for out in counting.compute_ladder(args.n, ladder, parallelism=args.parallelism):
+        dt = time.perf_counter() - t0
         led = out["ledger"]
         row = {
-            "H": H,
+            "H": led.H,
             "E": out["value"],
             "discZero": led.disc_zero,
             "reducible": led.reducible,
@@ -40,7 +41,8 @@ def main():
         }
         print(json.dumps(row, sort_keys=True))
         if out["mode"] == "exact":
-            points.append((H, out["value"]))
+            points.append((led.H, out["value"]))
+        t0 = time.perf_counter()
 
     with contextlib.suppress(InsufficientData):
         fit = counting.exponent_fit(points)

@@ -109,11 +109,10 @@ def cmd_count(args) -> list[dict]:
         raise UsageError("need a nonempty ladder of H >= 0")
     out = []
     counts = []
-    for H in ladder:
-        result = counting.compute_E(args.n, H, args.parallelism, args.budget, args.checkpoint)
+    for result in counting.compute_ladder(args.n, ladder, args.parallelism, args.budget, args.checkpoint):
         mode, value = result["mode"], result["value"]
         if mode == "exact":
-            counts.append((H, value))
+            counts.append((result["ledger"].H, value))
         obj = {
             "formatVersion": FORMAT_VERSION,
             "config": _config_echo(args),

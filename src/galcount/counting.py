@@ -6,8 +6,12 @@ ledger.  The box is symmetric under f(x) -> (-1)^n f(-x), that is a_i ->
 Galois group and every Frobenius cycle type (the roots are only negated),
 so slice -a1 has exactly the ledger of slice a1.  The unit of work is a
 run of the slices still to be counted, closed once it counts at least
-DECIDE_CHUNK polynomials, a shorter last run joining the one before it
-(`_runs`), and a run never splits a pair of twin slices a1, -a1.
+BLOCK_ENTRIES polynomials at degrees 2-4, whose array counters take one
+slice at a time, and DECIDE_CHUNK at degrees 5-7, whose runs feed the
+Frobenius walks; a shorter last run joins the one before it (`_runs`),
+and a run never splits a pair of twin slices a1, -a1.  A box of one run
+is counted in-process; the runs of larger boxes go to a Pool that every
+box of a ladder shares (`compute_ladder`, `_Workers`).
 `slice_ledger` alone uses the symmetry: degrees 2-4 count one slice of
 each pair in a run and copy its ledger to the other; degrees 5-7 give
 every slice its own discriminant and factor-mask pass but walk one of
@@ -80,7 +84,7 @@ from .polyarith import DECIDE_CHUNK, MonicIntPoly, chunks, disc, factor_int, fie
 
 DEFAULT_BUDGET = 10**9
 FORMAT_VERSION = 1
-BLOCK_ENTRIES = 2**16  # a quartic block temporary may hold this many entries even where S^3 is less
+BLOCK_ENTRIES = 2**16  # polynomials per degree 2-4 run; a quartic block temporary may hold this many entries
 
 SN_NAME = {2: "C2", 3: "S3", 4: "S4", 5: "S5", 6: "S6", 7: "S7"}
 
@@ -484,16 +488,60 @@ def slice_ledger(n: int, H: int, a1s: list[int]) -> list[CountLedger]:
     return leds
 
 
+def _per_run(n, H):
+    """Units per run: enough slices of (2H+1)^(n-1) polynomials to count
+    BLOCK_ENTRIES of them (degrees 2-4) or DECIDE_CHUNK (degrees 5-7)."""
+    chunk = BLOCK_ENTRIES if n in _ARRAY_COUNTERS else DECIDE_CHUNK
+    return -(-chunk // (2 * H + 1) ** (n - 1))
+
+
 def _runs(n, H, units):
     """`units`, one entry per slice or twin pair to count, cut into runs of
-    consecutive entries, each closed once it holds at least DECIDE_CHUNK /
-    (2H+1)^(n-1) entries (one if a slice holds DECIDE_CHUNK polynomials).
-    A shorter last run joins the run before it."""
-    per_run = -(-DECIDE_CHUNK // (2 * H + 1) ** (n - 1))
+    `_per_run` consecutive entries.  A shorter last run joins the run
+    before it, so a cold box of H + 1 pairs has max(1, (H + 1) // per_run)
+    runs."""
+    per_run = _per_run(n, H)
     runs = [units[i : i + per_run] for i in range(0, len(units), per_run)]
     if len(runs) > 1 and len(runs[-1]) < per_run:
         runs[-2:] = [runs[-2] + runs[-1]]
     return runs
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on, by its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Workers:
+    """The Pool that the boxes of a ladder share.  It is made when a box
+    first has two runs or more, with min(parallelism, CPUs, the most runs
+    of a cold box of the ladder) processes, and terminated on exit; a box
+    of one run, or a ladder where that minimum is 1, is counted
+    in-process."""
+
+    def __init__(self, n, Hs, parallelism):
+        self.n, self.Hs, self.parallelism = n, Hs, parallelism
+        self.size = self.pool = None
+
+    def map(self, fn, jobs):
+        if len(jobs) < 2:
+            return list(map(fn, jobs))
+        if self.size is None:
+            most = max(max(1, (H + 1) // _per_run(self.n, H)) for H in self.Hs)
+            self.size = min(self.parallelism, _cpus(), most)
+            if self.size > 1:
+                self.pool = Pool(self.size)
+        return list(map(fn, jobs)) if self.pool is None else self.pool.map(fn, jobs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.pool is not None:
+            self.pool.terminate()
+            self.pool.join()
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +631,7 @@ def enumerate_box(
     parallelism: int = 1,
     budget: int = DEFAULT_BUDGET,
     checkpoint: str | None = None,
+    workers: _Workers | None = None,
 ) -> tuple[CountLedger, int]:
     """The merged ledger of the box and the number of slices computed.
 
@@ -591,12 +640,16 @@ def enumerate_box(
     pair of twin slices a1, -a1 as a unit), which may join non-adjacent
     a1 where stored slices lie between, and each run is counted by
     `slice_ledger`, so a lone missing slice is counted directly.  The runs
-    are computed in a Pool of min(parallelism, runs, CPUs) processes, if
-    above 1.  Each slice of a run is stored when its run is done, by the
-    process that computed it, and counts as computed.  A box over budget,
-    or one whose int64 arithmetic `_int64_bound` does not prove exact, is
-    refused before anything is made.
+    go to `workers`, the Pool of a ladder, or else to one of the box's
+    own; one run is counted in-process.  Each slice of a run is stored
+    when its run is done, by the process that computed it, and counts as
+    computed.  A box over budget, or one whose int64 arithmetic
+    `_int64_bound` does not prove exact, is refused before anything is
+    made.
     """
+    if workers is None:
+        with _Workers(n, [H], parallelism) as workers:
+            return enumerate_box(n, H, parallelism, budget, checkpoint, workers)
     if not 2 <= n <= 7 or H < 0:
         raise UsageError("need 2 <= n <= 7 and H >= 0")
     if parallelism < 1:
@@ -616,13 +669,7 @@ def enumerate_box(
     missing = set(todo)
     units = [sorted({-r, r} & missing) for r in sorted({abs(a1) for a1 in todo})]
     jobs = [(n, H, sum(run, []), checkpoint) for run in _runs(n, H, units)]
-    workers = min(parallelism, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
-        with Pool(workers) as pool:
-            done = pool.map(_slice_worker, jobs)
-    else:
-        done = map(_slice_worker, jobs)
-    for pairs in done:
+    for pairs in workers.map(_slice_worker, jobs):
         results.update(pairs)
     merged = CountLedger(n=n, H=H)
     for a1 in a1s:  # fixed order; checksum is order-free anyway
@@ -634,14 +681,37 @@ def enumerate_box(
 # Headline counts
 
 
+def compute_ladder(
+    n: int,
+    Hs: list[int],
+    parallelism: int = 1,
+    budget: int = DEFAULT_BUDGET,
+    checkpoint: str | None = None,
+):
+    """Yield the `compute_E` result of each box (n, H) of `Hs`, in order.
+
+    The boxes are checked and counted one after another, each after the
+    one before has stored its slices, so an error in one leaves the later
+    ones uncounted; they share one `_Workers` Pool, which ends with the
+    ladder, also when it raises or is closed early.
+    """
+    Hs = list(Hs)
+    with _Workers(n, Hs, parallelism) as workers:
+        for H in Hs:
+            yield compute_E(n, H, parallelism, budget, checkpoint, workers)
+
+
 def compute_E(
     n: int,
     H: int,
     parallelism: int = 1,
     budget: int = DEFAULT_BUDGET,
     checkpoint: str | None = None,
+    workers: _Workers | None = None,
 ) -> dict:
-    """E_n(H): polynomials in the box whose group is not S_n.
+    """E_n(H): polynomials in the box whose group is not S_n.  Without
+    `workers` the box is the ladder [H] of `compute_ladder`, which passes
+    its shared Pool as `workers`.
 
     Exact for n <= 5; a certified interval [lower, upper] for n in {6, 7}.
     "slicesComputed" counts the slices not taken from `checkpoint`; a slice
@@ -651,7 +721,7 @@ def compute_E(
         check_budget(n, H, budget)
     if not 2 <= n <= 7:
         raise DegreeOutOfRange("compute_E implemented for 2 <= n <= 7")
-    led, computed = enumerate_box(n, H, parallelism, budget, checkpoint)
+    led, computed = enumerate_box(n, H, parallelism, budget, checkpoint, workers)
     mode, value = ledger_E(led)
     return {"mode": mode, "value": value, "ledger": led, "slicesComputed": computed}
 

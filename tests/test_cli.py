@@ -1,7 +1,9 @@
 """Command-line interface: outputs, exit codes, checkpointing, CSV mirror."""
 
 import csv
+import hashlib
 import json
+import multiprocessing
 import os
 import time
 import tracemalloc
@@ -11,6 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from galcount import cli
+from galcount import counting as ct
+from galcount.errors import InternalError
 
 
 def run(argv, tmp_path, name="out.jsonl", extra=()):
@@ -153,6 +157,71 @@ def test_count_parallel_ledger_bytes_identical(tmp_path):
         obj = {k: v for k, v in objs[0].items() if k != "config"}
         payloads.append(json.dumps(obj, sort_keys=True).encode())
     assert payloads[0] == payloads[1]
+
+
+def _record_pools(monkeypatch):
+    """Pool sizes as they are made, and the number made when each box starts."""
+    made, at_box = [], []
+    Pool, compute_E = ct.Pool, ct.compute_E
+    monkeypatch.setattr(ct, "Pool", lambda processes: made.append(processes) or Pool(processes))
+    monkeypatch.setattr(ct, "compute_E", lambda *args: at_box.append(len(made)) or compute_E(*args))
+    return made, at_box
+
+
+def test_count_ladder_leaves_no_worker_running(tmp_path, monkeypatch):
+    """A ladder at --parallelism 2 makes its one Pool in the first box (H =
+    40 has 4 runs) and ends it whether the ladder succeeds, a later box is
+    refused (exit 2) or a later box fails in a worker (exit 3)."""
+    monkeypatch.setattr(ct, "_cpus", lambda: 2)
+    made, at_box = _record_pools(monkeypatch)
+    counter = ct._ARRAY_COUNTERS[3]
+
+    def failing(H, a1):
+        if H == 80:
+            raise InternalError("planted failure")
+        return counter(H, a1)
+
+    monkeypatch.setitem(ct._ARRAY_COUNTERS, 3, failing)
+    ladder = ["count", "--n", "3", "--H", "40,40,80", "--parallelism", "2"]
+    for argv, code in [
+        (ladder[:4] + ["40,40"] + ladder[5:], 0),
+        (ladder + ["--budget", str(10**6)], 2),
+        (ladder, 3),
+    ]:
+        made.clear()
+        at_box.clear()
+        assert cli.main([*argv, "--out", str(tmp_path / "out.jsonl")]) == code, argv
+        assert made == [2] and at_box[:2] == [0, 1], argv
+        assert multiprocessing.active_children() == [], argv
+    # a repeated box reads the slices the box before it stored
+    ck = str(tmp_path / "ck")
+    code, objs = run(ladder[:4] + ["40,40"] + ladder[5:] + ["--checkpoint", ck], tmp_path)
+    assert code == 0 and [o["slicesComputed"] for o in objs] == [81, 0] and objs[1]["status"] == "up to date"
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("n, ladder", [(3, "10,20,40"), (5, "1,2")])
+def test_count_ladder_bytes_identical_across_parallelism(tmp_path, monkeypatch, n, ladder):
+    """Plain, with a cold checkpoint and resumed after every other slice file
+    is deleted, a ladder gives the same ledger lines (but for its config)
+    and slice files at --parallelism 1 and 2, and makes at most one Pool."""
+    made, _ = _record_pools(monkeypatch)
+    digests = {}
+    for workers in ("1", "2"):
+        ck = tmp_path / f"ck{workers}"
+        argv = ["count", "--n", str(n), "--H", ladder, "--parallelism", workers]
+        for mode, extra in [("plain", []), ("cold", ["--checkpoint", str(ck)]), ("resumed", ["--checkpoint", str(ck)])]:
+            if mode == "resumed":
+                for name in sorted(os.listdir(ck))[::2]:
+                    os.unlink(ck / name)
+            made.clear()
+            code, objs = run([*argv, *extra], tmp_path, f"{mode}{workers}.jsonl")
+            assert code == 0 and len(made) <= 1 and multiprocessing.active_children() == []
+            lines = [json.dumps({k: v for k, v in o.items() if k != "config"}, sort_keys=True) for o in objs]
+            files = sorted((f, (ck / f).read_bytes()) for f in os.listdir(ck)) if extra else []
+            digests[workers, mode] = hashlib.sha256(repr((lines, files)).encode()).hexdigest()
+    for mode in ("plain", "cold", "resumed"):
+        assert digests["1", mode] == digests["2", mode], mode
 
 
 def test_count_checkpoint_degree_checked_first(tmp_path):

@@ -462,11 +462,31 @@ def test_checkpoint_not_created_for_a_refused_box(tmp_path):
     assert not os.path.exists(ck)
 
 
+def _serial_pool(sizes):
+    """A stand-in for `counting.Pool` that maps in-process and records its sizes."""
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+        def terminate(self):
+            pass
+
+        def join(self):
+            pass
+
+    return SerialPool
+
+
 def test_pool_capped_at_runs_to_compute(tmp_path, monkeypatch):
-    """The Pool has min(parallelism, runs, CPUs) workers; a cubic run holds
+    """The Pool has min(parallelism, runs, CPUs) workers; a run holds
     slices, never splits a twin pair a1, -a1, and closes once it counts
-    DECIDE_CHUNK polynomials, here 2 units (a slice or twin pair) of 81,
-    except that a shorter last run joins the run before it."""
+    BLOCK_ENTRIES polynomials at degrees 2-4, here 2 cubic units (a slice
+    or twin pair) of 81, and DECIDE_CHUNK at degrees 5-7, here 1 quintic
+    unit of 81; a shorter last run joins the run before it."""
     sizes, runs = [], []
     worker = ct._slice_worker
 
@@ -474,28 +494,16 @@ def test_pool_capped_at_runs_to_compute(tmp_path, monkeypatch):
         runs.append(job[2])
         return worker(job)
 
-    class SerialPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return list(map(fn, items))
-
-    monkeypatch.setattr(ct, "Pool", SerialPool)
-    monkeypatch.setattr(ct, "DECIDE_CHUNK", 150)
+    monkeypatch.setattr(ct, "Pool", _serial_pool(sizes))
+    monkeypatch.setattr(ct, "_cpus", lambda: 8)
+    monkeypatch.setattr(ct, "BLOCK_ENTRIES", 150)
+    monkeypatch.setattr(ct, "DECIDE_CHUNK", 81)
     monkeypatch.setattr(ct, "_slice_worker", recorded)
     direct = ct.enumerate_box(3, 4)[0]
     runs.clear()
     led, computed = ct.enumerate_box(3, 4, parallelism=10**6, checkpoint=str(tmp_path))
     assert computed == 9 and led.canonical() == direct.canonical()
-    workers = min(2, os.cpu_count() or 1)
-    assert sizes == ([workers] if workers > 1 else [])
+    assert sizes == [2]
     assert runs == [[0, -1, 1], [-2, 2, -3, 3, -4, 4]]  # the last run, [-4, 4], joined the one before
     # the missing slices -2 and 2 are one twin pair, and one run starts no Pool
     for a1 in (-2, 2):
@@ -504,10 +512,33 @@ def test_pool_capped_at_runs_to_compute(tmp_path, monkeypatch):
     assert ct.enumerate_box(3, 4, parallelism=10**6, checkpoint=str(tmp_path))[1] == 2
     assert runs == [[-2, 2]]
     assert ct.enumerate_box(3, 4, parallelism=10**6, checkpoint=str(tmp_path))[1] == 0
-    assert sizes == ([workers] if workers > 1 else [])
+    assert sizes == [2]
     assert ct._runs(3, 4, [[0], [-2, 2]]) == [[[0], [-2, 2]]]
     assert ct._runs(3, 4, list(range(4))) == [[0, 1], [2, 3]]
     assert ct._runs(3, 4, list(range(5))) == [[0, 1], [2, 3, 4]]
+    # a quintic slice of 81 polynomials fills a run of DECIDE_CHUNK alone
+    direct = ct.enumerate_box(5, 1)[0]
+    runs.clear()
+    led, computed = ct.enumerate_box(5, 1, parallelism=10**6, checkpoint=str(tmp_path))
+    assert computed == 3 and led.canonical() == direct.canonical()
+    assert runs == [[0], [-1, 1]] and sizes == [2, 2]
+    assert ct._runs(5, 1, list(range(3))) == [[0], [1], [2]]
+
+
+def test_pool_size_counts_the_cpus_the_process_may_use(monkeypatch):
+    """The CPUs are those of the affinity mask where the OS has one, and
+    os.cpu_count() elsewhere; the Pool never has more workers."""
+    sizes = []
+    monkeypatch.setattr(ct, "Pool", _serial_pool(sizes))
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+    assert ct._cpus() == 3
+    ct.enumerate_box(3, 80, parallelism=10**6)  # 27 runs
+    assert sizes == [3]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert ct._cpus() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert ct._cpus() == 1
 
 
 @pytest.mark.parametrize("n, H", [(2, 5), (3, 6), (4, 3), (5, 2), (6, 1), (7, 1)])
